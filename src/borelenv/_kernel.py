@@ -3,7 +3,7 @@
 Two reduced-row-echelon cores sit behind the public linalg API:
 
 * prime fields: numpy int64 rows, vectorized row updates, inverses by
-  Fermat exponentiation;
+  Fermat exponentiation (Python-int object arrays above NUMPY_FP_LIMIT);
 * rationals: integer rows (denominators cleared up front) reduced by
   fraction-free Gauss-Jordan with exact divisions.
 
@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 
+# Largest p whose products (p-1)^2 still fit in int64; above it the row
+# update would overflow silently, so the array holds Python ints instead.
+NUMPY_FP_LIMIT = math.isqrt(2**63 - 1) + 1
+
+
 def rref_fp(rows: list, width: int, p: int):
     """RREF of integer rows modulo the prime p.
 
@@ -45,7 +50,7 @@ def rref_fp(rows: list, width: int, p: int):
     """
     if not rows:
         return [], 0, []
-    a = np.array(rows, dtype=np.int64) % p
+    a = np.array(rows, dtype=np.int64 if p <= NUMPY_FP_LIMIT else object) % p
     nrows = a.shape[0]
     r = 0
     pivots: list[int] = []

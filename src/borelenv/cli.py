@@ -203,9 +203,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BorelenvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

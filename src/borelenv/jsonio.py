@@ -23,7 +23,6 @@ from typing import Any
 from .decomp import BruhatFactors, UlpFactors
 from .envelope import BorelConjugate, EnvelopeCertificate
 from .errors import InvalidInput
-from .flags import Flag
 from .linalg import FieldSpec, Matrix
 from .weyl import Permutation
 
@@ -36,7 +35,6 @@ __all__ = [
     "matrix_from_json",
     "perm_to_json",
     "perm_from_json",
-    "flag_to_json",
     "certificate_to_json",
     "bruhat_to_json",
     "ulp_to_json",
@@ -101,13 +99,11 @@ def perm_to_json(w: Permutation) -> list[int]:
 
 
 def perm_from_json(obj: Any) -> Permutation:
-    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+    if not isinstance(obj, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in obj
+    ):
         raise InvalidInput(f"bad permutation {obj!r}")
     return Permutation(tuple(obj))
-
-
-def flag_to_json(f: Flag) -> dict:
-    return matrix_to_json(f.adapted_basis)
 
 
 def certificate_to_json(cert: EnvelopeCertificate) -> dict:

@@ -27,7 +27,7 @@ from ._kernel import (
     rref_q_int,
     rref_rows,
 )
-from .errors import InvalidInput, NotInvertible, SingularSystem
+from .errors import InvalidInput, NotInvertible, ResourceGuard, SingularSystem
 
 __all__ = [
     "FieldSpec",
@@ -44,14 +44,34 @@ __all__ = [
 ]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster 2017).
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ResourceGuard at or above PRIMALITY_LIMIT."""
+    if p >= PRIMALITY_LIMIT:
+        raise ResourceGuard(f"primality of moduli >= {PRIMALITY_LIMIT} is not decided")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -220,11 +240,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
         return Matrix(self.field, self.nrows, self.ncols, tuple(neg(a) for a in self.entries))
-
-    def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.field, self.nrows, self.ncols, tuple(mul(c, a) for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)

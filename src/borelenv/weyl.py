@@ -77,9 +77,6 @@ class Permutation:
             img[w - 1] = j
         return Permutation(tuple(img))
 
-    def is_identity(self) -> bool:
-        return all(w == j for j, w in enumerate(self.images, start=1))
-
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.images)) + ")"
 

@@ -59,6 +59,8 @@ class TestJson:
         assert jsonio.perm_from_json(jsonio.perm_to_json(w)) == w
         with pytest.raises(InvalidInput):
             jsonio.perm_from_json([1, 1])
+        with pytest.raises(InvalidInput):
+            jsonio.perm_from_json([True, 2])
 
     def test_certificate_shape(self):
         cert = envelope_certificate(Matrix.identity(Q, 2))
@@ -111,6 +113,14 @@ class TestCliEnvelope:
     def test_singular_exits_two(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "z.json", Matrix.zeros(Q, 2, 2))
         assert main(["envelope", "--matrix", path]) == 2
+
+    def test_boolean_permutation_exits_two(self, tmp_path, capsys):
+        # true == 1 in Python; it must not pass for the identity
+        path = write_matrix(tmp_path, "id.json", Matrix.identity(Q, 2))
+        ws = tmp_path / "ws.json"
+        ws.write_text("[[true, 2]]")
+        assert main(["envelope", "--matrix", path, "--weyl-set", str(ws)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCliDecomp:

@@ -270,6 +270,10 @@ class TestCertificates:
             envelope_certificate(Matrix.identity(Q, 7))
 
 
+def _rotations(n):
+    return [Permutation(tuple((k + j) % n + 1 for j in range(n))) for k in range(n)]
+
+
 class TestBruteforce:
     def test_identity_with_identity_set(self):
         s = envelope_bruteforce(Matrix.identity(Q, 3), [Permutation.identity(3)])
@@ -292,16 +296,61 @@ class TestBruteforce:
         assert envelope_bruteforce(g, enumerate_group(3)) == lower_space(Q, 3)
 
     def test_matches_plain_intersect_sum(self):
-        # the oracle agrees with the most literal intersect-then-sum program
+        # the oracle agrees with the most literal intersect-then-sum program,
+        # which has neither an early stop nor a visiting order, for every
+        # order of the caller's set
         rng = SplitMix64(83)
-        for field in (Q, F5):
-            g = random_invertible(rng, field, 3)
-            target = borel_from_g(g).algebra
-            parts = [
-                subspace_intersect(target, borel_translate(w, field))
-                for w in enumerate_group(3)
-            ]
-            assert envelope_bruteforce(g, enumerate_group(3)) == subspace_sum(parts)
+        for field in (Q, F2, F3, F5):
+            for n in (2, 3, 4, 5):
+                g = random_invertible(rng, field, n)
+                target = borel_from_g(g).algebra
+                group = list(enumerate_group(n))
+                full = subspace_sum(
+                    [subspace_intersect(target, borel_translate(w, field)) for w in group]
+                )
+                shuffled = list(group)
+                for i in range(len(shuffled) - 1, 0, -1):
+                    j = rng.below(i + 1)
+                    shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+                for ws in (group, group[::-1], shuffled):
+                    assert envelope_bruteforce(g, ws) == full
+
+    def test_sets_without_rotations(self):
+        # sets that omit some or all rotations, and sets that need not span
+        rng = SplitMix64(223)
+        for field in (Q, F2, F3, F5):
+            for n in (2, 3, 4, 5):
+                g = random_invertible(rng, field, n)
+                target = borel_from_g(g).algebra
+                rots = _rotations(n)
+                group = list(enumerate_group(n))
+                subsets = [
+                    list(transposition_set(n)),
+                    [w for w in group if w not in rots],
+                    [w for w in group if w not in rots[1:]],
+                    rots[1:] + [longest_element(n)],
+                ]
+                for ws in filter(None, subsets):  # at n = 2 all of S_2 is rotations
+                    expected = subspace_sum(
+                        [subspace_intersect(target, borel_translate(w, field)) for w in ws]
+                    )
+                    assert envelope_bruteforce(g, ws) == expected
+                    assert envelope_bruteforce(g, ws[::-1]) == expected
+
+    def test_generic_q_n5_stops_after_the_rotations(self, monkeypatch):
+        import borelenv.envelope as env
+
+        calls = []
+        real = env.subspace_intersect
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(env, "subspace_intersect", counting)
+        g = random_invertible(SplitMix64(227), Q, 5)
+        assert envelope_bruteforce(g, enumerate_group(5)) == borel_from_g(g).algebra
+        assert len(calls) <= 5
 
     def test_envelope_identity_random(self):
         rng = SplitMix64(89)
@@ -313,6 +362,12 @@ class TestBruteforce:
     def test_guard(self):
         with pytest.raises(ResourceGuard):
             envelope_bruteforce(Matrix.identity(Q, 7), [Permutation.identity(7)])
+
+    def test_size_mismatch_rejected_wherever_it_sits(self):
+        # checked before any intersection, so the early stop cannot hide it
+        ws = list(enumerate_group(3)) + [Permutation.identity(2)]
+        with pytest.raises(InvalidInput):
+            envelope_bruteforce(Matrix.identity(Q, 3), ws)
 
 
 class TestGl2SpecValues:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelenv.errors import InvalidInput, NotInvertible, SingularSystem
+from borelenv._kernel import NUMPY_FP_LIMIT, rref_fp
+from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard, SingularSystem
 from borelenv.linalg import (
+    PRIMALITY_LIMIT,
     FieldSpec,
     Matrix,
     SpanAccumulator,
@@ -18,6 +20,7 @@ from borelenv.linalg import (
     subspace_from_rows,
     subspace_intersect,
     subspace_sum,
+    _is_prime,
 )
 from borelenv.rng import SplitMix64, random_invertible, random_matrix
 
@@ -38,6 +41,29 @@ class TestFieldSpec:
             FieldSpec.prime(1)
         FieldSpec.prime(2)
         FieldSpec.prime(97)
+
+    def test_primality_matches_trial_division(self):
+        def trial_division(p):
+            return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+        for p in range(10**4):
+            assert _is_prime(p) == trial_division(p), p
+
+    def test_strong_pseudoprimes_rejected(self):
+        # Carmichael numbers, and the least strong pseudoprime to every
+        # prime base up to 37 (so base 41 is needed below PRIMALITY_LIMIT)
+        for n in (561, 41041, 318665857834031151167461):
+            assert not _is_prime(n)
+            with pytest.raises(InvalidInput):
+                FieldSpec.prime(n)
+
+    def test_large_prime_is_fast(self):
+        # trial division would need about 2^30 steps here
+        assert FieldSpec.prime(2**61 - 1).p == 2**61 - 1
+
+    def test_primality_guard(self):
+        with pytest.raises(ResourceGuard):
+            FieldSpec.prime(PRIMALITY_LIMIT)
 
     def test_rational_coercion_canonical(self):
         x = Q.coerce("-4/6")
@@ -113,6 +139,25 @@ class TestRref:
                 refp_rows, refp_rank, refp_piv = naive_rref_fp(rows, p)
                 assert gotp.reduced.rows_list() == [list(r) for r in refp_rows]
                 assert gotp.rank == refp_rank and list(gotp.pivot_cols) == refp_piv
+
+    def test_large_primes_match_naive_reference(self):
+        # above NUMPY_FP_LIMIT an int64 row update would overflow silently
+        rng = SplitMix64(101)
+        for p in (4_294_967_311, 2**61 - 1):
+            assert p > NUMPY_FP_LIMIT
+            for _ in range(50):
+                nr = 1 + rng.below(4)
+                nc = 1 + rng.below(5)
+                rows = [[rng.below(p) for _ in range(nc)] for _ in range(nr)]
+                rows.append([2 * x for x in rows[0]])  # force a dependent row
+                assert rref_fp(rows, nc, p) == naive_rref_fp(rows, p)
+        p = 4_294_967_311
+        f = FieldSpec.prime(p)
+        rows = [[rng.below(p) for _ in range(4)] for _ in range(3)]
+        got = rref(Matrix.from_rows(f, rows))
+        ref_rows, ref_rank, ref_piv = naive_rref_fp(rows, p)
+        assert got.reduced.rows_list() == [list(r) for r in ref_rows]
+        assert got.rank == ref_rank and list(got.pivot_cols) == ref_piv
 
     def test_fraction_inputs(self):
         m = Matrix.from_rows(Q, [["1/2", "1/3"], ["1/4", "1/6"]])
