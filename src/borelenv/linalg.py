@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from ._kernel import (
-    _primitive as _primitive_q,
     clear_denominators,
     fracs_from_primitive,
     reduce_row_fp,
@@ -106,6 +105,9 @@ class FieldSpec:
             if isinstance(x, (int, Fraction)):
                 return Fraction(x)
             if isinstance(x, str):
+                # "1e999999999" would expand to a billion-digit integer
+                if "e" in x or "E" in x:
+                    raise InvalidInput(f"exponent in rational literal {x!r}; write num/den")
                 try:
                     return Fraction(x)
                 except (ValueError, ZeroDivisionError) as exc:
@@ -358,28 +360,11 @@ class Subspace:
     is exactly set equality of the subspaces.  Over Q the canonical basis
     is mirrored internally by primitive integer rows (content 1, positive
     pivot); the two shapes determine each other, and the integer shape is
-    what intersections and span sums compute with.
+    what intersections and span sums compute with.  Every instance is
+    built from that integer shape, by ``_from_prim``.
     """
 
     __slots__ = ("ambient_dim", "field", "_prim", "_pivots", "_basis")
-
-    def __init__(self, ambient_dim: int, field: FieldSpec, basis: Matrix):
-        self.ambient_dim = ambient_dim
-        self.field = field
-        self._basis = basis
-        pivots = []
-        prim = []
-        zero = field.zero()
-        for i in range(basis.nrows):
-            row = basis.row(i)
-            piv = next(c for c in range(ambient_dim) if row[c] != zero)
-            pivots.append(piv)
-            if field.p is None:
-                prim.append(_primitive_q(clear_denominators(row), piv))
-            else:
-                prim.append(tuple(int(x) for x in row))
-        self._prim = tuple(prim)
-        self._pivots = tuple(pivots)
 
     @classmethod
     def _from_prim(cls, ambient_dim: int, field: FieldSpec, prim, pivots) -> "Subspace":

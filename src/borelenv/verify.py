@@ -6,9 +6,12 @@ many worker threads evaluate the trials.  Trial k draws its inputs from
 ``derive_stream(seed, k)`` and nothing else; threads only change who
 computes what, never what is computed.
 
-On the first failing trial a suite stops and records a replayable dump:
-the offending input as matrix JSON plus the (seed, offset) pair that
-regenerates it.
+The sampled criteria share one driver, ``_drive``: each suite supplies only
+its check of one trial, and the driver builds the jobs, optionally runs the
+check first over all of GL_2(F_2) and GL_2(F_3), counts the trials in job
+order and stops at the first failure.  It records a replayable dump: the
+offending input as matrix JSON plus the (seed, offset) pair that regenerates
+it.  ``_fail`` is the one place a criterion is marked failed.
 """
 
 from __future__ import annotations
@@ -108,11 +111,25 @@ def _dump(name: str, field: FieldSpec, n: int, seed: int, offset: int, m: Matrix
     }
 
 
+def _fail(result: CriterionResult, failure: dict) -> CriterionResult:
+    """Mark ``result`` failed with ``failure``; every criterion fails here."""
+    result.passed = False
+    result.failures.append(failure)
+    return result
+
+
 def _map_ordered(fn, items, threads: int):
+    """Yield ``fn(x)`` for ``items`` in order.  The caller may stop early:
+    with one thread the rest is never computed, with a pool the trials not
+    yet started are cancelled."""
     if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        yield from pool.map(fn, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def gl2_elements(field: FieldSpec):
@@ -128,8 +145,50 @@ def gl2_elements(field: FieldSpec):
     return out
 
 
-def _small_exhaustive_fields():
-    return [FieldSpec.prime(2), FieldSpec.prime(3)]
+def _drive(name, trial, fields, ns, samples, seed, threads, *, cycled=False, prelude=None, tallies=()):
+    """Run one sampled criterion up to its first failing trial.
+
+    The jobs are every (field, n, k) with k < samples, or with ``cycled``
+    the samples count per field and trial k takes size ``ns[k % len(ns)]``.
+    Trial k runs ``trial(derive_stream(seed, k), field, n, k)``.  A
+    ``prelude`` checks one matrix; it first runs over every element of
+    GL_2(F_2) and GL_2(F_3), ``gl2_elements(field)[idx]`` at offset
+    ``-1 - idx``.
+
+    Trial and prelude return None or a failure ``(input, command, detail)``.
+    A trial of a criterion with ``tallies`` returns ``(failure, counts)``
+    instead; the named counts add up in job order, the failing trial
+    included.
+    """
+    result = CriterionResult(name, True, dict.fromkeys(("checked", *tallies), 0))
+    jobs = []
+    if prelude is not None:
+        for field in (FieldSpec.prime(2), FieldSpec.prime(3)):
+            jobs += [(field, 2, -1 - idx, g) for idx, g in enumerate(gl2_elements(field))]
+    ns = list(ns)
+    if cycled:
+        jobs += [(field, ns[k % len(ns)], k, None) for field in fields for k in range(samples)]
+    else:
+        jobs += [(field, n, k, None) for field in fields for n in ns for k in range(samples)]
+
+    def run(job):
+        field, n, k, g = job
+        return prelude(g) if g is not None else trial(derive_stream(seed, k), field, n, k)
+
+    for (field, n, k, _), out in zip(jobs, _map_ordered(run, jobs, threads)):
+        fail, counts = out if tallies else (out, {})
+        result.counts["checked"] += 1
+        for key, value in counts.items():
+            result.counts[key] += value
+        if fail:
+            _fail(result, _dump(name, field, n, seed, k, *fail))
+            break
+    return result
+
+
+def _invertible_trial(check):
+    """The trial that runs ``check`` on a random invertible n x n matrix."""
+    return lambda rng, field, n, k: check(random_invertible(rng, field, n))
 
 
 # ---------------------------------------------------------------------------
@@ -139,41 +198,13 @@ def _small_exhaustive_fields():
 def envelope_identity(
     fields, ns, samples: int, seed: int, threads: int = 1, exhaustive_small: bool = True
 ) -> CriterionResult:
-    name = "envelope-identity"
-    result = CriterionResult(name, True, {"checked": 0})
-
-    def check(g: Matrix, field: FieldSpec, n: int, offset: int):
-        full = envelope_bruteforce(g, enumerate_group(n))
-        if full != borel_from_g(g).algebra:
-            return _dump(name, field, n, seed, offset, g,
-                         "borelenv envelope --matrix INPUT", "brute-force envelope != borel(g)")
+    def check(g: Matrix):
+        if envelope_bruteforce(g, enumerate_group(g.nrows)) != borel_from_g(g).algebra:
+            return g, "borelenv envelope --matrix INPUT", "brute-force envelope != borel(g)"
         return None
 
-    if exhaustive_small:
-        for field in _small_exhaustive_fields():
-            for idx, g in enumerate(gl2_elements(field)):
-                fail = check(g, field, 2, -1 - idx)
-                result.counts["checked"] += 1
-                if fail:
-                    result.passed = False
-                    result.failures.append(fail)
-                    return result
-
-    jobs = [(field, n, k) for field in fields for n in ns for k in range(samples)]
-
-    def trial(job):
-        field, n, k = job
-        rng = derive_stream(seed, k)
-        g = random_invertible(rng, field, n)
-        return check(g, field, n, k)
-
-    for fail in _map_ordered(trial, jobs, threads):
-        result.counts["checked"] += 1
-        if fail:
-            result.passed = False
-            result.failures.append(fail)
-            break
-    return result
+    return _drive("envelope-identity", _invertible_trial(check), fields, ns, samples, seed, threads,
+                  prelude=check if exhaustive_small else None)
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +224,12 @@ def _lower_triangular_space(field: FieldSpec, n: int) -> Subspace:
 
 def witness_construction(fields, ns, samples: int, seed: int, threads: int = 1) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
-    name = "witness-basis"
-    result = CriterionResult(name, True, {"checked": 0})
-    ns = list(ns)
-    jobs = [(field, ns[k % len(ns)], k) for field in fields for k in range(samples)]
 
-    def trial(job):
-        field, n, k = job
-        rng = derive_stream(seed, k)
+    def trial(rng, field: FieldSpec, n: int, k: int):
         u = random_upper_invertible(rng, field, n)
         wits = witness_basis(u)
         if len(wits) != n * (n + 1) // 2:
-            return _dump(name, field, n, seed, k, u, "", "wrong witness count")
+            return u, "", "wrong witness count"
         u_inv = inverse(u)
         w0 = longest_element(n)
         pw0 = perm_matrix(w0, field)
@@ -212,15 +237,15 @@ def witness_construction(fields, ns, samples: int, seed: int, threads: int = 1) 
         for wit in wits:
             # membership in the lower triangular algebra, by conjugation
             if not (pw0 @ wit.a @ pw0_inv).is_upper_triangular():
-                return _dump(name, field, n, seed, k, u, "", f"witness {wit.i},{wit.j} not lower")
+                return u, "", f"witness {wit.i},{wit.j} not lower"
             # membership in borel(P_s @ u^-1), by conjugation
             ps = perm_matrix(wit.s, field)
             ps_inv = perm_matrix(wit.s.inverse(), field)
             if not (ps @ u_inv @ wit.a @ u @ ps_inv).is_upper_triangular():
-                return _dump(name, field, n, seed, k, u, "", f"witness {wit.i},{wit.j} escaped")
+                return u, "", f"witness {wit.i},{wit.j} escaped"
         span = subspace_from_rows(n * n, [list(w.a.flatten()) for w in wits], field=field)
         if span != _lower_triangular_space(field, n):
-            return _dump(name, field, n, seed, k, u, "", "witnesses do not span")
+            return u, "", "witnesses do not span"
         # change of basis from the elementary matrices, in lex (i, j) order:
         # column t holds the coordinates of witness t, so entries sit on or
         # below the diagonal and the diagonal is all ones.
@@ -236,16 +261,10 @@ def witness_construction(fields, ns, samples: int, seed: int, threads: int = 1) 
                     continue
                 r = index.get(pair)
                 if r is None or r < t or (r == t and val != one):
-                    return _dump(name, field, n, seed, k, u, "", "change of basis not unitriangular")
+                    return u, "", "change of basis not unitriangular"
         return None
 
-    for fail in _map_ordered(trial, jobs, threads):
-        result.counts["checked"] += 1
-        if fail:
-            result.passed = False
-            result.failures.append(fail)
-            break
-    return result
+    return _drive("witness-basis", trial, fields, ns, samples, seed, threads, cycled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -255,48 +274,22 @@ def witness_construction(fields, ns, samples: int, seed: int, threads: int = 1) 
 def restricted_envelope(
     fields, ns, samples: int, seed: int, threads: int = 1, exhaustive_small: bool = True
 ) -> CriterionResult:
-    name = "restricted-envelope"
-    result = CriterionResult(name, True, {"checked": 0})
-
-    def check(g: Matrix, field: FieldSpec, n: int, offset: int):
+    def check(g: Matrix):
+        n = g.nrows
         cert = envelope_certificate(g, restricted=True)
         if not cert.spans:
-            return _dump(name, field, n, seed, offset, g,
-                         "borelenv envelope --restricted --matrix INPUT", "restricted certificate does not span")
+            return g, "borelenv envelope --restricted --matrix INPUT", "restricted certificate does not span"
         if not verify_certificate(cert):
-            return _dump(name, field, n, seed, offset, g, "", "certificate failed self-verification")
+            return g, "", "certificate failed self-verification"
         allowed = {w.images for w in cert.witness_set}
         if len(allowed) != (n * n - n + 2) // 2:
-            return _dump(name, field, n, seed, offset, g, "", "translate has the wrong size")
+            return g, "", "translate has the wrong size"
         if any(w.images not in allowed for _, w in cert.entries):
-            return _dump(name, field, n, seed, offset, g, "", "tag outside the computed translate")
+            return g, "", "tag outside the computed translate"
         return None
 
-    if exhaustive_small:
-        for field in _small_exhaustive_fields():
-            for idx, g in enumerate(gl2_elements(field)):
-                fail = check(g, field, 2, -1 - idx)
-                result.counts["checked"] += 1
-                if fail:
-                    result.passed = False
-                    result.failures.append(fail)
-                    return result
-
-    jobs = [(field, n, k) for field in fields for n in ns for k in range(samples)]
-
-    def trial(job):
-        field, n, k = job
-        rng = derive_stream(seed, k)
-        g = random_invertible(rng, field, n)
-        return check(g, field, n, k)
-
-    for fail in _map_ordered(trial, jobs, threads):
-        result.counts["checked"] += 1
-        if fail:
-            result.passed = False
-            result.failures.append(fail)
-            break
-    return result
+    return _drive("restricted-envelope", _invertible_trial(check), fields, ns, samples, seed, threads,
+                  prelude=check if exhaustive_small else None)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +298,8 @@ def restricted_envelope(
 
 def ulp_roundtrip(fields, ns, samples: int, seed: int, threads: int = 1) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
-    name = "ulp-roundtrip"
-    result = CriterionResult(
-        name, True, {"checked": 0, "upper_checked": 0, "upper_infeasible": 0}
-    )
-    ns = list(ns)
-    jobs = [(field, ns[k % len(ns)], k) for field in fields for k in range(samples)]
 
-    def trial(job):
-        field, n, k = job
-        rng = derive_stream(seed, k)
+    def trial(rng, field: FieldSpec, n: int, k: int):
         kind = k % 3
         if kind == 0:
             m = random_invertible(rng, field, n)
@@ -328,30 +313,23 @@ def ulp_roundtrip(fields, ns, samples: int, seed: int, threads: int = 1) -> Crit
                 factors = ulp_decompose(m, normalization)
             except UlpInfeasible:
                 if normalization == "lower":
-                    return _dump(name, field, n, seed, k, m, "borelenv decomp --kind ulp --matrix INPUT",
-                                 "unipotent-lower reported infeasible"), outcomes
+                    return (m, "borelenv decomp --kind ulp --matrix INPUT",
+                            "unipotent-lower reported infeasible"), outcomes
                 if rref(m).rank == n:
-                    return _dump(name, field, n, seed, k, m, "", "infeasible on an invertible input"), outcomes
+                    return (m, "", "infeasible on an invertible input"), outcomes
                 outcomes["upper_infeasible"] += 1
                 continue
             # ulp_decompose validates triangularity, normalization and the
             # recomposition internally; re-assert the recomposition here so
             # this suite does not lean on the library's own checks.
             if factors.recompose() != m:
-                return _dump(name, field, n, seed, k, m, "", "recomposition mismatch"), outcomes
+                return (m, "", "recomposition mismatch"), outcomes
             if normalization == "upper":
                 outcomes["upper_checked"] += 1
         return None, outcomes
 
-    for fail, outcomes in _map_ordered(trial, jobs, threads):
-        result.counts["checked"] += 1
-        result.counts["upper_checked"] += outcomes["upper_checked"]
-        result.counts["upper_infeasible"] += outcomes["upper_infeasible"]
-        if fail:
-            result.passed = False
-            result.failures.append(fail)
-            break
-    return result
+    return _drive("ulp-roundtrip", trial, fields, ns, samples, seed, threads, cycled=True,
+                  tallies=("upper_checked", "upper_infeasible"))
 
 
 # ---------------------------------------------------------------------------
@@ -360,36 +338,24 @@ def ulp_roundtrip(fields, ns, samples: int, seed: int, threads: int = 1) -> Crit
 
 def bruhat_roundtrip(fields, ns, samples: int, seed: int, threads: int = 1) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
-    name = "bruhat-roundtrip"
-    result = CriterionResult(name, True, {"checked": 0})
-    ns = list(ns)
-    jobs = [(field, ns[k % len(ns)], k) for field in fields for k in range(samples)]
+    cmd = "borelenv decomp --kind bruhat --matrix INPUT"
 
-    def trial(job):
-        field, n, k = job
-        rng = derive_stream(seed, k)
+    def trial(rng, field: FieldSpec, n: int, k: int):
         g = random_invertible(rng, field, n)
-        cmd = "borelenv decomp --kind bruhat --matrix INPUT"
         factors = bruhat_decompose(g)
         if factors.recompose() != g:
-            return _dump(name, field, n, seed, k, g, cmd, "recomposition mismatch")
+            return g, cmd, "recomposition mismatch"
         if not factors.u1.is_upper_triangular() or not factors.u2.is_upper_triangular():
-            return _dump(name, field, n, seed, k, g, cmd, "factor not upper triangular")
+            return g, cmd, "factor not upper triangular"
         if factors.s != bruhat_cell(g):
-            return _dump(name, field, n, seed, k, g, cmd, "cell label disagrees with corner ranks")
+            return g, cmd, "cell label disagrees with corner ranks"
         b1 = random_upper_invertible(rng, field, n)
         b2 = random_upper_invertible(rng, field, n)
         if bruhat_decompose(b1 @ g @ b2).s != factors.s:
-            return _dump(name, field, n, seed, k, g, cmd, "cell label not a two-sided invariant")
+            return g, cmd, "cell label not a two-sided invariant"
         return None
 
-    for fail in _map_ordered(trial, jobs, threads):
-        result.counts["checked"] += 1
-        if fail:
-            result.passed = False
-            result.failures.append(fail)
-            break
-    return result
+    return _drive("bruhat-roundtrip", trial, fields, ns, samples, seed, threads, cycled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -441,27 +407,18 @@ def bruhat_order_exhaustive(max_n: int = 4) -> CriterionResult:
                 leq[(u.images, w.images)] = got
                 result.counts["pairs"] += 1
                 if got != _subword_leq(u, w):
-                    result.passed = False
-                    result.failures.append({"criterion": name, "n": n,
-                                            "detail": f"disagreement at {u} vs {w}"})
-                    return result
+                    return _fail(result, {"criterion": name, "n": n, "detail": f"disagreement at {u} vs {w}"})
         # partial order axioms
         for u in group:
             if not leq[(u.images, u.images)]:
-                result.passed = False
-                result.failures.append({"criterion": name, "n": n, "detail": f"not reflexive at {u}"})
-                return result
+                return _fail(result, {"criterion": name, "n": n, "detail": f"not reflexive at {u}"})
             for w in group:
                 if leq[(u.images, w.images)] and leq[(w.images, u.images)] and u != w:
-                    result.passed = False
-                    result.failures.append({"criterion": name, "n": n, "detail": "antisymmetry fails"})
-                    return result
+                    return _fail(result, {"criterion": name, "n": n, "detail": "antisymmetry fails"})
                 for v in group:
                     if leq[(u.images, w.images)] and leq[(w.images, v.images)]:
                         if not leq[(u.images, v.images)]:
-                            result.passed = False
-                            result.failures.append({"criterion": name, "n": n, "detail": "transitivity fails"})
-                            return result
+                            return _fail(result, {"criterion": name, "n": n, "detail": "transitivity fails"})
     return result
 
 
@@ -472,49 +429,25 @@ def bruhat_order_exhaustive(max_n: int = 4) -> CriterionResult:
 def tangent_cover(
     fields, ns, samples: int, seed: int, threads: int = 1, exhaustive_small: bool = True
 ) -> CriterionResult:
-    name = "tangent-cover"
-    result = CriterionResult(name, True, {"checked": 0})
+    cmd = "borelenv tangent-sum --matrix INPUT"
 
-    def check(h: Matrix, field: FieldSpec, n: int, offset: int):
+    def check(h: Matrix):
+        n = h.nrows
         holds, ledger, total = _tangent_sum(h)
-        cmd = "borelenv tangent-sum --matrix INPUT"
         if not holds:
-            return _dump(name, field, n, seed, offset, h, cmd, "tangent sum does not cover")
+            return h, cmd, "tangent sum does not cover"
         if len(ledger) != len(enumerate_group(n)):
-            return _dump(name, field, n, seed, offset, h, cmd, "ledger has wrong length")
+            return h, cmd, "ledger has wrong length"
         # The gl_n block of the sum must match the brute-force envelope
         # through the convention bridge stab(flag(h)) = borel(h^-1).
-        gl_part = subspace_from_rows(n * n, [list(r)[: n * n] for r in total.rows()], field=field)
+        gl_part = subspace_from_rows(n * n, [list(r)[: n * n] for r in total.rows()], field=h.field)
         oracle = envelope_bruteforce(inverse(h), enumerate_group(n))
         if gl_part != oracle:
-            return _dump(name, field, n, seed, offset, h, cmd, "bridge to envelope oracle fails")
+            return h, cmd, "bridge to envelope oracle fails"
         return None
 
-    if exhaustive_small:
-        for field in _small_exhaustive_fields():
-            for idx, h in enumerate(gl2_elements(field)):
-                fail = check(h, field, 2, -1 - idx)
-                result.counts["checked"] += 1
-                if fail:
-                    result.passed = False
-                    result.failures.append(fail)
-                    return result
-
-    jobs = [(field, n, k) for field in fields for n in ns for k in range(samples)]
-
-    def trial(job):
-        field, n, k = job
-        rng = derive_stream(seed, k)
-        h = random_invertible(rng, field, n)
-        return check(h, field, n, k)
-
-    for fail in _map_ordered(trial, jobs, threads):
-        result.counts["checked"] += 1
-        if fail:
-            result.passed = False
-            result.failures.append(fail)
-            break
-    return result
+    return _drive("tangent-cover", _invertible_trial(check), fields, ns, samples, seed, threads,
+                  prelude=check if exhaustive_small else None)
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +464,8 @@ def intersection_dimension(max_n: int = 4) -> CriterionResult:
             got = borel_intersection_dim(e, w)
             result.counts["checked"] += 1
             if got != expected:
-                result.passed = False
-                result.failures.append({"criterion": name, "n": n,
-                                        "detail": f"dim at {w}: got {got}, expected {expected}"})
-                return result
+                return _fail(result, {"criterion": name, "n": n,
+                                      "detail": f"dim at {w}: got {got}, expected {expected}"})
     return result
 
 
@@ -547,8 +478,7 @@ def _suite_weyl(config: RunConfig, threads: int) -> list[CriterionResult]:
     sizes = CriterionResult("transposition-set-size", True, {"checked": 0})
     for n in range(1, 9):
         if len(transposition_set(n)) != (n * n - n + 2) // 2:
-            sizes.passed = False
-            sizes.failures.append({"criterion": sizes.name, "n": n, "detail": "wrong size"})
+            _fail(sizes, {"criterion": sizes.name, "n": n, "detail": "wrong size"})
             break
         sizes.counts["checked"] += 1
     out.append(sizes)

@@ -110,6 +110,12 @@ class TestCliEnvelope:
         assert main(["envelope", "--matrix", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_exponent_literal_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps({"field": "Q", "rows": [["1e100000", "0"], ["0", "1"]]}))
+        assert main(["envelope", "--matrix", str(bad)]) == 2
+        assert "exponent" in capsys.readouterr().err
+
     def test_singular_exits_two(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "z.json", Matrix.zeros(Q, 2, 2))
         assert main(["envelope", "--matrix", path]) == 2

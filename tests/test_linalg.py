@@ -70,6 +70,13 @@ class TestFieldSpec:
         assert x == Fraction(-2, 3)
         assert x.denominator == 3  # positive denominator, lowest terms
 
+    def test_rational_exponent_rejected(self):
+        # Fraction("1e<k>") builds a k-digit integer; the wire format is num/den
+        for literal in ("1e100000", "2E3", "1.5e-2", "-3e0"):
+            with pytest.raises(InvalidInput):
+                Q.coerce(literal)
+        assert Q.coerce("1.5") == Fraction(3, 2)
+
     def test_fp_residue_range(self):
         assert F5.coerce(-3) == 2
         assert F5.coerce(12) == 2

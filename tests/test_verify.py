@@ -1,10 +1,15 @@
 """Verification-harness tests: PRNG pinning, suite plumbing, replay dumps."""
 
+import hashlib
 import json
+from types import SimpleNamespace
 
-from borelenv import jsonio
+import pytest
+
+from borelenv import jsonio, verify
 from borelenv.cli import main
-from borelenv.linalg import FieldSpec, rref
+from borelenv.errors import UlpInfeasible
+from borelenv.linalg import FieldSpec, inverse, rref
 from borelenv.rng import (
     SplitMix64,
     derive_stream,
@@ -30,6 +35,7 @@ from borelenv.verify import (
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+F5 = FieldSpec.prime(5)
 
 
 class TestSplitMix64:
@@ -146,3 +152,100 @@ class TestReplayDumps:
         res = intersection_dimension(max_n=2)
         assert res.passed and res.failures == []
         assert res.counts["checked"] == 3  # |S_1| + |S_2|
+
+
+class TestPinnedReports:
+    """The report bytes of two fixed configs, pinned by sha256."""
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_cli_default_config_one_trial(self, threads):
+        config = RunConfig(0, 1, (F2, F3, F5, Q), (2, 4), "full")
+        text = report_json(run_suites(config, threads=threads))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f134f693dcbc939311f998c2a394f3f347b7925f061dd66afe70879c264250bc")
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_restricted_config(self, threads):
+        config = RunConfig(5, 2, (F2,), (2, 3), "restricted")
+        text = report_json(run_suites(config, threads=threads))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5caaceba2564e0cbf5339d38e8b3bca19bcb54cabe567785ecd37bf267456584")
+
+
+class TestFailurePath:
+    """Checks forced to fail on one input, chosen by its matrix so that the
+    outcome does not depend on the order in which threads call the check."""
+
+    @pytest.fixture
+    def oracle_fails_at(self, monkeypatch):
+        calls = []
+
+        def install(target):
+            real = verify.envelope_bruteforce
+
+            def oracle(g, weyl_set):
+                calls.append(g)
+                out = real(g, weyl_set)
+                return None if g == target else out
+
+            monkeypatch.setattr(verify, "envelope_bruteforce", oracle)
+            return calls
+
+        return install
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_failure_in_gl2_prelude(self, threads, oracle_fails_at):
+        target = gl2_elements(F3)[7]
+        oracle_fails_at(target)
+        result = envelope_identity((F2, F5, Q), [2, 3], 3, seed=1, threads=threads)
+        assert not result.passed
+        assert result.counts == {"checked": 6 + 8}  # all of GL_2(F_2), then F_3 up to idx 7
+        [dump] = result.failures
+        assert (dump["offset"], dump["n"], dump["seed"]) == (-8, 2, 1)
+        assert dump["field"] == jsonio.field_to_json(F3)
+        assert dump["detail"] == "brute-force envelope != borel(g)"
+        assert jsonio.matrix_from_json(dump["input"]) == gl2_elements(F3)[-1 - dump["offset"]]
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_failure_in_sampled_trial(self, threads, oracle_fails_at):
+        h = random_invertible(derive_stream(1, 1), F5, 3)
+        oracle_fails_at(inverse(h))  # tangent_cover checks h against the oracle of h^-1
+        result = tangent_cover((F2, F5, Q), [2, 3], 2, seed=1, threads=threads)
+        assert not result.passed
+        # 54 prelude inputs, F_2 x (n = 2, 3) x 2 trials, F_5: n = 2 x 2, then n = 3, k = 0, 1
+        assert result.counts == {"checked": 54 + 4 + 2 + 2}
+        [dump] = result.failures
+        assert (dump["offset"], dump["n"], dump["seed"]) == (1, 3, 1)
+        assert dump["field"] == jsonio.field_to_json(F5)
+        assert dump["detail"] == "bridge to envelope oracle fails"
+        assert jsonio.matrix_from_json(dump["input"]) == h
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_ulp_counts_stop_at_the_failure(self, threads, monkeypatch):
+        # seed 4, sizes cycle 1, 2, 3: trials k = 1 and k = 4 are singular 2x2
+        infeasible = random_singular(derive_stream(4, 1), F5, 2)
+        broken = random_singular(derive_stream(4, 4), F5, 2)
+        real = verify.ulp_decompose
+
+        def decompose(m, normalization):
+            if normalization == "upper" and m == infeasible:
+                raise UlpInfeasible("forced")
+            if normalization == "upper" and m == broken:
+                return SimpleNamespace(recompose=lambda: None)
+            return real(m, normalization)
+
+        monkeypatch.setattr(verify, "ulp_decompose", decompose)
+        result = ulp_roundtrip((F2, F5, Q), [1, 2, 3], 6, seed=4, threads=threads)
+        assert not result.passed
+        # six F_2 trials, then F_5 k = 0..4; only k = 1 is upper-infeasible
+        assert result.counts == {"checked": 11, "upper_checked": 9, "upper_infeasible": 1}
+        [dump] = result.failures
+        assert (dump["offset"], dump["n"], dump["detail"]) == (4, 2, "recomposition mismatch")
+        assert jsonio.matrix_from_json(dump["input"]) == broken
+
+    def test_one_thread_stops_at_the_failure(self, oracle_fails_at):
+        target = random_invertible(derive_stream(1, 1), F5, 3)
+        calls = oracle_fails_at(target)
+        result = envelope_identity((F2, F5, Q), [2, 3], 3, seed=1, threads=1)
+        assert result.counts["checked"] == 65
+        assert len(calls) == 65  # no trial after the failing one ran
