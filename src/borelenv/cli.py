@@ -3,7 +3,8 @@
 Exit codes follow one discipline everywhere: 0 means verified success,
 1 means a mathematical property came back false (a non-spanning
 certificate, a factorization that provably does not exist, a failed
-verify suite), 2 means the input or usage was bad.
+verify suite), 2 means the input or usage was bad or a resource guard
+stopped the run (an output entry too long to print among them).
 
 Matrices are read as JSON ``{"field": "Q" | {"Fp": p}, "rows": [[...]]}``;
 rationals are strings like ``"-2/3"`` and F_p entries are ints.  A

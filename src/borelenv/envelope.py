@@ -38,13 +38,12 @@ from .linalg import (
     subspace_from_rows,
     subspace_intersect,
 )
-from .linalg import _coordinate_subspace
+from .linalg import _coordinate_subspace, _rref_prim, _to_int_rows
 from .weyl import (
     Permutation,
     compose,
     enumerate_group,
     longest_element,
-    perm_matrix,
     transposition_set,
 )
 
@@ -84,8 +83,10 @@ def _flat(n: int, i: int, j: int) -> int:
 class BorelConjugate:
     """The Borel subalgebra g^-1 @ uppers @ g for a fixed invertible g.
 
-    The subspace itself is computed lazily and cached; the defining matrix
-    is validated eagerly.
+    Obtain it through :func:`borel_from_g`, which shares one instance per g:
+    the brute-force oracle, both certificate routes and the caller then use
+    one ``algebra``.  The defining matrix is validated eagerly; the subspace
+    is computed lazily, once, and its dimension is checked there.
     """
 
     def __init__(self, g: Matrix):
@@ -97,21 +98,26 @@ class BorelConjugate:
 
     @cached_property
     def algebra(self) -> Subspace:
+        # Row (a, b) is the outer product of column a of g^-1 and row b of g;
+        # rescaling a generator keeps the span, so each factor is made integral.
         n, f = self.n, self.g.field
-        rows = []
-        for a, b in upper_pairs(n):
-            col = self.g_inv.col(a - 1)
-            row = self.g.row(b - 1)
-            conj = [f.mul(col[r], row[c]) for r in range(n) for c in range(n)]
-            rows.append(conj)
-        space = subspace_from_rows(n * n, rows, field=f)
-        if space.dim != n * (n + 1) // 2:
+        cols = _to_int_rows(f, [self.g_inv.col(a) for a in range(n)])
+        rows = _to_int_rows(f, [self.g.row(b) for b in range(n)])
+        gens = [[x * y for x in cols[a - 1] for y in rows[b - 1]] for a, b in upper_pairs(n)]
+        prim, rank, pivots = _rref_prim(f, gens, n * n)
+        if rank != n * (n + 1) // 2:
             raise ContractViolation("conjugated Borel has wrong dimension")
-        return space
+        return Subspace._from_prim(n * n, f, prim, pivots)
 
 
+@lru_cache(maxsize=8)
 def borel_from_g(g: Matrix) -> BorelConjugate:
-    """The subspace {g^-1 @ M @ g : M upper triangular} of k^(n^2)."""
+    """The subspace {g^-1 @ M @ g : M upper triangular} of k^(n^2).
+
+    Equal matrices over the same field share one BorelConjugate (the last
+    eight are kept), so its algebra is built once per g.  Errors such as
+    NotInvertible are raised again on every call; they are never cached.
+    """
     return BorelConjugate(g)
 
 
@@ -162,11 +168,12 @@ def _require_upper_invertible(u: Matrix):
         raise InvalidInput("u must have a nonzero diagonal")
 
 
-def _conjugate_row_support(left: Matrix, right: Matrix, i: int, row_vals) -> list:
-    """left @ a @ right for a supported on row i only (1-based), as rows.
+def _conjugate_row_support(left: Matrix, right: Matrix, i: int, row_vals) -> tuple:
+    """left @ a @ right for a supported on row i only (1-based), as factors.
 
     Such an a is rank one, so the product is the outer product of left's
-    column i with (row of a) @ right: quadratic instead of cubic work.
+    column i with (row of a) @ right; both are returned, and the caller
+    multiplies out only what it needs.
     """
     f = left.field
     n = left.nrows
@@ -178,8 +185,7 @@ def _conjugate_row_support(left: Matrix, right: Matrix, i: int, row_vals) -> lis
             if val != zero:
                 acc = f.add(acc, f.mul(val, right.at(c, j)))
         rowv.append(acc)
-    col = left.col(i - 1)
-    return [[f.mul(col[r], rowv[c]) for c in range(n)] for r in range(n)]
+    return left.col(i - 1), rowv
 
 
 def devissage_witness(u: Matrix, i: int, j: int, _u_inv: Matrix | None = None) -> DevissageWitness:
@@ -217,13 +223,14 @@ def devissage_witness(u: Matrix, i: int, j: int, _u_inv: Matrix | None = None) -
     s = Permutation.transposition(n, i, j) if i != j else Permutation.identity(n)
     u_inv = _u_inv if _u_inv is not None else inverse(u)
     row_vals = [(j - 1, f.one())] + [(j + off - 1, val) for off, val in enumerate(x, start=1)]
-    conj = _conjugate_row_support(u_inv, u, i, row_vals)
+    col, rowv = _conjugate_row_support(u_inv, u, i, row_vals)
     zero = f.zero()
     # conjugating by P_s permutes indices; check upper-triangularity of
-    # the permuted matrix without building it
+    # the permuted matrix without building it.  The factors hold reduced
+    # field elements, so an outer-product entry is zero iff a factor is.
     for r in range(1, n + 1):
         for c in range(1, n + 1):
-            if s(r) > s(c) and conj[r - 1][c - 1] != zero:
+            if s(r) > s(c) and col[r - 1] != zero and rowv[c - 1] != zero:
                 raise ContractViolation(f"witness ({i}, {j}) escaped its Borel")
     return DevissageWitness(i, j, tuple(x), a, s)
 
@@ -261,27 +268,32 @@ class EnvelopeCertificate:
     witness_set: tuple = dataclass_field(default=())
 
 
+def _checked_span(target: BorelConjugate, entries) -> Subspace | None:
+    """The span of the entries' vectors, or None when some vector has the
+    wrong length or lies outside the algebra or its tagged translate."""
+    n, f = target.n, target.g.field
+    algebra = target.algebra
+    for vec, w in entries:
+        if len(vec) != n * n:
+            return None
+        if not algebra.contains(vec) or not borel_translate(w, f).contains(vec):
+            return None
+    return subspace_from_rows(n * n, [list(v) for v, _ in entries], field=f)
+
+
 def verify_certificate(cert: EnvelopeCertificate) -> bool:
     """Recheck every claim in the certificate from scratch.
 
     Each vector must lie in the target algebra and in its tagged translate,
     and ``spans`` must agree with a direct comparison of the entries' span
     against the target.  Membership failures return False rather than
-    raising, so forged certificates are rejected, not crashed on.
+    raising, so forged certificates are rejected, not crashed on.  This is
+    the independent recheck the CLI and the restricted suite run; the
+    witness route checks the same memberships once, while it builds the
+    certificate, and takes ``spans`` from that same span.
     """
-    target = cert.target
-    n = target.n
-    f = target.g.field
-    algebra = target.algebra
-    for vec, w in cert.entries:
-        if len(vec) != n * n:
-            return False
-        if not algebra.contains(vec):
-            return False
-        if not borel_translate(w, f).contains(vec):
-            return False
-    span = subspace_from_rows(n * n, [list(v) for v, _ in cert.entries], field=f)
-    return cert.spans == (span == algebra)
+    span = _checked_span(cert.target, cert.entries)
+    return span is not None and cert.spans == (span == cert.target.algebra)
 
 
 def _dedup(ws: Sequence[Permutation]) -> list[Permutation]:
@@ -315,26 +327,26 @@ def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     n, f = target.n, g.field
     factors = ulp_decompose(g, "lower")
     w0 = longest_element(n)
-    pw0 = perm_matrix(w0, f)
-    u2 = pw0 @ factors.l @ pw0
+    # P_w0 @ l @ P_w0 reverses the row-major entries of l
+    u2 = Matrix(f, n, n, factors.l.entries[::-1])
     if not u2.is_upper_triangular():
         raise ContractViolation("conjugated lower factor is not upper triangular")
     q = compose(w0, factors.p)
-    right = u2 @ perm_matrix(q, f)
+    # u2 @ P_q: column c is column q(c) of u2 (1-based)
+    cols = [q(c) - 1 for c in range(1, n + 1)]
+    right = Matrix(f, n, n, tuple(u2.entries[r * n + c] for r in range(n) for c in cols))
     left = inverse(right)
     entries = []
     for wit in witness_basis(u2):
         row_vals = [(c, wit.a.at(wit.i - 1, c)) for c in range(n)]
-        conj = _conjugate_row_support(left, right, wit.i, row_vals)
-        vec = tuple(x for r in conj for x in r)
+        col, rowv = _conjugate_row_support(left, right, wit.i, row_vals)
+        vec = tuple(f.mul(x, y) for x in col for y in rowv)
         entries.append((vec, compose(wit.s, q)))
-    span = subspace_from_rows(n * n, [list(v) for v, _ in entries], field=f)
-    spans = span == target.algebra
-    translate = tuple(compose(t, q) for t in transposition_set(n))
-    cert = EnvelopeCertificate(target, tuple(entries), spans, translate)
-    if not verify_certificate(cert):
+    span = _checked_span(target, entries)
+    if span is None:
         raise ContractViolation("devissage certificate failed self-verification")
-    return cert
+    translate = tuple(compose(t, q) for t in transposition_set(n))
+    return EnvelopeCertificate(target, tuple(entries), span == target.algebra, translate)
 
 
 def envelope_certificate(

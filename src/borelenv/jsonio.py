@@ -11,7 +11,8 @@ Wire formats:
 * certificate: ``{"g": matrix, "field": ..., "entries": [{"vector": [...],
   "w": [...]}, ...], "spans": bool}``
 
-Decoding raises InvalidInput on anything malformed.
+Decoding raises InvalidInput on anything malformed; encoding raises
+ResourceGuard on a rational past Python's int-to-str digit limit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Any
 
 from .decomp import BruhatFactors, UlpFactors
 from .envelope import BorelConjugate, EnvelopeCertificate
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceGuard
 from .linalg import FieldSpec, Matrix
 from .weyl import Permutation
 
@@ -57,7 +58,10 @@ def field_from_json(obj: Any) -> FieldSpec:
 
 def scalar_to_json(field: FieldSpec, x) -> Any:
     if field.p is None:
-        return str(Fraction(x))
+        try:
+            return str(Fraction(x))
+        except ValueError as exc:  # beyond Python's int-to-str digit limit
+            raise ResourceGuard("output entry has too many digits to print") from exc
     return int(x)
 
 

@@ -102,6 +102,8 @@ class FieldSpec:
         if self.p is None:
             if isinstance(x, bool):
                 raise InvalidInput("bool is not a scalar")
+            if type(x) is Fraction:  # immutable, so no copy is needed
+                return x
             if isinstance(x, (int, Fraction)):
                 return Fraction(x)
             if isinstance(x, str):
@@ -445,7 +447,7 @@ def _to_int_rows(field: FieldSpec, rows: list) -> list:
             else:
                 out.append([int(x) for x in r])
         return out
-    return [[int(x) for x in r] for r in rows]
+    return [[int(x) % field.p for x in r] for r in rows]
 
 
 def _rows_of(vectors: Iterable) -> list[list]:

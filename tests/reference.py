@@ -97,3 +97,35 @@ def rank_by_minors(rows):
                 if det(list(rows_idx), list(cols_idx)) != 0:
                     return size
     return 0
+
+
+def naive_inverse(rows, p=None):
+    """Inverse of a square matrix by naive Gauss-Jordan on [m | I]."""
+    n = len(rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    red, rank, pivots = naive_rref_q(aug) if p is None else naive_rref_fp(aug, p)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return [list(r[n:]) for r in red[:n]]
+
+
+def naive_borel_algebra(g):
+    """borel(g) = {g^-1 @ M @ g : M upper} as (rref rows, rank, pivots).
+
+    Generators are the Fraction outer products of column a of g^-1 with
+    row b of g, a <= b, reduced by naive_rref_q / naive_rref_fp; zero rows
+    are dropped.
+    """
+    p, n = g.field.p, g.nrows
+    rows = [[Fraction(x) for x in g.row(i)] for i in range(n)]
+    inv = naive_inverse(rows, p)
+    gens = [
+        [Fraction(inv[r][a]) * rows[b][c] for r in range(n) for c in range(n)]
+        for a in range(n)
+        for b in range(a, n)
+    ]
+    if p is None:
+        red, rank, pivots = naive_rref_q(gens)
+    else:
+        red, rank, pivots = naive_rref_fp([[int(x) for x in r] for r in gens], p)
+    return red[:rank], rank, pivots

@@ -1,6 +1,8 @@
 """CLI and JSON wire-format tests: round trips, exit codes, determinism."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +10,7 @@ from borelenv import jsonio
 from borelenv.cli import main
 from borelenv.decomp import bruhat_decompose, ulp_decompose
 from borelenv.envelope import envelope_certificate
-from borelenv.errors import InvalidInput
+from borelenv.errors import InvalidInput, ResourceGuard
 from borelenv.linalg import FieldSpec, Matrix
 from borelenv.rng import SplitMix64, random_invertible, random_matrix
 from borelenv.weyl import Permutation, perm_matrix
@@ -21,6 +23,21 @@ def write_matrix(tmp_path, name, m):
     path = tmp_path / name
     path.write_text(json.dumps(jsonio.matrix_to_json(m)))
     return str(path)
+
+
+@pytest.fixture
+def int_str_digit_limit():
+    """Python's default 4,300-digit int-to-str limit, restored afterwards.
+
+    Python 3.10.0-3.10.6 has no such limit, and PYTHONINTMAXSTRDIGITS=0
+    lifts it; a long entry then prints and nothing is guarded.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 class TestJson:
@@ -40,6 +57,13 @@ class TestJson:
         assert jsonio.scalar_from_json(Q, 7) == Q.coerce(7)
         with pytest.raises(InvalidInput):
             jsonio.scalar_from_json(F5, "3")
+
+    def test_long_rational_is_a_resource_guard(self, int_str_digit_limit):
+        assert len(jsonio.scalar_to_json(Q, Fraction(10**4000 + 1, 3))) == 4003
+        with pytest.raises(ResourceGuard):
+            jsonio.scalar_to_json(Q, Fraction(10**4400 + 1, 3))
+        with pytest.raises(ResourceGuard):
+            jsonio.scalar_to_json(Q, Fraction(1, 10**4400 + 1))
 
     def test_matrix_roundtrip(self):
         rng = SplitMix64(151)
@@ -157,6 +181,17 @@ class TestCliDecomp:
         out = json.loads(capsys.readouterr().out)
         assert code == 1
         assert out["infeasible"] is True
+
+    def test_output_entry_past_digit_limit_exits_two(self, tmp_path, capsys, int_str_digit_limit):
+        # 2,200-digit entries parse, but the U factor holds a ~4,400-digit numerator
+        rows = [["1" * 2200, "3" * 2200], ["7" * 2200, "2"]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"field": "Q", "rows": rows}))
+        code = main(["decomp", "--matrix", str(path), "--kind", "ulp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "too many digits" in captured.err
 
 
 class TestCliOther:

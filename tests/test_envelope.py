@@ -1,9 +1,11 @@
 """Envelope tests: conjugated Borels, witnesses, certificates, oracle."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from borelenv import envelope
 from borelenv.envelope import (
     EnvelopeCertificate,
     borel_from_g,
@@ -15,7 +17,7 @@ from borelenv.envelope import (
     verify_certificate,
     witness_basis,
 )
-from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard
+from borelenv.errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
 from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subspace_sum, subspace_intersect
 from borelenv.rng import SplitMix64, random_invertible, random_upper_invertible
 from borelenv.weyl import (
@@ -27,6 +29,8 @@ from borelenv.weyl import (
     perm_matrix,
     transposition_set,
 )
+
+from reference import naive_borel_algebra
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -88,6 +92,103 @@ class TestBorelFromG:
     def test_singular_rejected(self):
         with pytest.raises(NotInvertible):
             borel_from_g(Matrix.zeros(Q, 2, 2))
+
+
+class TestAlgebraMatchesNaive:
+    """The integer-shape build of borel(g) against Fraction outer products."""
+
+    @staticmethod
+    def _assert_matches(g):
+        algebra = borel_from_g(g).algebra
+        rows, rank, _ = naive_borel_algebra(g)
+        assert algebra.dim == rank == g.nrows * (g.nrows + 1) // 2
+        assert list(algebra.rows()) == rows
+
+    def test_q_negative_and_non_integer_entries(self):
+        rng = SplitMix64(211)
+        checked = 0
+        for n in range(1, 6):
+            while checked < 3 * n:
+                ents = [Fraction(rng.randint(-9, 9), 1 + rng.below(7)) for _ in range(n * n)]
+                g = Matrix(Q, n, n, tuple(ents))
+                try:
+                    self._assert_matches(g)
+                except NotInvertible:
+                    continue
+                checked += 1
+        assert checked == 15
+
+    def test_small_primes(self):
+        rng = SplitMix64(223)
+        for p in (2, 3, 5, 101):
+            field = FieldSpec.prime(p)
+            for n in range(1, 6):
+                for _ in range(3):
+                    self._assert_matches(random_invertible(rng, field, n))
+
+    def test_unreduced_fp_entries(self):
+        # entries outside [0, p) stand for their residues
+        g = Matrix(F5, 2, 2, (7, -1, 13, 4))
+        self._assert_matches(g)
+        assert borel_from_g(g).algebra == borel_from_g(Matrix.from_rows(F5, [[2, 4], [3, 4]])).algebra
+        # near the int64 limit, an unreduced product of two entries would overflow
+        big = FieldSpec.prime(3037000493)
+        self._assert_matches(Matrix(big, 1, 1, (10**12,)))
+        self._assert_matches(Matrix(big, 2, 2, (10**12, -(10**15), 3, 10**12 + 7)))
+
+    def test_object_array_prime(self):
+        rng = SplitMix64(227)
+        field = FieldSpec.prime(2**61 - 1)
+        for n in range(1, 5):
+            self._assert_matches(random_invertible(rng, field, n))
+
+
+class TestBorelFromGShared:
+    def test_equal_matrices_share_one_instance(self):
+        g1 = Matrix.from_rows(Q, [[1, 2], [3, 4]])
+        g2 = Matrix.from_rows(Q, [["1", 2], [3, "4"]])
+        assert g1 is not g2
+        assert borel_from_g(g1) is borel_from_g(g2)
+
+    def test_other_field_not_shared(self):
+        bq = borel_from_g(Matrix.from_rows(Q, [[1, 2], [3, 4]]))
+        b5 = borel_from_g(Matrix.from_rows(F5, [[1, 2], [3, 4]]))
+        assert bq is not b5
+        assert bq.algebra.field == Q and b5.algebra.field == F5
+
+    def test_singular_raises_on_every_call(self):
+        g = Matrix.from_rows(Q, [[1, 2], [2, 4]])
+        before = borel_from_g.cache_info()
+        for _ in range(3):
+            with pytest.raises(NotInvertible):
+                borel_from_g(g)
+        after = borel_from_g.cache_info()
+        assert after.misses - before.misses == 3
+        assert after.hits == before.hits
+
+    def test_cache_is_bounded(self):
+        assert 0 < borel_from_g.cache_info().maxsize <= 64
+
+    def test_one_algebra_rref_per_g(self, monkeypatch):
+        calls = []
+        real = envelope._rref_prim
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(envelope, "_rref_prim", counting)
+        borel_from_g.cache_clear()
+        rng = SplitMix64(229)
+        gs = [random_invertible(rng, field, n) for field in (Q, F5) for n in (3, 4)]
+        for g in gs:
+            # the envelope-identity suite's check
+            assert envelope_bruteforce(g, enumerate_group(g.nrows)) == borel_from_g(g).algebra
+        assert len(calls) == len(gs)
+        for g in gs:
+            cert = envelope_certificate(g, restricted=True)
+            assert cert.spans and verify_certificate(cert)
+        assert len(calls) == len(gs)
 
 
 class TestBorelTranslate:
@@ -164,6 +265,22 @@ class TestDevissage:
                         ps = perm_matrix(wit.s, field)
                         conj = ps @ u_inv @ wit.a @ u @ inverse(ps)
                         assert conj.is_upper_triangular()
+
+    def test_wrong_coefficients_escape(self, monkeypatch):
+        # x is the unique solution, so a shifted one must fail the escape check
+        real = envelope.solve_lower_triangular
+
+        def shifted(lower, rhs):
+            x = real(lower, rhs)
+            return x + Matrix.from_rows(x.field, [[1]] * x.nrows)
+
+        monkeypatch.setattr(envelope, "solve_lower_triangular", shifted)
+        rng = SplitMix64(241)
+        for field in (Q, F5):
+            u = random_upper_invertible(rng, field, 3)
+            for i, j in ((2, 1), (3, 1), (3, 2)):
+                with pytest.raises(ContractViolation):
+                    devissage_witness(u, i, j)
 
     def test_bad_inputs(self):
         u = Matrix.from_rows(Q, [[1, 1], [0, 1]])
@@ -264,6 +381,32 @@ class TestCertificates:
         # claim spans on a non-spanning entry list
         forged2 = EnvelopeCertificate(cert.target, cert.entries[:1], True)
         assert not verify_certificate(forged2)
+
+    def test_forged_restricted_certificate_rejected(self):
+        rng = SplitMix64(233)
+        for field in (Q, F5):
+            g = random_invertible(rng, field, 3)
+            cert = envelope_certificate(g, restricted=True)
+            assert verify_certificate(cert)
+            vec, w = cert.entries[0]
+            rest = cert.entries[1:]
+            wrong_tag = next(
+                v for v in enumerate_group(3) if not borel_translate(v, field).contains(vec)
+            )
+            short = (vec[:-1], w)
+            outside = (tuple(field.one() for _ in vec), w)
+            for entries in (((vec, wrong_tag),) + rest, (short,) + rest, (outside,) + rest):
+                assert not verify_certificate(EnvelopeCertificate(cert.target, entries, True))
+            assert not verify_certificate(EnvelopeCertificate(cert.target, cert.entries, False))
+            assert not verify_certificate(EnvelopeCertificate(cert.target, rest, True))
+
+    def test_witness_route_checks_every_membership(self, monkeypatch):
+        # a translate that does not hold the witnesses must stop the route
+        real = envelope.borel_translate
+        monkeypatch.setattr(envelope, "borel_translate", lambda w, f: real(Permutation.identity(w.n), f))
+        g = random_invertible(SplitMix64(239), Q, 3)
+        with pytest.raises(ContractViolation):
+            envelope_certificate(g, restricted=True)
 
     def test_full_group_guard(self):
         with pytest.raises(ResourceGuard):

@@ -321,6 +321,32 @@ class TestSubspace:
         assert not s.contains([0, 0, 1])
         assert s.contains([Fraction(1, 2), 0, 1])
 
+    def test_contains_fp_reduces_entries(self):
+        # a vector with entries >= p or negative is its residue vector
+        s = subspace_from_rows(3, [[1, 2, 0], [0, 0, 1]], field=F5)
+        cases = [
+            ([6, -3, 0], True),
+            ([11, 7, -4], True),
+            ([0, 5, 0], True),  # no pivot entry to reduce against
+            ([0, -10, 25], True),
+            ([5, -3, 1], False),
+            ([-1, 4, 25], False),
+        ]
+        for vec, member in cases:
+            assert s.contains(vec) is member
+            assert s.contains([x % 5 for x in vec]) is member
+
+    def test_contains_q_scalar_kinds(self):
+        s = subspace_from_rows(2, [[3, 2]], field=Q)
+        assert s.contains(["3", 2])
+        assert s.contains([Fraction(3, 2), "1"])
+        assert s.contains([-6, "-4"])
+        assert not s.contains(["1", 1])
+        with pytest.raises(InvalidInput):
+            s.contains([True, 0])
+        with pytest.raises(InvalidInput):
+            s.contains([1.5, 1])
+
     def test_basis_structural_invariants(self):
         # nonzero rows, unit pivots on strictly increasing columns, pivot
         # columns cleared everywhere else
