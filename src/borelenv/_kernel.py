@@ -198,7 +198,8 @@ def rref_rows(field, rows: list, width: int):
     bottom so the output shape matches the input.
     """
     if field.p is not None:
-        return rref_fp([list(map(int, r)) for r in rows], width, field.p)
+        p = field.p
+        return rref_fp([[int(x) % p for x in r] for r in rows], width, p)
     irows = [clear_denominators(r) for r in rows]
     prim, rank, pivots = rref_q_int(irows, width)
     out = fracs_from_primitive(prim, pivots)

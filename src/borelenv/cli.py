@@ -127,7 +127,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise InvalidInput(f"bad --n range {args.n!r} (want lo..hi)") from exc
     config = verify.RunConfig(args.seed, args.trials, fields, (lo, hi), args.mode)
-    report = verify.run_suites(config, suites=tuple(args.suite.split(",")), threads=args.threads)
+    report = verify.run_suites(config, suites=tuple(args.suite.split(",")))
     sys.stdout.write(verify.report_json(report))
     return 0 if report["pass"] else 1
 
@@ -193,7 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="2..4", help="size range lo..hi")
     p.add_argument("--suite", default="all", help="comma list of all|weyl|decomp|envelope|flag")
     p.add_argument("--mode", choices=("full", "restricted"), default="full")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: trials run in order on one thread")
     p.set_defaults(func=_cmd_verify)
 
     return parser

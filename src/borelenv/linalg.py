@@ -238,13 +238,6 @@ class Matrix:
         ents = tuple(add(a, b) for a, b in zip(self.entries, other.entries))
         return Matrix(self.field, self.nrows, self.ncols, ents)
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.nrows, self.ncols, tuple(neg(a) for a in self.entries))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.ncols != other.nrows:
@@ -264,10 +257,6 @@ class Matrix:
                 for j in range(m):
                     out.append(sum(a[base + t] * b[t * m + j] for t in range(k)) % p)
         return Matrix(self.field, n, m, tuple(out))
-
-    def transpose(self) -> "Matrix":
-        ents = tuple(self.entries[i * self.ncols + j] for j in range(self.ncols) for i in range(self.nrows))
-        return Matrix(self.field, self.ncols, self.nrows, ents)
 
     def flatten(self) -> tuple:
         """Row-major entry tuple; the coordinates used for gl_n subspaces."""

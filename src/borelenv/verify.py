@@ -1,22 +1,21 @@
 """Seeded property suites behind ``borelenv verify`` and the acceptance tests.
 
 Every suite is a pure function of its plan (fields, sizes, sample counts,
-seed), so a fixed RunConfig produces a byte-identical report no matter how
-many worker threads evaluate the trials.  Trial k draws its inputs from
-``derive_stream(seed, k)`` and nothing else; threads only change who
-computes what, never what is computed.
+seed), so a fixed RunConfig produces a byte-identical report.  Trial k
+draws its inputs from ``derive_stream(seed, k)`` and nothing else.  The
+trials run in order on the calling thread; ``--threads`` is accepted and
+ignored.
 
 The sampled criteria share one driver, ``_drive``: each suite supplies only
-its check of one trial, and the driver builds the jobs, optionally runs the
-check first over all of GL_2(F_2) and GL_2(F_3), counts the trials in job
-order and stops at the first failure.  It records a replayable dump: the
-offending input as matrix JSON plus the (seed, offset) pair that regenerates
-it.  ``_fail`` is the one place a criterion is marked failed.
+its check of one trial, and the driver builds the jobs, runs a prelude check
+first over all of GL_2(F_2) and GL_2(F_3) where the suite has one, counts
+the trials in job order and stops at the first failure.  It records a
+replayable dump: the offending input as matrix JSON plus the (seed, offset)
+pair that regenerates it.  ``_fail`` is the one place a criterion is marked failed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from . import jsonio
@@ -118,20 +117,6 @@ def _fail(result: CriterionResult, failure: dict) -> CriterionResult:
     return result
 
 
-def _map_ordered(fn, items, threads: int):
-    """Yield ``fn(x)`` for ``items`` in order.  The caller may stop early:
-    with one thread the rest is never computed, with a pool the trials not
-    yet started are cancelled."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        yield from pool.map(fn, items)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def gl2_elements(field: FieldSpec):
     """Every invertible 2x2 matrix over a (small) prime field."""
     p = field.p
@@ -145,7 +130,7 @@ def gl2_elements(field: FieldSpec):
     return out
 
 
-def _drive(name, trial, fields, ns, samples, seed, threads, *, cycled=False, prelude=None, tallies=()):
+def _drive(name, trial, fields, ns, samples, seed, *, cycled=False, prelude=None, tallies=()):
     """Run one sampled criterion up to its first failing trial.
 
     The jobs are every (field, n, k) with k < samples, or with ``cycled``
@@ -171,11 +156,8 @@ def _drive(name, trial, fields, ns, samples, seed, threads, *, cycled=False, pre
     else:
         jobs += [(field, n, k, None) for field in fields for n in ns for k in range(samples)]
 
-    def run(job):
-        field, n, k, g = job
-        return prelude(g) if g is not None else trial(derive_stream(seed, k), field, n, k)
-
-    for (field, n, k, _), out in zip(jobs, _map_ordered(run, jobs, threads)):
+    for field, n, k, g in jobs:
+        out = prelude(g) if g is not None else trial(derive_stream(seed, k), field, n, k)
         fail, counts = out if tallies else (out, {})
         result.counts["checked"] += 1
         for key, value in counts.items():
@@ -195,16 +177,13 @@ def _invertible_trial(check):
 # Criterion 1: the envelope identity, by brute force
 
 
-def envelope_identity(
-    fields, ns, samples: int, seed: int, threads: int = 1, exhaustive_small: bool = True
-) -> CriterionResult:
+def envelope_identity(fields, ns, samples: int, seed: int) -> CriterionResult:
     def check(g: Matrix):
         if envelope_bruteforce(g, enumerate_group(g.nrows)) != borel_from_g(g).algebra:
             return g, "borelenv envelope --matrix INPUT", "brute-force envelope != borel(g)"
         return None
 
-    return _drive("envelope-identity", _invertible_trial(check), fields, ns, samples, seed, threads,
-                  prelude=check if exhaustive_small else None)
+    return _drive("envelope-identity", _invertible_trial(check), fields, ns, samples, seed, prelude=check)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +201,7 @@ def _lower_triangular_space(field: FieldSpec, n: int) -> Subspace:
     return subspace_from_rows(n * n, rows, field=field)
 
 
-def witness_construction(fields, ns, samples: int, seed: int, threads: int = 1) -> CriterionResult:
+def witness_construction(fields, ns, samples: int, seed: int) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
 
     def trial(rng, field: FieldSpec, n: int, k: int):
@@ -264,16 +243,14 @@ def witness_construction(fields, ns, samples: int, seed: int, threads: int = 1) 
                     return u, "", "change of basis not unitriangular"
         return None
 
-    return _drive("witness-basis", trial, fields, ns, samples, seed, threads, cycled=True)
+    return _drive("witness-basis", trial, fields, ns, samples, seed, cycled=True)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 3: the restricted translate suffices
 
 
-def restricted_envelope(
-    fields, ns, samples: int, seed: int, threads: int = 1, exhaustive_small: bool = True
-) -> CriterionResult:
+def restricted_envelope(fields, ns, samples: int, seed: int) -> CriterionResult:
     def check(g: Matrix):
         n = g.nrows
         cert = envelope_certificate(g, restricted=True)
@@ -288,15 +265,14 @@ def restricted_envelope(
             return g, "", "tag outside the computed translate"
         return None
 
-    return _drive("restricted-envelope", _invertible_trial(check), fields, ns, samples, seed, threads,
-                  prelude=check if exhaustive_small else None)
+    return _drive("restricted-envelope", _invertible_trial(check), fields, ns, samples, seed, prelude=check)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 4: ULP factorization
 
 
-def ulp_roundtrip(fields, ns, samples: int, seed: int, threads: int = 1) -> CriterionResult:
+def ulp_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
 
     def trial(rng, field: FieldSpec, n: int, k: int):
@@ -328,7 +304,7 @@ def ulp_roundtrip(fields, ns, samples: int, seed: int, threads: int = 1) -> Crit
                 outcomes["upper_checked"] += 1
         return None, outcomes
 
-    return _drive("ulp-roundtrip", trial, fields, ns, samples, seed, threads, cycled=True,
+    return _drive("ulp-roundtrip", trial, fields, ns, samples, seed, cycled=True,
                   tallies=("upper_checked", "upper_infeasible"))
 
 
@@ -336,7 +312,7 @@ def ulp_roundtrip(fields, ns, samples: int, seed: int, threads: int = 1) -> Crit
 # Criterion 5: Bruhat factorization and the cell label
 
 
-def bruhat_roundtrip(fields, ns, samples: int, seed: int, threads: int = 1) -> CriterionResult:
+def bruhat_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
     cmd = "borelenv decomp --kind bruhat --matrix INPUT"
 
@@ -355,7 +331,7 @@ def bruhat_roundtrip(fields, ns, samples: int, seed: int, threads: int = 1) -> C
             return g, cmd, "cell label not a two-sided invariant"
         return None
 
-    return _drive("bruhat-roundtrip", trial, fields, ns, samples, seed, threads, cycled=True)
+    return _drive("bruhat-roundtrip", trial, fields, ns, samples, seed, cycled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +402,7 @@ def bruhat_order_exhaustive(max_n: int = 4) -> CriterionResult:
 # Criterion 7: tangent spaces over the torus-fixed flags
 
 
-def tangent_cover(
-    fields, ns, samples: int, seed: int, threads: int = 1, exhaustive_small: bool = True
-) -> CriterionResult:
+def tangent_cover(fields, ns, samples: int, seed: int) -> CriterionResult:
     cmd = "borelenv tangent-sum --matrix INPUT"
 
     def check(h: Matrix):
@@ -446,8 +420,7 @@ def tangent_cover(
             return h, cmd, "bridge to envelope oracle fails"
         return None
 
-    return _drive("tangent-cover", _invertible_trial(check), fields, ns, samples, seed, threads,
-                  prelude=check if exhaustive_small else None)
+    return _drive("tangent-cover", _invertible_trial(check), fields, ns, samples, seed, prelude=check)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +446,7 @@ def intersection_dimension(max_n: int = 4) -> CriterionResult:
 # Suite runner
 
 
-def _suite_weyl(config: RunConfig, threads: int) -> list[CriterionResult]:
+def _suite_weyl(config: RunConfig) -> list[CriterionResult]:
     out = [bruhat_order_exhaustive(max_n=4)]
     sizes = CriterionResult("transposition-set-size", True, {"checked": 0})
     for n in range(1, 9):
@@ -485,29 +458,29 @@ def _suite_weyl(config: RunConfig, threads: int) -> list[CriterionResult]:
     return out
 
 
-def _suite_decomp(config: RunConfig, threads: int) -> list[CriterionResult]:
+def _suite_decomp(config: RunConfig) -> list[CriterionResult]:
     ns = list(range(max(1, config.n_range[0]), config.n_range[1] + 1))
     return [
-        ulp_roundtrip(config.fields, ns, config.trials, config.seed, threads),
-        bruhat_roundtrip(config.fields, ns, config.trials, config.seed, threads),
+        ulp_roundtrip(config.fields, ns, config.trials, config.seed),
+        bruhat_roundtrip(config.fields, ns, config.trials, config.seed),
     ]
 
 
-def _suite_envelope(config: RunConfig, threads: int) -> list[CriterionResult]:
+def _suite_envelope(config: RunConfig) -> list[CriterionResult]:
     ns = [n for n in range(max(2, config.n_range[0]), config.n_range[1] + 1)]
     if config.mode == "restricted":
-        return [restricted_envelope(config.fields, ns, config.trials, config.seed, threads)]
+        return [restricted_envelope(config.fields, ns, config.trials, config.seed)]
     return [
-        envelope_identity(config.fields, ns, config.trials, config.seed, threads),
-        witness_construction(config.fields, ns, config.trials, config.seed, threads),
-        restricted_envelope(config.fields, ns, config.trials, config.seed, threads),
+        envelope_identity(config.fields, ns, config.trials, config.seed),
+        witness_construction(config.fields, ns, config.trials, config.seed),
+        restricted_envelope(config.fields, ns, config.trials, config.seed),
         intersection_dimension(max_n=4),
     ]
 
 
-def _suite_flag(config: RunConfig, threads: int) -> list[CriterionResult]:
+def _suite_flag(config: RunConfig) -> list[CriterionResult]:
     ns = [n for n in range(max(2, config.n_range[0]), min(4, config.n_range[1]) + 1)]
-    return [tangent_cover(config.fields, ns, config.trials, config.seed, threads)]
+    return [tangent_cover(config.fields, ns, config.trials, config.seed)]
 
 
 _SUITES = {
@@ -519,10 +492,15 @@ _SUITES = {
 
 
 def run_suites(config: RunConfig, suites=("all",), threads: int = 1) -> dict:
+    """Run the chosen suites and return the canonical report.
+
+    ``threads`` is accepted for compatibility and ignored: every trial runs
+    in order on the calling thread.
+    """
     chosen = list(SUITE_NAMES) if "all" in suites else [s for s in SUITE_NAMES if s in suites]
     report = {"config": config.to_json(), "suites": [], "pass": True}
     for suite_name in chosen:
-        results = _SUITES[suite_name](config, threads)
+        results = _SUITES[suite_name](config)
         report["suites"].append(
             {"suite": suite_name, "criteria": [r.to_json() for r in results]}
         )

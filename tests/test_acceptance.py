@@ -51,7 +51,7 @@ def test_criterion_1_envelope_identity():
     # exhaustive over GL_2(F_2) and GL_2(F_3), then 300 seeded samples per
     # field for each n in {3, 4, 5}
     t0 = time.time()
-    result = envelope_identity(ALL_FIELDS, (3, 4, 5), 300, SEED, exhaustive_small=True)
+    result = envelope_identity(ALL_FIELDS, (3, 4, 5), 300, SEED)
     _report("1 envelope-identity", result, t0)
     assert result.counts["checked"] == 6 + 48 + 300 * len(ALL_FIELDS) * 3
 
@@ -67,7 +67,7 @@ def test_criterion_2_witness_basis():
 def test_criterion_3_restricted_envelope():
     # same sample plan as criterion 1, certificates over the small translate
     t0 = time.time()
-    result = restricted_envelope(ALL_FIELDS, (3, 4, 5), 300, SEED, exhaustive_small=True)
+    result = restricted_envelope(ALL_FIELDS, (3, 4, 5), 300, SEED)
     _report("3 restricted-envelope", result, t0)
     assert result.counts["checked"] == 6 + 48 + 300 * len(ALL_FIELDS) * 3
 
@@ -105,7 +105,7 @@ def test_criterion_7_tangent_cover():
     # exhaustive over GL_2(F_2) and GL_2(F_3), then 200 seeded samples per
     # field for each n in {3, 4}; includes the bridge to the envelope oracle
     t0 = time.time()
-    result = tangent_cover(TANGENT_FIELDS, (3, 4), 200, SEED, exhaustive_small=True)
+    result = tangent_cover(TANGENT_FIELDS, (3, 4), 200, SEED)
     _report("7 tangent-cover", result, t0)
     assert result.counts["checked"] == 6 + 48 + 200 * len(TANGENT_FIELDS) * 2
 

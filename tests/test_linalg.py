@@ -257,6 +257,19 @@ class TestInverse:
         with pytest.raises(NotInvertible):
             inverse(Matrix.from_rows(F2, [[1, 1], [1, 1]]))
 
+    def test_unreduced_fp_entries_match_from_rows(self):
+        # a Matrix built directly keeps its entries as given; the kernel
+        # reduces them mod p, so entries past int64 do not overflow
+        m = Matrix(F5, 2, 2, (7, -1, 10**30 + 3, 4))
+        r = Matrix.from_rows(F5, [[2, 4], [3, 4]])
+        assert inverse(m) == inverse(r)
+        assert rref(m) == rref(r)
+        assert kernel(m) == kernel(r)
+        s = Matrix(F5, 2, 3, (6, 10**30, -4, 12, -(10**40), 2**70))
+        t = Matrix.from_rows(F5, [[1, 0, 1], [2, 0, 4]])
+        assert rref(s) == rref(t)
+        assert kernel(s) == kernel(t)
+
 
 class TestSubspace:
     def test_full_plane(self):

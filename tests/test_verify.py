@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -99,18 +100,33 @@ class TestSuites:
 
     def test_sampled_suites_pass_small(self):
         fields = (F2, Q)
-        assert envelope_identity(fields, [2, 3], 3, seed=1, exhaustive_small=False).passed
+        assert envelope_identity(fields, [2, 3], 3, seed=1).passed
         assert witness_construction(fields, [2, 3], 4, seed=2).passed
-        assert restricted_envelope(fields, [2, 3], 3, seed=3, exhaustive_small=False).passed
+        assert restricted_envelope(fields, [2, 3], 3, seed=3).passed
         assert ulp_roundtrip(fields, [1, 2, 3], 6, seed=4).passed
         assert bruhat_roundtrip(fields, [1, 2, 3], 6, seed=5).passed
-        assert tangent_cover(fields, [2, 3], 2, seed=6, exhaustive_small=False).passed
+        assert tangent_cover(fields, [2, 3], 2, seed=6).passed
 
     def test_threads_do_not_change_results(self):
-        fields = (F3,)
-        a = envelope_identity(fields, [3], 6, seed=11, threads=1, exhaustive_small=False)
-        b = envelope_identity(fields, [3], 6, seed=11, threads=4, exhaustive_small=False)
-        assert a.to_json() == b.to_json()
+        config = RunConfig(11, 6, (F3,), (3, 3), "full")
+        a = report_json(run_suites(config, suites=("envelope",), threads=1))
+        b = report_json(run_suites(config, suites=("envelope",), threads=4))
+        assert a == b
+
+    def test_threads_run_every_trial_on_the_calling_thread(self, monkeypatch):
+        # every sampled check and every GL_2 prelude goes through one of these
+        seen = {}
+        for name in ("envelope_bruteforce", "envelope_certificate", "witness_basis",
+                     "ulp_decompose", "bruhat_decompose", "_tangent_sum"):
+            def recorded(*args, _real=getattr(verify, name), _name=name, **kwargs):
+                seen.setdefault(_name, set()).add(threading.get_ident())
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, recorded)
+        config = RunConfig(3, 1, (F2, Q), (2, 3), "full")
+        assert run_suites(config, threads=4)["pass"]
+        assert seen == dict.fromkeys(seen, {threading.get_ident()})
+        assert len(seen) == 6
 
     def test_report_byte_identical(self):
         config = RunConfig(21, 3, (F2, Q), (2, 3), "full")
@@ -173,8 +189,9 @@ class TestPinnedReports:
 
 
 class TestFailurePath:
-    """Checks forced to fail on one input, chosen by its matrix so that the
-    outcome does not depend on the order in which threads call the check."""
+    """Checks forced to fail on one input, chosen by its matrix.  The
+    parametrized cases run through ``run_suites``, whose ``threads`` must
+    not change the failure."""
 
     @pytest.fixture
     def oracle_fails_at(self, monkeypatch):
@@ -193,14 +210,22 @@ class TestFailurePath:
 
         return install
 
+    @staticmethod
+    def _criterion(config, suite, name, threads):
+        report = run_suites(config, suites=(suite,), threads=threads)
+        [result] = [c for s in report["suites"] for c in s["criteria"] if c["criterion"] == name]
+        assert not report["pass"] and not result["pass"]
+        return result
+
     @pytest.mark.parametrize("threads", [1, 4])
     def test_failure_in_gl2_prelude(self, threads, oracle_fails_at):
         target = gl2_elements(F3)[7]
         oracle_fails_at(target)
-        result = envelope_identity((F2, F5, Q), [2, 3], 3, seed=1, threads=threads)
-        assert not result.passed
-        assert result.counts == {"checked": 6 + 8}  # all of GL_2(F_2), then F_3 up to idx 7
-        [dump] = result.failures
+        # the envelope suite runs envelope_identity((F2, F5, Q), [2, 3], 3, seed=1)
+        config = RunConfig(1, 3, (F2, F5, Q), (2, 3), "full")
+        result = self._criterion(config, "envelope", "envelope-identity", threads)
+        assert result["counts"] == {"checked": 6 + 8}  # all of GL_2(F_2), then F_3 up to idx 7
+        [dump] = result["failures"]
         assert (dump["offset"], dump["n"], dump["seed"]) == (-8, 2, 1)
         assert dump["field"] == jsonio.field_to_json(F3)
         assert dump["detail"] == "brute-force envelope != borel(g)"
@@ -210,11 +235,12 @@ class TestFailurePath:
     def test_failure_in_sampled_trial(self, threads, oracle_fails_at):
         h = random_invertible(derive_stream(1, 1), F5, 3)
         oracle_fails_at(inverse(h))  # tangent_cover checks h against the oracle of h^-1
-        result = tangent_cover((F2, F5, Q), [2, 3], 2, seed=1, threads=threads)
-        assert not result.passed
+        # the flag suite runs tangent_cover((F2, F5, Q), [2, 3], 2, seed=1)
+        config = RunConfig(1, 2, (F2, F5, Q), (2, 3), "full")
+        result = self._criterion(config, "flag", "tangent-cover", threads)
         # 54 prelude inputs, F_2 x (n = 2, 3) x 2 trials, F_5: n = 2 x 2, then n = 3, k = 0, 1
-        assert result.counts == {"checked": 54 + 4 + 2 + 2}
-        [dump] = result.failures
+        assert result["counts"] == {"checked": 54 + 4 + 2 + 2}
+        [dump] = result["failures"]
         assert (dump["offset"], dump["n"], dump["seed"]) == (1, 3, 1)
         assert dump["field"] == jsonio.field_to_json(F5)
         assert dump["detail"] == "bridge to envelope oracle fails"
@@ -235,17 +261,18 @@ class TestFailurePath:
             return real(m, normalization)
 
         monkeypatch.setattr(verify, "ulp_decompose", decompose)
-        result = ulp_roundtrip((F2, F5, Q), [1, 2, 3], 6, seed=4, threads=threads)
-        assert not result.passed
+        # the decomp suite runs ulp_roundtrip((F2, F5, Q), [1, 2, 3], 6, seed=4)
+        config = RunConfig(4, 6, (F2, F5, Q), (1, 3), "full")
+        result = self._criterion(config, "decomp", "ulp-roundtrip", threads)
         # six F_2 trials, then F_5 k = 0..4; only k = 1 is upper-infeasible
-        assert result.counts == {"checked": 11, "upper_checked": 9, "upper_infeasible": 1}
-        [dump] = result.failures
+        assert result["counts"] == {"checked": 11, "upper_checked": 9, "upper_infeasible": 1}
+        [dump] = result["failures"]
         assert (dump["offset"], dump["n"], dump["detail"]) == (4, 2, "recomposition mismatch")
         assert jsonio.matrix_from_json(dump["input"]) == broken
 
     def test_one_thread_stops_at_the_failure(self, oracle_fails_at):
         target = random_invertible(derive_stream(1, 1), F5, 3)
         calls = oracle_fails_at(target)
-        result = envelope_identity((F2, F5, Q), [2, 3], 3, seed=1, threads=1)
+        result = envelope_identity((F2, F5, Q), [2, 3], 3, seed=1)
         assert result.counts["checked"] == 65
         assert len(calls) == 65  # no trial after the failing one ran

@@ -1,9 +1,12 @@
 """Symmetric-group tests: composition, length, Bruhat order, matrices."""
 
+import doctest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borelenv import weyl
 from borelenv.errors import InvalidInput, ResourceGuard
 from borelenv.linalg import FieldSpec, Matrix, inverse
 from borelenv.verify import _subword_leq
@@ -216,3 +219,8 @@ class TestEnumerateGroup:
     def test_guard(self):
         with pytest.raises(ResourceGuard):
             enumerate_group(9)
+
+
+def test_module_doctests():
+    result = doctest.testmod(weyl)
+    assert (result.attempted, result.failed) == (2, 0)
