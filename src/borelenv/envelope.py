@@ -315,8 +315,8 @@ def _certificate_greedy(target: BorelConjugate, ws: Sequence[Permutation]) -> En
         if w.n != n:
             raise InvalidInput("weyl_set size does not match the matrix")
         inter = subspace_intersect(algebra, borel_translate(w, f))
-        for row in inter.rows():
-            if acc.add_row(row):
+        for prim, row in zip(inter.prim_rows(), inter.rows()):
+            if acc.add_rows([prim]):
                 entries.append((tuple(row), w))
     spans = acc.equals(algebra)
     return EnvelopeCertificate(target, tuple(entries), spans, tuple(ws))

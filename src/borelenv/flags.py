@@ -21,7 +21,10 @@ matrices (the unipotent-opposite chart through that point), giving
 n(n-1)/2 chart coordinates ordered lexicographically by (row, col) with
 row > col.  The tangent space of the incidence variety at a point (0, F)
 is then stab(F) ⊕ chart inside k^(n^2) ⊕ k^(n(n-1)/2), and the fiber
-square over 0 has tangent chart ⊕ (stab ∩ stab) ⊕ chart.
+square over 0 has tangent chart ⊕ (stab ∩ stab) ⊕ chart.  The coordinate
+flag of w has stabilizer borel(P_w^-1), so the tangent sum adds stab(F_h) ∩
+borel(P_w^-1) in gl_n directly; the n! fiber tangents through
+``tangent_fiber`` and ``dpi2`` are now its test oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .envelope import borel_translate
 from .errors import ContractViolation, InvalidInput, ResourceGuard
 from .linalg import (
     FieldSpec,
@@ -272,7 +276,11 @@ def dpi2(t: TangentSpaceFiber) -> Subspace:
 
 
 def _tangent_sum(h: Matrix):
-    """(holds, ledger, summed subspace) over all coordinate flags."""
+    """(holds, ledger, gl_n block of the sum) over all coordinate flags.
+
+    stab(coordinate flag of w) = borel(P_w^-1), a coordinate subspace; the
+    fiber route through ``tangent_fiber`` and ``dpi2`` is the test oracle.
+    """
     if not h.is_square:
         raise InvalidInput("square matrix required")
     n = h.nrows
@@ -280,17 +288,16 @@ def _tangent_sum(h: Matrix):
         raise ResourceGuard(f"tangent sum guarded at n <= {TANGENT_SUM_LIMIT}")
     fld = h.field
     fh = flag_from_matrix(h)
-    target = tangent_gtilde(fh).space
-    acc = SpanAccumulator(target.ambient_dim, fld)
+    stab = stabilizer_algebra(fh)
+    acc = SpanAccumulator(n * n, fld)
     ledger = []
     for w in enumerate_group(n):
-        fw = flag_from_matrix(perm_matrix(w, fld))
-        fiber = tangent_fiber(fw, fh)
-        mid_dim = fiber.space.dim - 2 * chart_dim(n)
-        ledger.append((w, mid_dim))
-        acc.add_rows(dpi2(fiber).rows())
-    total = acc.to_subspace()
-    return total == target, tuple(ledger), total
+        mid = subspace_intersect(stab, borel_translate(w.inverse(), fld))
+        ledger.append((w, mid.dim))
+        acc.add_subspace(mid)
+    gl = acc.to_subspace()
+    total = _block_diag_space(fld, [(0, n * n, gl), (n * n, chart_dim(n), None)])
+    return total == tangent_gtilde(fh).space, tuple(ledger), gl
 
 
 def tangent_sum_check(h: Matrix):

@@ -92,10 +92,6 @@ class FieldSpec:
     def prime(cls, p: int) -> "FieldSpec":
         return cls(p)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
     # -- scalar arithmetic ------------------------------------------------
 
     def coerce(self, x):
@@ -439,36 +435,11 @@ def _to_int_rows(field: FieldSpec, rows: list) -> list:
     return [[int(x) % field.p for x in r] for r in rows]
 
 
-def _rows_of(vectors: Iterable) -> list[list]:
-    rows = []
-    for v in vectors:
-        if isinstance(v, Matrix):
-            if v.nrows != 1:
-                raise InvalidInput("expected row matrices")
-            rows.append(list(v.row(0)))
-        else:
-            rows.append(list(v))
-    return rows
-
-
-def subspace_from_rows(ambient_dim: int, vectors: Iterable, field: FieldSpec | None = None) -> Subspace:
-    """Canonical subspace spanned by the given row vectors.
-
-    ``field`` may be omitted when at least one vector is a Matrix carrying
-    its field; it is required for an empty generating set.
-    """
-    vectors = list(vectors)
-    if field is None:
-        for v in vectors:
-            if isinstance(v, Matrix):
-                field = v.field
-                break
-        if field is None:
-            raise InvalidInput("field required when no Matrix vector is given")
-    rows = _rows_of(vectors)
-    for r in rows:
-        if len(r) != ambient_dim:
-            raise InvalidInput("vector length does not match ambient dimension")
+def subspace_from_rows(ambient_dim: int, vectors: Iterable, field: FieldSpec) -> Subspace:
+    """Canonical subspace of k^ambient_dim spanned by the given row vectors."""
+    rows = [list(v) for v in vectors]
+    if any(len(r) != ambient_dim for r in rows):
+        raise InvalidInput("vector length does not match ambient dimension")
     coerced = [[field.coerce(x) for x in r] for r in rows]
     prim, rank, pivots = _rref_prim(field, _to_int_rows(field, coerced), ambient_dim)
     return Subspace._from_prim(ambient_dim, field, prim, pivots)
@@ -576,7 +547,7 @@ def subspace_sum(parts: Sequence[Subspace]) -> Subspace:
 class SpanAccumulator:
     """Incrementally growing span with canonical state; internal helper.
 
-    Rows may be fed in public scalar form or in the integer shape; the
+    Rows are fed in the integer shape (``Subspace.prim_rows``), and the
     accumulator keeps the canonical integer shape throughout.
     """
 
@@ -593,22 +564,14 @@ class SpanAccumulator:
         return len(self._prim)
 
     def add_rows(self, rows: Iterable) -> bool:
-        new = _to_int_rows(self.field, [list(r) for r in rows])
-        if not new:
-            return False
         # cheap reject: reduce the incoming rows against the current basis
         # and keep only genuine enlargers before re-canonicalizing
         if self.field.p is None:
-            survivors = [
-                v for v in (reduce_row_q(r, self._prim, self._pivots) for r in new) if any(v)
-            ]
+            reduced = (reduce_row_q(r, self._prim, self._pivots) for r in rows)
         else:
             p = self.field.p
-            survivors = [
-                v
-                for v in (reduce_row_fp(r, self._prim, self._pivots, p) for r in new)
-                if any(v)
-            ]
+            reduced = (reduce_row_fp(r, self._prim, self._pivots, p) for r in rows)
+        survivors = [v for v in reduced if any(v)]
         if not survivors:
             return False
         stacked = [list(r) for r in self._prim] + survivors
@@ -616,9 +579,6 @@ class SpanAccumulator:
         self._prim = [tuple(r) for r in prim]
         self._pivots = list(pivots)
         return True
-
-    def add_row(self, row) -> bool:
-        return self.add_rows([row])
 
     def add_subspace(self, s: Subspace) -> bool:
         return self.add_rows(s.prim_rows())

@@ -28,7 +28,7 @@ from .envelope import (
     verify_certificate,
     witness_basis,
 )
-from .errors import UlpInfeasible
+from .errors import InvalidInput, UlpInfeasible
 from .flags import _tangent_sum
 from .linalg import FieldSpec, Matrix, Subspace, inverse, rref, subspace_from_rows
 from .rng import derive_stream, random_invertible, random_singular, random_upper_invertible
@@ -70,6 +70,17 @@ class RunConfig:
     fields: tuple[FieldSpec, ...]
     n_range: tuple[int, int]
     mode: str = "full"  # or "restricted"
+
+    def __post_init__(self):
+        lo, hi = self.n_range
+        if self.trials < 1:
+            raise InvalidInput(f"trials must be at least 1, got {self.trials}")
+        if not 1 <= lo <= hi:
+            raise InvalidInput(f"bad size range {lo}..{hi} (want 1 <= lo <= hi)")
+        if not self.fields:
+            raise InvalidInput("no field to sample")
+        if self.mode not in ("full", "restricted"):
+            raise InvalidInput(f"unknown mode {self.mode!r}")
 
     def to_json(self) -> dict:
         return {
@@ -407,16 +418,14 @@ def tangent_cover(fields, ns, samples: int, seed: int) -> CriterionResult:
 
     def check(h: Matrix):
         n = h.nrows
-        holds, ledger, total = _tangent_sum(h)
+        holds, ledger, gl_part = _tangent_sum(h)
         if not holds:
             return h, cmd, "tangent sum does not cover"
         if len(ledger) != len(enumerate_group(n)):
             return h, cmd, "ledger has wrong length"
         # The gl_n block of the sum must match the brute-force envelope
         # through the convention bridge stab(flag(h)) = borel(h^-1).
-        gl_part = subspace_from_rows(n * n, [list(r)[: n * n] for r in total.rows()], field=h.field)
-        oracle = envelope_bruteforce(inverse(h), enumerate_group(n))
-        if gl_part != oracle:
+        if gl_part != envelope_bruteforce(inverse(h), enumerate_group(n)):
             return h, cmd, "bridge to envelope oracle fails"
         return None
 
@@ -446,7 +455,7 @@ def intersection_dimension(max_n: int = 4) -> CriterionResult:
 # Suite runner
 
 
-def _suite_weyl(config: RunConfig) -> list[CriterionResult]:
+def _suite_weyl(config: RunConfig, ns) -> list[CriterionResult]:
     out = [bruhat_order_exhaustive(max_n=4)]
     sizes = CriterionResult("transposition-set-size", True, {"checked": 0})
     for n in range(1, 9):
@@ -458,16 +467,14 @@ def _suite_weyl(config: RunConfig) -> list[CriterionResult]:
     return out
 
 
-def _suite_decomp(config: RunConfig) -> list[CriterionResult]:
-    ns = list(range(max(1, config.n_range[0]), config.n_range[1] + 1))
+def _suite_decomp(config: RunConfig, ns) -> list[CriterionResult]:
     return [
         ulp_roundtrip(config.fields, ns, config.trials, config.seed),
         bruhat_roundtrip(config.fields, ns, config.trials, config.seed),
     ]
 
 
-def _suite_envelope(config: RunConfig) -> list[CriterionResult]:
-    ns = [n for n in range(max(2, config.n_range[0]), config.n_range[1] + 1)]
+def _suite_envelope(config: RunConfig, ns) -> list[CriterionResult]:
     if config.mode == "restricted":
         return [restricted_envelope(config.fields, ns, config.trials, config.seed)]
     return [
@@ -478,29 +485,42 @@ def _suite_envelope(config: RunConfig) -> list[CriterionResult]:
     ]
 
 
-def _suite_flag(config: RunConfig) -> list[CriterionResult]:
-    ns = [n for n in range(max(2, config.n_range[0]), min(4, config.n_range[1]) + 1)]
+def _suite_flag(config: RunConfig, ns) -> list[CriterionResult]:
     return [tangent_cover(config.fields, ns, config.trials, config.seed)]
 
 
+# suite -> (function, smallest n, largest n or None); weyl ignores its sizes
 _SUITES = {
-    "weyl": _suite_weyl,
-    "decomp": _suite_decomp,
-    "envelope": _suite_envelope,
-    "flag": _suite_flag,
+    "weyl": (_suite_weyl, 1, None),
+    "decomp": (_suite_decomp, 1, None),
+    "envelope": (_suite_envelope, 2, None),
+    "flag": (_suite_flag, 2, 4),
 }
+
+
+def _sizes(config: RunConfig, name: str) -> list[int]:
+    _, least, most = _SUITES[name]
+    lo, hi = config.n_range
+    ns = list(range(max(least, lo), (hi if most is None else min(most, hi)) + 1))
+    if not ns:
+        raise InvalidInput(f"size range {lo}..{hi} leaves the {name} suite no size")
+    return ns
 
 
 def run_suites(config: RunConfig, suites=("all",), threads: int = 1) -> dict:
     """Run the chosen suites and return the canonical report.
 
-    ``threads`` is accepted for compatibility and ignored: every trial runs
-    in order on the calling thread.
+    Unknown suites, and suites that ``config.n_range`` leaves no size, raise
+    InvalidInput before any suite runs.  ``threads`` is accepted and ignored.
     """
+    unknown = sorted(set(suites) - {"all", *SUITE_NAMES})
+    if unknown or not suites:
+        raise InvalidInput(f"unknown suite {unknown} (want all or {', '.join(SUITE_NAMES)})")
     chosen = list(SUITE_NAMES) if "all" in suites else [s for s in SUITE_NAMES if s in suites]
+    plan = [(name, _sizes(config, name)) for name in chosen]
     report = {"config": config.to_json(), "suites": [], "pass": True}
-    for suite_name in chosen:
-        results = _SUITES[suite_name](config)
+    for suite_name, ns in plan:
+        results = _SUITES[suite_name][0](config, ns)
         report["suites"].append(
             {"suite": suite_name, "criteria": [r.to_json() for r in results]}
         )

@@ -129,3 +129,27 @@ def naive_borel_algebra(g):
     else:
         red, rank, pivots = naive_rref_fp([[int(x) for x in r] for r in gens], p)
     return red[:rank], rank, pivots
+
+
+def fiber_tangent_sum(h):
+    """(holds, ledger, gl_n block) of the tangent cover, the long way round.
+
+    For every w in S_n: the coordinate flag of w as a Flag, the fiber
+    tangent space at (flag(w), flag(h)) and its dpi2 projection.  The
+    projections are summed in one subspace_sum, and the gl_n block is read
+    off the rows of that sum.  Only public API is used.
+    """
+    from borelenv.flags import chart_dim, dpi2, flag_from_matrix, tangent_fiber, tangent_gtilde
+    from borelenv.linalg import subspace_from_rows, subspace_sum
+    from borelenv.weyl import enumerate_group, perm_matrix
+
+    n, field = h.nrows, h.field
+    fh = flag_from_matrix(h)
+    ledger, parts = [], []
+    for w in enumerate_group(n):
+        fiber = tangent_fiber(flag_from_matrix(perm_matrix(w, field)), fh)
+        ledger.append((w, fiber.space.dim - 2 * chart_dim(n)))
+        parts.append(dpi2(fiber))
+    total = subspace_sum(parts)
+    gl = subspace_from_rows(n * n, [list(r)[: n * n] for r in total.rows()], field=field)
+    return total == tangent_gtilde(fh).space, tuple(ledger), gl

@@ -250,11 +250,21 @@ class TestCliVerify:
         four = capsys.readouterr().out
         assert one == four
 
-    def test_trials_zero_vacuous_pass(self, capsys):
-        code = main(["verify", "--seed", "1", "--trials", "0", "--fields", "q",
-                     "--n", "2..2", "--suite", "envelope"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 0 and report["pass"] is True
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--suite", "foo"], "unknown suite", id="unknown-suite"),
+        pytest.param(["--trials", "0", "--suite", "envelope"], "trials must be at least 1",
+                     id="trials-zero"),
+        pytest.param(["--n", "5..2", "--suite", "envelope"], "bad size range", id="lo-above-hi"),
+        pytest.param(["--n", "0..2", "--suite", "decomp"], "bad size range", id="lo-below-one"),
+        pytest.param(["--n", "5..6", "--suite", "flag"], "leaves the flag suite no size",
+                     id="flag-sizes-empty"),
+    ])
+    def test_run_that_checks_nothing_exits_two(self, args, message, capsys):
+        code = main(["verify", "--fields", "q"] + args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_bad_range_exits_two(self, capsys):
         assert main(["verify", "--n", "oops"]) == 2

@@ -1,11 +1,12 @@
 """Envelope tests: conjugated Borels, witnesses, certificates, oracle."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from borelenv import envelope
+from borelenv import envelope, jsonio
 from borelenv.envelope import (
     EnvelopeCertificate,
     borel_from_g,
@@ -19,7 +20,7 @@ from borelenv.envelope import (
 )
 from borelenv.errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
 from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subspace_sum, subspace_intersect
-from borelenv.rng import SplitMix64, random_invertible, random_upper_invertible
+from borelenv.rng import SplitMix64, derive_stream, random_invertible, random_upper_invertible
 from borelenv.weyl import (
     Permutation,
     compose,
@@ -563,3 +564,29 @@ class TestTranslateExactness:
                 q = compose(longest_element(n), ulp_decompose(g, "lower").p)
                 expected = {compose(t, q).images for t in transposition_set(n)}
                 assert {w.images for w in cert.witness_set} == expected
+
+
+class TestPinnedGreedyCertificates:
+    """The JSON bytes of greedy certificates, pinned by sha256: three seeded
+    matrices for each n = 2..4, over all of S_n or the transposition set."""
+
+    PINS = {
+        ("Q", "full"): "5c1e501638db38970efb9b394fb9127995143eca4e1ea908ff5f63e815bef63f",
+        ("Q", "transpositions"): "da32730644e7a082303df7df84dad9cac4f412366644ac38cbb10e6f608f0e86",
+        ("F2", "full"): "ae564f5c4b193bc079bdda3b8d3bae9efaeb5b9b580543fb3402626e80e9df84",
+        ("F2", "transpositions"): "442eda4acf08cd33f0b176d158316cd0a2021fbb134ba6a049d9be8f8399c88f",
+        ("F5", "full"): "10149ae291ef5704aa29eac589ae2cec83f738d7263024a92793fb4ab5d046cd",
+        ("F5", "transpositions"): "412caf5b20e1c9b40fba33efb3bb9aeba021b498baaffaba81d715135edc5e50",
+    }
+
+    @pytest.mark.parametrize("name, route", sorted(PINS))
+    def test_certificate_bytes(self, name, route):
+        field = {"Q": Q, "F2": F2, "F5": F5}[name]
+        digest = hashlib.sha256()
+        for n in range(2, 5):
+            ws = None if route == "full" else transposition_set(n)
+            for k in range(3):
+                g = random_invertible(derive_stream(2024, k), field, n)
+                cert = envelope_certificate(g, ws)
+                digest.update(jsonio.dumps_canonical(jsonio.certificate_to_json(cert)).encode())
+        assert digest.hexdigest() == self.PINS[(name, route)]

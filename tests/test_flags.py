@@ -4,10 +4,12 @@ import itertools
 
 import pytest
 
+from borelenv import flags
 from borelenv.envelope import borel_from_g, envelope_bruteforce
 from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard
 from borelenv.flags import (
     Flag,
+    _tangent_sum,
     chart_dim,
     chart_pairs,
     dpi2,
@@ -22,11 +24,13 @@ from borelenv.flags import (
 from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subspace_intersect
 from borelenv.rng import SplitMix64, random_invertible, random_upper_invertible
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
+from reference import fiber_tangent_sum
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
+F101 = FieldSpec.prime(101)
 
 
 def standard_flag(field, n):
@@ -265,16 +269,35 @@ class TestTangentSum:
                 assert len(ledger) == len(enumerate_group(n))
 
     def test_gl_part_bridges_to_envelope(self):
-        from borelenv.flags import _tangent_sum
-
         rng = SplitMix64(149)
         for field in (Q, F5):
             n = 3
             h = random_invertible(rng, field, n)
-            holds, ledger, total = _tangent_sum(h)
+            holds, ledger, gl_part = _tangent_sum(h)
             assert holds
-            gl_part = subspace_from_rows(n * n, [list(r)[: n * n] for r in total.rows()], field=field)
             assert gl_part == envelope_bruteforce(inverse(h), enumerate_group(n))
+
+    def test_matches_fiber_oracle(self):
+        # the n!-fiber construction, built from public API, is the oracle
+        rng = SplitMix64(151)
+        for field in (F2, F3, F5, F101, Q):
+            for n in range(1, 5):
+                hs = [Matrix.identity(field, n), perm_matrix(longest_element(n), field)]
+                hs += [random_invertible(rng, field, n) for _ in range(3)]
+                for h in hs:
+                    assert _tangent_sum(h) == fiber_tangent_sum(h)
+
+    def test_one_flag_and_no_fibers_per_call(self, monkeypatch):
+        calls = dict.fromkeys(("flag_from_matrix", "tangent_fiber", "dpi2"), 0)
+        for name in calls:
+            def counted(*args, _real=getattr(flags, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(flags, name, counted)
+        h = random_invertible(SplitMix64(157), Q, 4)
+        assert _tangent_sum(h)[0]
+        assert calls == {"flag_from_matrix": 1, "tangent_fiber": 0, "dpi2": 0}
 
     def test_guard_and_errors(self):
         with pytest.raises(ResourceGuard):

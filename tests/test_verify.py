@@ -9,7 +9,7 @@ import pytest
 
 from borelenv import jsonio, verify
 from borelenv.cli import main
-from borelenv.errors import UlpInfeasible
+from borelenv.errors import InvalidInput, UlpInfeasible
 from borelenv.linalg import FieldSpec, inverse, rref
 from borelenv.rng import (
     SplitMix64,
@@ -127,6 +127,20 @@ class TestSuites:
         assert run_suites(config, threads=4)["pass"]
         assert seen == dict.fromkeys(seen, {threading.get_ident()})
         assert len(seen) == 6
+
+    def test_inputs_that_check_nothing_are_rejected(self, monkeypatch):
+        for bad in (dict(trials=0), dict(trials=-3), dict(n_range=(5, 2)),
+                    dict(n_range=(0, 3)), dict(fields=()), dict(mode="fast")):
+            args = dict(seed=1, trials=2, fields=(F2,), n_range=(2, 3), mode="full") | bad
+            with pytest.raises(InvalidInput):
+                RunConfig(**args)
+        # every suite is vetted before the first runs
+        monkeypatch.setattr(verify, "_SUITES", {
+            name: (None, *limits) for name, (_, *limits) in verify._SUITES.items()})
+        config = RunConfig(1, 2, (F2,), (5, 6), "full")
+        for suites in (("foo",), ("envelope", "foo"), (), ("all",), ("flag",)):
+            with pytest.raises(InvalidInput):
+                run_suites(config, suites=suites)
 
     def test_report_byte_identical(self):
         config = RunConfig(21, 3, (F2, Q), (2, 3), "full")
