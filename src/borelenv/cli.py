@@ -95,15 +95,11 @@ def _cmd_relpos(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
-    if args.op == "leq":
-        u, w = _parse_perm(args.args[0]), _parse_perm(args.args[1])
-        result = bruhat_leq(u, w)
-        _emit({"result": result})
-        return 0
-    if args.op == "length":
-        _emit({"result": length(_parse_perm(args.args[0]))})
-        return 0
-    raise InvalidInput(f"unknown weyl op {args.op!r}")
+    arity, op = {"leq": (2, bruhat_leq), "length": (1, length)}[args.op]  # argparse choices
+    if len(args.args) != arity:
+        raise InvalidInput(f"weyl {args.op} takes {arity} permutation(s), got {len(args.args)}")
+    _emit({"result": op(*(_parse_perm(a) for a in args.args))})
+    return 0
 
 
 def _cmd_tangent_sum(args) -> int:

@@ -22,7 +22,7 @@ from typing import Literal
 
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard, UlpInfeasible
 from .linalg import Matrix, rref, solve_exact
-from .weyl import Permutation, perm_matrix
+from .weyl import Permutation
 
 __all__ = [
     "BruhatFactors",
@@ -44,7 +44,7 @@ class BruhatFactors:
     u2: Matrix
 
     def recompose(self) -> Matrix:
-        return self.u1 @ perm_matrix(self.s, self.u1.field) @ self.u2
+        return self.u1.permute_cols(self.s) @ self.u2
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,12 @@ class UlpFactors:
     normalization: Normalization
 
     def recompose(self) -> Matrix:
-        return self.u @ self.l @ perm_matrix(self.p, self.u.field)
+        return (self.u @ self.l).permute_cols(self.p)
+
+
+def _square(f, rows) -> Matrix:
+    """A square Matrix from rows of field elements, trusted: no coercion."""
+    return Matrix(f, len(rows), len(rows), tuple(x for r in rows for x in r))
 
 
 def _require_square(m: Matrix):
@@ -112,9 +117,7 @@ def bruhat_decompose(g: Matrix) -> BruhatFactors:
     for j in range(n):
         d = m[images[j] - 1][j]
         u2[j] = [f.mul(d, x) for x in u2[j]]
-    u1_m = Matrix.from_rows(f, u1)
-    u2_m = Matrix.from_rows(f, u2)
-    factors = BruhatFactors(u1_m, s, u2_m)
+    factors = BruhatFactors(_square(f, u1), s, _square(f, u2))
     if factors.recompose() != g:
         raise ContractViolation("Bruhat recomposition failed")
     return factors
@@ -127,14 +130,17 @@ def bruhat_cell(g: Matrix) -> Permutation:
     w(j) is the unique i where the second difference of r equals 1.  The
     corner ranks are two-sided invariants under upper triangular
     multiplication, so this is independent of any elimination choices.
+    One RREF per i gives the whole row of the table: RREF pivots are
+    leftmost, so r(i, j) is the number of pivots of RREF(rows i..n) in
+    columns 1..j.
     """
     _require_square(g)
     n = g.nrows
     rk = [[0] * (n + 1) for _ in range(n + 2)]  # rk[i][j], 1-based, rk[n+1][*] = 0
     for i in range(1, n + 1):
+        pivots = rref(Matrix(g.field, n - i + 1, n, g.entries[(i - 1) * n :])).pivot_cols
         for j in range(1, n + 1):
-            sub = Matrix.from_rows(g.field, [list(g.row(r)[:j]) for r in range(i - 1, n)])
-            rk[i][j] = rref(sub).rank
+            rk[i][j] = sum(1 for c in pivots if c < j)
     if rk[1][n] < n:
         raise NotInvertible(f"matrix of rank {rk[1][n]} < {n}")
     images = []
@@ -196,7 +202,7 @@ def _ulp_lower(m: Matrix) -> UlpFactors:
         images[claimed[k]] = k + 1
     p = Permutation(tuple(images))
     lower = [[x_rows[k][claimed[c]] for c in range(n)] for k in range(n)]
-    return UlpFactors(Matrix.from_rows(f, u), Matrix.from_rows(f, lower), p, "lower")
+    return UlpFactors(_square(f, u), _square(f, lower), p, "lower")
 
 
 def _ul_split(b: Matrix):
@@ -218,7 +224,7 @@ def _ul_split(b: Matrix):
         if tail:
             # coefficients t with sum_k t_k L_k matching v on columns > i
             cols = range(i + 1, n)
-            a = Matrix.from_rows(f, [[l_rows[k][c] for k in range(i + 1, n)] for c in cols])
+            a = Matrix(f, tail, tail, tuple(l_rows[k][c] for c in cols for k in range(i + 1, n)))
             t = solve_exact(a, [v[c] for c in cols])
             if t is None:
                 return None
@@ -229,7 +235,7 @@ def _ul_split(b: Matrix):
         if any(v[c] != zero for c in range(i + 1, n)):
             raise ContractViolation("residual row escaped its lower support")
         l_rows[i] = v
-    return Matrix.from_rows(f, u), Matrix.from_rows(f, l_rows)
+    return _square(f, u), _square(f, l_rows)
 
 
 def _ulp_upper(m: Matrix) -> UlpFactors:
@@ -240,12 +246,8 @@ def _ulp_upper(m: Matrix) -> UlpFactors:
     diag = [base.u.at(i, i) for i in range(n)]
     if all(d != zero for d in diag):
         # move the diagonal of u into l
-        u = Matrix.from_rows(
-            f, [[f.div(base.u.at(i, k), diag[k]) for k in range(n)] for i in range(n)]
-        )
-        lower = Matrix.from_rows(
-            f, [[f.mul(diag[i], base.l.at(i, k)) for k in range(n)] for i in range(n)]
-        )
+        u = _square(f, [[f.div(base.u.at(i, k), diag[k]) for k in range(n)] for i in range(n)])
+        lower = _square(f, [[f.mul(diag[i], base.l.at(i, k)) for k in range(n)] for i in range(n)])
         return UlpFactors(u, lower, base.p, "upper")
     # Singular corner: search permutations for m @ P_p^-1 = U @ L.  The
     # factorization with a unipotent upper factor does not always exist;
@@ -260,7 +262,7 @@ def _ulp_upper(m: Matrix) -> UlpFactors:
         if p.images in seen:
             continue
         seen.add(p.images)
-        b = m @ perm_matrix(p.inverse(), f)
+        b = m.permute_cols(p.inverse())
         split = _ul_split(b)
         if split is not None:
             u, lower = split

@@ -235,14 +235,14 @@ def devissage_witness(u: Matrix, i: int, j: int, _u_inv: Matrix | None = None) -
     return DevissageWitness(i, j, tuple(x), a, s)
 
 
-def witness_basis(u: Matrix) -> tuple[DevissageWitness, ...]:
+def witness_basis(u: Matrix, _u_inv: Matrix | None = None) -> tuple[DevissageWitness, ...]:
     """All n(n+1)/2 witnesses for u, ordered lexicographically by (i, j).
 
     Their matrices form a basis of the lower triangular algebra, and the
     change of basis from the elementary matrices is unipotent triangular.
     """
     _require_upper_invertible(u)
-    u_inv = inverse(u)
+    u_inv = _u_inv if _u_inv is not None else inverse(u)
     return tuple(
         devissage_witness(u, i, j, _u_inv=u_inv) for i, j in lower_pairs(u.nrows)
     )
@@ -332,12 +332,11 @@ def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     if not u2.is_upper_triangular():
         raise ContractViolation("conjugated lower factor is not upper triangular")
     q = compose(w0, factors.p)
-    # u2 @ P_q: column c is column q(c) of u2 (1-based)
-    cols = [q(c) - 1 for c in range(1, n + 1)]
-    right = Matrix(f, n, n, tuple(u2.entries[r * n + c] for r in range(n) for c in cols))
-    left = inverse(right)
+    u2_inv = inverse(u2)
+    # right = u2 @ P_q, and its inverse is P_q^-1 @ u2^-1
+    right, left = u2.permute_cols(q), u2_inv.permute_rows(q.inverse())
     entries = []
-    for wit in witness_basis(u2):
+    for wit in witness_basis(u2, _u_inv=u2_inv):
         row_vals = [(c, wit.a.at(wit.i - 1, c)) for c in range(n)]
         col, rowv = _conjugate_row_support(left, right, wit.i, row_vals)
         vec = tuple(f.mul(x, y) for x in col for y in rowv)

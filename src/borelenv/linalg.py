@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from ._kernel import (
@@ -147,7 +149,13 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix with exact entries, row-major storage."""
+    """Immutable dense matrix with exact entries, row-major storage.
+
+    The constructor trusts its entries to be field elements; ``from_rows``
+    coerces.  Permutations act as index shuffles under weyl's convention
+    P_w e_j = e_{w(j)}: ``permute_cols(w)`` is m @ P_w (column j is column
+    w(j) of m), ``permute_rows(w)`` is P_w @ m (row w(i) is row i of m).
+    """
 
     field: FieldSpec
     nrows: int
@@ -238,21 +246,33 @@ class Matrix:
         self._check_same_field(other)
         if self.ncols != other.nrows:
             raise InvalidInput("shape mismatch in product")
-        n, m, k = self.nrows, other.ncols, self.ncols
-        a, b = self.entries, other.entries
-        out = []
-        if self.field.p is None:
-            for i in range(n):
-                base = i * k
-                for j in range(m):
-                    out.append(sum(a[base + t] * b[t * m + j] for t in range(k)))
-        else:
-            p = self.field.p
-            for i in range(n):
-                base = i * k
-                for j in range(m):
-                    out.append(sum(a[base + t] * b[t * m + j] for t in range(k)) % p)
-        return Matrix(self.field, n, m, tuple(out))
+        m, k = other.ncols, self.ncols
+        rows = [self.entries[i * k : (i + 1) * k] for i in range(self.nrows)]
+        cols = [other.entries[j::m] for j in range(m)]
+        p = self.field.p
+        if p is not None:
+            ents = tuple(sum(map(mul, r, c)) % p for r in rows for c in cols)
+            return Matrix(self.field, self.nrows, m, ents)
+        # integer shape: one common denominator per row of A and per column
+        # of B, integer dot products, one Fraction per output entry
+        rows, cols = [_scaled(r) for r in rows], [_scaled(c) for c in cols]
+        ents = tuple(Fraction(sum(map(mul, r, c)), dr * dc) for r, dr in rows for c, dc in cols)
+        return Matrix(self.field, self.nrows, m, ents)
+
+    def permute_cols(self, w) -> "Matrix":
+        """self @ P_w for a Permutation w: column j is column w(j) of self."""
+        if w.n != self.ncols:
+            raise InvalidInput("permutation size does not match the columns")
+        e, src = self.entries, [c - 1 for c in w.images]
+        ents = tuple(e[b + c] for b in range(0, len(e), self.ncols) for c in src)
+        return Matrix(self.field, self.nrows, self.ncols, ents)
+
+    def permute_rows(self, w) -> "Matrix":
+        """P_w @ self for a Permutation w: row w(i) is row i of self."""
+        if w.n != self.nrows:
+            raise InvalidInput("permutation size does not match the rows")
+        ents = tuple(x for i in w.inverse().images for x in self.row(i - 1))
+        return Matrix(self.field, self.nrows, self.ncols, ents)
 
     def flatten(self) -> tuple:
         """Row-major entry tuple; the coordinates used for gl_n subspaces."""
@@ -261,6 +281,12 @@ class Matrix:
     def __str__(self) -> str:
         rows = [" ".join(str(x) for x in self.row(i)) for i in range(self.nrows)]
         return "[" + "; ".join(rows) + "]"
+
+
+def _scaled(xs) -> tuple[list[int], int]:
+    """Integers and one common denominator d with xs == ints / d, over Q."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 class RrefResult(NamedTuple):
@@ -287,7 +313,7 @@ def inverse(m: Matrix) -> Matrix:
     if list(pivots[:n]) != list(range(n)):
         left_rank = sum(1 for c in pivots if c < n)
         raise NotInvertible(f"matrix of rank {left_rank} < {n}")
-    return Matrix.from_rows(m.field, [row[n:] for row in rows])
+    return Matrix(m.field, n, n, tuple(x for row in rows for x in row[n:]))
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -351,16 +377,17 @@ class Subspace:
     built from that integer shape, by ``_from_prim``.
     """
 
-    __slots__ = ("ambient_dim", "field", "_prim", "_pivots", "_basis")
+    __slots__ = ("ambient_dim", "field", "_prim", "_pivots", "_basis", "_support")
 
     @classmethod
-    def _from_prim(cls, ambient_dim: int, field: FieldSpec, prim, pivots) -> "Subspace":
+    def _from_prim(cls, ambient_dim: int, field: FieldSpec, prim, pivots, support=...):
         s = cls.__new__(cls)
         s.ambient_dim = ambient_dim
         s.field = field
         s._prim = tuple(tuple(r) for r in prim)
         s._pivots = tuple(pivots)
         s._basis = None
+        s._support = support  # ... until _coordinate_support fills it
         return s
 
     @property
@@ -457,20 +484,20 @@ def _coordinate_subspace(ambient_dim: int, field: FieldSpec, coords) -> Subspace
     already the canonical (and primitive) basis."""
     pivots = sorted(coords)
     prim = [tuple(1 if c == u else 0 for c in range(ambient_dim)) for u in pivots]
-    return Subspace._from_prim(ambient_dim, field, prim, pivots)
+    return Subspace._from_prim(ambient_dim, field, prim, pivots, frozenset(pivots))
 
 
-def _coordinate_support(s: Subspace) -> set[int] | None:
-    """If every basis row is a unit vector, the supporting coordinate set."""
-    coords = set()
-    for row, pc in zip(s._prim, s._pivots):
-        if any(x and c != pc for c, x in enumerate(row)):
-            return None
-        coords.add(pc)
-    return coords
+def _coordinate_support(s: Subspace) -> frozenset[int] | None:
+    """If every basis row is a unit vector, the supporting coordinate set
+    (computed once per subspace, then kept in its ``_support`` slot)."""
+    if s._support is ...:
+        rows = zip(s._prim, s._pivots)
+        unit = all(not any(x and c != pc for c, x in enumerate(r)) for r, pc in rows)
+        s._support = frozenset(s._pivots) if unit else None
+    return s._support
 
 
-def _intersect_with_coordinates(s: Subspace, coords: set[int]) -> Subspace:
+def _intersect_with_coordinates(s: Subspace, coords: frozenset[int]) -> Subspace:
     """Intersection of s with the coordinate subspace on ``coords``.
 
     One elimination with the complement columns ordered first: the reduced

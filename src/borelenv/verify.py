@@ -39,7 +39,6 @@ from .weyl import (
     enumerate_group,
     length,
     longest_element,
-    perm_matrix,
     transposition_set,
 )
 
@@ -222,16 +221,14 @@ def witness_construction(fields, ns, samples: int, seed: int) -> CriterionResult
             return u, "", "wrong witness count"
         u_inv = inverse(u)
         w0 = longest_element(n)
-        pw0 = perm_matrix(w0, field)
-        pw0_inv = perm_matrix(w0.inverse(), field)
         for wit in wits:
             # membership in the lower triangular algebra, by conjugation
-            if not (pw0 @ wit.a @ pw0_inv).is_upper_triangular():
+            # with P_w0 (P_w @ m @ P_w^-1 shuffles rows and columns by w)
+            if not wit.a.permute_cols(w0.inverse()).permute_rows(w0).is_upper_triangular():
                 return u, "", f"witness {wit.i},{wit.j} not lower"
             # membership in borel(P_s @ u^-1), by conjugation
-            ps = perm_matrix(wit.s, field)
-            ps_inv = perm_matrix(wit.s.inverse(), field)
-            if not (ps @ u_inv @ wit.a @ u @ ps_inv).is_upper_triangular():
+            conj = (u_inv @ wit.a @ u).permute_cols(wit.s.inverse()).permute_rows(wit.s)
+            if not conj.is_upper_triangular():
                 return u, "", f"witness {wit.i},{wit.j} escaped"
         span = subspace_from_rows(n * n, [list(w.a.flatten()) for w in wits], field=field)
         if span != _lower_triangular_space(field, n):

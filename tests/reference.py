@@ -109,6 +109,60 @@ def naive_inverse(rows, p=None):
     return [list(r[n:]) for r in red[:n]]
 
 
+def naive_matmul(a, b):
+    """Row-major entries of the Matrix product a @ b, by the triple loop.
+
+    Over Q every multiply-add is a Fraction operation; over F_p every one
+    is reduced mod p.
+    """
+    p = a.field.p
+    out = []
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            acc = Fraction(0) if p is None else 0
+            for t in range(a.ncols):
+                if p is None:
+                    acc = acc + Fraction(a.at(i, t)) * Fraction(b.at(t, j))
+                else:
+                    acc = (acc + a.at(i, t) * b.at(t, j)) % p
+            out.append(acc)
+    return tuple(out)
+
+
+def naive_bruhat_cell(g):
+    """The Bruhat cell label of invertible g from all n^2 corner ranks.
+
+    With r(i, j) = rank of the submatrix on rows i..n and columns 1..j,
+    w(j) is the unique i where the second difference of r equals 1.  One
+    RREF per corner: no reuse between corners.
+    """
+    from borelenv.decomp import _require_square
+    from borelenv.errors import ContractViolation, NotInvertible
+    from borelenv.linalg import Matrix, rref
+    from borelenv.weyl import Permutation
+
+    _require_square(g)
+    n = g.nrows
+    rk = [[0] * (n + 1) for _ in range(n + 2)]  # rk[i][j], 1-based, rk[n+1][*] = 0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            sub = Matrix.from_rows(g.field, [list(g.row(r)[:j]) for r in range(i - 1, n)])
+            rk[i][j] = rref(sub).rank
+    if rk[1][n] < n:
+        raise NotInvertible(f"matrix of rank {rk[1][n]} < {n}")
+    images = []
+    for j in range(1, n + 1):
+        hits = [
+            i
+            for i in range(1, n + 1)
+            if rk[i][j] - rk[i + 1][j] - rk[i][j - 1] + rk[i + 1][j - 1] == 1
+        ]
+        if len(hits) != 1:
+            raise ContractViolation("corner rank profile is not a permutation")
+        images.append(hits[0])
+    return Permutation(tuple(images))
+
+
 def naive_borel_algebra(g):
     """borel(g) = {g^-1 @ M @ g : M upper} as (rref rows, rank, pivots).
 

@@ -220,6 +220,15 @@ class TestCliOther:
     def test_bad_permutation_exits_two(self, capsys):
         assert main(["weyl", "leq", "1,1", "1,2"]) == 2
 
+    @pytest.mark.parametrize(
+        "args", [["leq", "1,2"], ["leq", "1,2", "2,1", "3,1,2"], ["length", "2,1", "9"]]
+    )
+    def test_weyl_wrong_argument_count_exits_two(self, args, capsys):
+        assert main(["weyl", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "takes" in captured.err
+
 
 class TestCliVerify:
     def test_small_run_passes(self, capsys):

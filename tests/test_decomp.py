@@ -15,7 +15,9 @@ from borelenv.rng import (
     random_singular,
     random_upper_invertible,
 )
-from borelenv.weyl import Permutation, longest_element, perm_matrix
+from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
+
+from reference import naive_bruhat_cell
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -81,6 +83,43 @@ class TestBruhat:
                 cells.setdefault(bruhat_cell(g).images, []).append(g)
         assert len(cells[(1, 2)]) == 2
         assert len(cells[(2, 1)]) == 4
+
+
+class TestBruhatCellOracle:
+    """bruhat_cell (one RREF per row of corners) against all n^2 corner RREFs."""
+
+    FIELDS = (Q, F2, F5, FieldSpec.prime(101))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_random_invertible(self, field):
+        rng = SplitMix64(509)
+        for n in range(1, 7):
+            for _ in range(6):
+                g = random_invertible(rng, field, n)
+                assert bruhat_cell(g) == naive_bruhat_cell(g)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_permutation_matrices_and_their_cells(self, field):
+        rng = SplitMix64(521)
+        for n in range(1, 7):
+            # all of S_n up to n = 4, every 37th element beyond
+            for w in enumerate_group(n)[:: 1 if n <= 4 else 37]:
+                pw = perm_matrix(w, field)
+                assert bruhat_cell(pw) == naive_bruhat_cell(pw) == w
+                b1 = random_upper_invertible(rng, field, n)
+                b2 = random_upper_invertible(rng, field, n)
+                g = b1 @ pw @ b2
+                assert bruhat_cell(g) == naive_bruhat_cell(g) == w
+
+    def test_singular_rejected_by_both(self):
+        rng = SplitMix64(523)
+        for field in self.FIELDS:
+            for n in range(1, 6):
+                g = random_singular(rng, field, n)
+                with pytest.raises(NotInvertible):
+                    bruhat_cell(g)
+                with pytest.raises(NotInvertible):
+                    naive_bruhat_cell(g)
 
 
 class TestUlp:

@@ -20,11 +20,15 @@ from borelenv.linalg import (
     subspace_from_rows,
     subspace_intersect,
     subspace_sum,
+    _coordinate_subspace,
+    _coordinate_support,
     _is_prime,
 )
 from borelenv.rng import SplitMix64, random_invertible, random_matrix
 
-from reference import naive_rref_fp, naive_rref_q, rank_by_minors
+from borelenv.weyl import enumerate_group, perm_matrix
+
+from reference import naive_matmul, naive_rref_fp, naive_rref_q, rank_by_minors
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -271,6 +275,63 @@ class TestInverse:
         assert kernel(s) == kernel(t)
 
 
+ORACLE_FIELDS = FIELDS + [FieldSpec.prime(2**61 - 1)]
+
+
+def _random_entries(rng, field, count):
+    if field.p is not None:
+        return tuple(rng.below(field.p) for _ in range(count))
+    # zero, negative, integer and non-integer entries
+    return tuple(Fraction(rng.randint(-9, 9), 1 + rng.below(4)) for _ in range(count))
+
+
+class TestMatmulOracle:
+    SHAPES = [(1, 4, 3), (4, 1, 4), (3, 4, 1), (0, 3, 2), (2, 0, 3), (3, 2, 0), (5, 4, 3)]
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+    def test_matches_triple_loop(self, field):
+        rng = SplitMix64(307)
+        for n, k, m in self.SHAPES:
+            for _ in range(6):
+                a = Matrix(field, n, k, _random_entries(rng, field, n * k))
+                b = Matrix(field, k, m, _random_entries(rng, field, k * m))
+                prod = a @ b
+                assert (prod.nrows, prod.ncols) == (n, m)
+                assert prod.entries == naive_matmul(a, b)
+                if field.p is None:
+                    assert all(type(x) is Fraction for x in prod.entries)
+                else:
+                    assert all(0 <= x < field.p for x in prod.entries)
+
+    def test_q_entries_stay_in_lowest_terms(self):
+        a = Matrix.from_rows(Q, [["1/2", "-1/3"], [0, "5/6"]])
+        b = Matrix.from_rows(Q, [["2/3", 0], ["3/2", "-6/5"]])
+        assert (a @ b).entries == (Fraction(-1, 6), Fraction(2, 5), Fraction(5, 4), -1)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(InvalidInput):
+            Matrix.zeros(Q, 2, 3) @ Matrix.zeros(Q, 2, 3)
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+    def test_permute_matches_perm_matrix_products(self, field):
+        # non-square partners, so a row/column mix-up cannot pass
+        rng = SplitMix64(311)
+        for n in range(1, 5):
+            for w in enumerate_group(n):
+                pw = perm_matrix(w, field)
+                m = Matrix(field, n + 1, n, _random_entries(rng, field, (n + 1) * n))
+                assert m.permute_cols(w) == m @ pw
+                m = Matrix(field, n, n + 2, _random_entries(rng, field, n * (n + 2)))
+                assert m.permute_rows(w) == pw @ m
+
+    def test_permute_size_mismatch(self):
+        w = enumerate_group(3)[1]
+        with pytest.raises(InvalidInput):
+            Matrix.zeros(Q, 3, 2).permute_cols(w)
+        with pytest.raises(InvalidInput):
+            Matrix.zeros(Q, 2, 3).permute_rows(w)
+
+
 class TestSubspace:
     def test_full_plane(self):
         s = subspace_from_rows(2, [[1, 0], [0, 1]], field=Q)
@@ -409,6 +470,20 @@ class TestSubspace:
                 assert fast.dim + subspace_sum([a, b]).dim == a.dim + b.dim
                 for row in fast.rows():
                     assert a.contains(row) and b.contains(row)
+
+    def test_coordinate_support_computed_once(self):
+        s = subspace_from_rows(4, [[0, 2, 0, 0], [3, 0, 0, 0]], field=Q)
+        t = subspace_from_rows(4, [[1, 1, 0, 0]], field=F5)
+        assert _coordinate_support(s) == {0, 1}
+        assert _coordinate_support(s) is _coordinate_support(s)
+        assert _coordinate_support(t) is None and t._support is None
+        c = _coordinate_subspace(4, Q, [3, 1])
+        assert c._support == {1, 3} and c == subspace_from_rows(4, [[0, 0, 0, 1], [0, 1, 0, 0]], Q)
+        # a warm support leaves the intersections unchanged
+        u = subspace_from_rows(4, [[1, 1, 1, 0], [0, 0, 1, 1]], field=Q)
+        first = (subspace_intersect(u, s), subspace_intersect(s, c))
+        assert (subspace_intersect(u, s), subspace_intersect(s, c)) == first
+        assert first[1] == subspace_from_rows(4, [[0, 1, 0, 0]], Q)
 
     def test_ambient_mismatch(self):
         a = subspace_from_rows(2, [[1, 0]], field=Q)
