@@ -34,11 +34,9 @@ from .linalg import (
     SpanAccumulator,
     Subspace,
     inverse,
-    solve_lower_triangular,
-    subspace_from_rows,
     subspace_intersect,
 )
-from .linalg import _coordinate_subspace, _rref_prim, _to_int_rows
+from .linalg import _coordinate_subspace, _coordinate_support, _rref_prim, _span_int, _to_int_rows
 from .weyl import (
     Permutation,
     compose,
@@ -168,62 +166,52 @@ def _require_upper_invertible(u: Matrix):
         raise InvalidInput("u must have a nonzero diagonal")
 
 
-def _conjugate_row_support(left: Matrix, right: Matrix, i: int, row_vals) -> tuple:
-    """left @ a @ right for a supported on row i only (1-based), as factors.
+def _witness_coefficients(u_inv: Matrix, i: int, j: int) -> tuple:
+    """x for the (i, j) witness of an upper triangular u, read off u^-1:
+    (1, x) @ u[j..i, j..i] must vanish past its first entry, so (1, x) is
+    row j of that block's inverse, which is the same block of u^-1, over
+    its diagonal entry."""
+    f = u_inv.field
+    row = u_inv.row(j - 1)[j - 1 : i]
+    d = f.inv(row[0])
+    return tuple(f.mul(y, d) for y in row[1:])
 
-    Such an a is rank one, so the product is the outer product of left's
-    column i with (row of a) @ right; both are returned, and the caller
-    multiplies out only what it needs.
+
+def _conjugate_witness(left: Matrix, right: Matrix, i: int, j: int, x: tuple) -> tuple:
+    """left @ a @ right for a = e^{i,j} + sum_l x_l e^{i,j+l}, as factors:
+    a is rank one, so the product is the outer product of left's column i
+    with (1, x) @ rows j..i of right; the caller multiplies out what it needs.
     """
     f = left.field
-    n = left.nrows
     zero = f.zero()
-    rowv = []
-    for j in range(n):
-        acc = zero
-        for c, val in row_vals:
-            if val != zero:
-                acc = f.add(acc, f.mul(val, right.at(c, j)))
-        rowv.append(acc)
+    rowv = [zero] * right.ncols
+    for r, val in enumerate((f.one(),) + x, start=j - 1):
+        if val != zero:
+            rowv = [f.add(acc, f.mul(val, y)) for acc, y in zip(rowv, right.row(r))]
     return left.col(i - 1), rowv
 
 
 def devissage_witness(u: Matrix, i: int, j: int, _u_inv: Matrix | None = None) -> DevissageWitness:
-    """Solve the peeling system for the (i, j) witness, 1-based, i >= j.
+    """The (i, j) witness for u, 1-based, i >= j.
 
-    The coefficients x are the unique solution of a lower triangular system
-    of size i - j built from the entries of u; the witness matrix is
-    e^{i,j} + sum_l x_l e^{i,l}.  Membership in borel(P_s @ u^-1) is not
-    assumed: it is checked by explicit conjugation, and a failure raises
-    ContractViolation (that would be a bug, not bad input).
+    The coefficients x solve the lower triangular peeling system of size
+    i - j built from u; they are read off u^-1 (:func:`_witness_coefficients`).
+    The witness matrix is e^{i,j} + sum_l x_l e^{i,j+l}.  Membership in
+    borel(P_s @ u^-1) is not assumed: it is checked here by one conjugation,
+    and a failure raises ContractViolation (a bug, not bad input).
     """
     _require_upper_invertible(u)
     n = u.nrows
     if not (1 <= j <= i <= n):
         raise InvalidInput(f"need 1 <= j <= i <= n, got (i, j) = ({i}, {j})")
     f = u.field
-    size = i - j
-    if size:
-        sys_rows = [
-            [u.at(j + c - 1, j + r - 1) if c <= r else f.zero() for c in range(1, size + 1)]
-            for r in range(1, size + 1)
-        ]
-        rhs = [[f.neg(u.at(j - 1, j + r - 1))] for r in range(1, size + 1)]
-        sol = solve_lower_triangular(
-            Matrix.from_rows(f, sys_rows), Matrix.from_rows(f, rhs)
-        )
-        x = sol.col(0)
-    else:
-        x = ()
-    ents = [f.zero()] * (n * n)
-    ents[_flat(n, i, j)] = f.one()
-    for offset, val in enumerate(x, start=1):
-        ents[_flat(n, i, j + offset)] = val
-    a = Matrix(f, n, n, tuple(ents))
-    s = Permutation.transposition(n, i, j) if i != j else Permutation.identity(n)
     u_inv = _u_inv if _u_inv is not None else inverse(u)
-    row_vals = [(j - 1, f.one())] + [(j + off - 1, val) for off, val in enumerate(x, start=1)]
-    col, rowv = _conjugate_row_support(u_inv, u, i, row_vals)
+    x = _witness_coefficients(u_inv, i, j)
+    ents = [f.zero()] * (n * n)
+    ents[_flat(n, i, j) : _flat(n, i, i) + 1] = (f.one(),) + x
+    a = Matrix(f, n, n, tuple(ents))
+    s = Permutation.transposition(n, i, j)
+    col, rowv = _conjugate_witness(u_inv, u, i, j, x)
     zero = f.zero()
     # conjugating by P_s permutes indices; check upper-triangularity of
     # the permuted matrix without building it.  The factors hold reduced
@@ -232,20 +220,19 @@ def devissage_witness(u: Matrix, i: int, j: int, _u_inv: Matrix | None = None) -
         for c in range(1, n + 1):
             if s(r) > s(c) and col[r - 1] != zero and rowv[c - 1] != zero:
                 raise ContractViolation(f"witness ({i}, {j}) escaped its Borel")
-    return DevissageWitness(i, j, tuple(x), a, s)
+    return DevissageWitness(i, j, x, a, s)
 
 
-def witness_basis(u: Matrix, _u_inv: Matrix | None = None) -> tuple[DevissageWitness, ...]:
-    """All n(n+1)/2 witnesses for u, ordered lexicographically by (i, j).
+def witness_basis(u: Matrix) -> tuple[DevissageWitness, ...]:
+    """All n(n+1)/2 witnesses for u, ordered lexicographically by (i, j),
+    each escape-checked by :func:`devissage_witness` with one shared u^-1.
 
     Their matrices form a basis of the lower triangular algebra, and the
     change of basis from the elementary matrices is unipotent triangular.
     """
     _require_upper_invertible(u)
-    u_inv = _u_inv if _u_inv is not None else inverse(u)
-    return tuple(
-        devissage_witness(u, i, j, _u_inv=u_inv) for i, j in lower_pairs(u.nrows)
-    )
+    u_inv = inverse(u)
+    return tuple(devissage_witness(u, i, j, _u_inv=u_inv) for i, j in lower_pairs(u.nrows))
 
 
 # ---------------------------------------------------------------------------
@@ -269,28 +256,39 @@ class EnvelopeCertificate:
 
 
 def _checked_span(target: BorelConjugate, entries) -> Subspace | None:
-    """The span of the entries' vectors, or None when some vector has the
-    wrong length or lies outside the algebra or its tagged translate."""
+    """The span of the entries' vectors, or None when some vector or tag has
+    the wrong size or a vector lies outside the algebra or its translate.
+
+    Each vector is coerced once; a non-scalar entry raises InvalidInput.
+    borel(P_w) is a coordinate subspace, so translate membership is a zero
+    pattern.  Algebra membership follows when the span is the algebra; only
+    when the two differ is each vector reduced against the algebra.
+    """
     n, f = target.n, target.g.field
-    algebra = target.algebra
+    rows = []
     for vec, w in entries:
-        if len(vec) != n * n:
+        if len(vec) != n * n or w.n != n:
             return None
-        if not algebra.contains(vec) or not borel_translate(w, f).contains(vec):
+        v = [f.coerce(x) for x in vec]
+        coords = _coordinate_support(borel_translate(w, f))
+        if any(x and c not in coords for c, x in enumerate(v)):
             return None
-    return subspace_from_rows(n * n, [list(v) for v, _ in entries], field=f)
+        rows.append(v)
+    span, algebra = _span_int(f, _to_int_rows(f, rows), n * n), target.algebra
+    if span != algebra and not all(algebra.contains(v) for v in rows):
+        return None
+    return span
 
 
 def verify_certificate(cert: EnvelopeCertificate) -> bool:
     """Recheck every claim in the certificate from scratch.
 
-    Each vector must lie in the target algebra and in its tagged translate,
-    and ``spans`` must agree with a direct comparison of the entries' span
-    against the target.  Membership failures return False rather than
-    raising, so forged certificates are rejected, not crashed on.  This is
-    the independent recheck the CLI and the restricted suite run; the
-    witness route checks the same memberships once, while it builds the
-    certificate, and takes ``spans`` from that same span.
+    Each vector must lie in the target algebra and in its tagged translate
+    (:func:`_checked_span`), and ``spans`` must agree with a comparison of
+    the entries' span against the target.  Membership failures return False
+    rather than raising, so forged certificates are rejected, not crashed
+    on.  The CLI and the restricted suite run this recheck; the witness
+    route makes the same check once while it builds the certificate.
     """
     span = _checked_span(cert.target, cert.entries)
     return span is not None and cert.spans == (span == cert.target.algebra)
@@ -308,12 +306,15 @@ def _dedup(ws: Sequence[Permutation]) -> list[Permutation]:
 
 def _certificate_greedy(target: BorelConjugate, ws: Sequence[Permutation]) -> EnvelopeCertificate:
     n, f = target.n, target.g.field
+    if any(w.n != n for w in ws):
+        raise InvalidInput("weyl_set size does not match the matrix")
     algebra = target.algebra
     acc = SpanAccumulator(n * n, f)
     entries = []
     for w in ws:
-        if w.n != n:
-            raise InvalidInput("weyl_set size does not match the matrix")
+        # the rows lie in the algebra, so once it is spanned none is accepted
+        if acc.dim == algebra.dim:
+            break
         inter = subspace_intersect(algebra, borel_translate(w, f))
         for prim, row in zip(inter.prim_rows(), inter.rows()):
             if acc.add_rows([prim]):
@@ -323,6 +324,11 @@ def _certificate_greedy(target: BorelConjugate, ws: Sequence[Permutation]) -> En
 
 
 def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
+    """The witness route: entry (i, j) is P_q^-1 u2^-1 a u2 P_q, tagged s∘q,
+    for the (i, j) witness a of u2, its x read off u2^-1.  Its membership in
+    borel(P_{s∘q}) is the witness's escape claim conjugated by P_q; that,
+    membership in borel(g) and spanning are checked by one _checked_span.
+    """
     g = target.g
     n, f = target.n, g.field
     factors = ulp_decompose(g, "lower")
@@ -336,11 +342,10 @@ def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     # right = u2 @ P_q, and its inverse is P_q^-1 @ u2^-1
     right, left = u2.permute_cols(q), u2_inv.permute_rows(q.inverse())
     entries = []
-    for wit in witness_basis(u2, _u_inv=u2_inv):
-        row_vals = [(c, wit.a.at(wit.i - 1, c)) for c in range(n)]
-        col, rowv = _conjugate_row_support(left, right, wit.i, row_vals)
-        vec = tuple(f.mul(x, y) for x in col for y in rowv)
-        entries.append((vec, compose(wit.s, q)))
+    for i, j in lower_pairs(n):
+        col, rowv = _conjugate_witness(left, right, i, j, _witness_coefficients(u2_inv, i, j))
+        vec = tuple(f.mul(a, b) for a in col for b in rowv)
+        entries.append((vec, compose(Permutation.transposition(n, i, j), q)))
     span = _checked_span(target, entries)
     if span is None:
         raise ContractViolation("devissage certificate failed self-verification")

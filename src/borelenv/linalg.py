@@ -234,14 +234,6 @@ class Matrix:
         if self.field != other.field:
             raise InvalidInput(f"mixed fields {self.field} and {other.field}")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise InvalidInput("shape mismatch in addition")
-        add = self.field.add
-        ents = tuple(add(a, b) for a, b in zip(self.entries, other.entries))
-        return Matrix(self.field, self.nrows, self.ncols, ents)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.ncols != other.nrows:
@@ -449,6 +441,12 @@ def _rref_prim(field: FieldSpec, rows: list, width: int):
     return reduced[:rank], rank, pivots
 
 
+def _span_int(field: FieldSpec, rows: list, width: int) -> Subspace:
+    """The canonical span of rows already in integer shape."""
+    prim, _, pivots = _rref_prim(field, rows, width)
+    return Subspace._from_prim(width, field, prim, pivots)
+
+
 def _to_int_rows(field: FieldSpec, rows: list) -> list:
     """Normalize arbitrary scalar rows into kernel-ready integer rows."""
     if field.p is None:
@@ -468,8 +466,7 @@ def subspace_from_rows(ambient_dim: int, vectors: Iterable, field: FieldSpec) ->
     if any(len(r) != ambient_dim for r in rows):
         raise InvalidInput("vector length does not match ambient dimension")
     coerced = [[field.coerce(x) for x in r] for r in rows]
-    prim, rank, pivots = _rref_prim(field, _to_int_rows(field, coerced), ambient_dim)
-    return Subspace._from_prim(ambient_dim, field, prim, pivots)
+    return _span_int(field, _to_int_rows(field, coerced), ambient_dim)
 
 
 def _check_compatible(a: Subspace, b: Subspace):
@@ -553,8 +550,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     for row in prim:
         if not any(row[:width]):
             out.append(row[width:])
-    final, frank, fpivots = _rref_prim(f, out, width)
-    return Subspace._from_prim(width, f, final, fpivots)
+    return _span_int(f, out, width)
 
 
 def subspace_sum(parts: Sequence[Subspace]) -> Subspace:
@@ -567,8 +563,7 @@ def subspace_sum(parts: Sequence[Subspace]) -> Subspace:
     for s in parts:
         _check_compatible(first, s)
         rows.extend(list(r) for r in s.prim_rows())
-    prim, rank, pivots = _rref_prim(first.field, rows, first.ambient_dim)
-    return Subspace._from_prim(first.ambient_dim, first.field, prim, pivots)
+    return _span_int(first.field, rows, first.ambient_dim)
 
 
 class SpanAccumulator:

@@ -163,6 +163,31 @@ def naive_bruhat_cell(g):
     return Permutation(tuple(images))
 
 
+def naive_witness_coefficients(u, i, j):
+    """The (i, j) witness coefficients x of upper triangular u, 1-based.
+
+    Forward substitution on the peeling system of size i - j: for
+    r = 1..i-j, sum_{c <= r} u[j+c, j+r] x_c = -u[j, j+r].
+    """
+    from borelenv.linalg import Matrix, solve_lower_triangular
+
+    f = u.field
+    size = i - j
+    if size:
+        sys_rows = [
+            [u.at(j + c - 1, j + r - 1) if c <= r else f.zero() for c in range(1, size + 1)]
+            for r in range(1, size + 1)
+        ]
+        rhs = [[f.neg(u.at(j - 1, j + r - 1))] for r in range(1, size + 1)]
+        sol = solve_lower_triangular(
+            Matrix.from_rows(f, sys_rows), Matrix.from_rows(f, rhs)
+        )
+        x = sol.col(0)
+    else:
+        x = ()
+    return tuple(x)
+
+
 def naive_borel_algebra(g):
     """borel(g) = {g^-1 @ M @ g : M upper} as (rref rows, rank, pivots).
 

@@ -31,12 +31,13 @@ from borelenv.weyl import (
     transposition_set,
 )
 
-from reference import naive_borel_algebra
+from reference import naive_borel_algebra, naive_witness_coefficients
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
+F101 = FieldSpec.prime(101)
 
 
 def upper_space(field, n):
@@ -269,19 +270,40 @@ class TestDevissage:
 
     def test_wrong_coefficients_escape(self, monkeypatch):
         # x is the unique solution, so a shifted one must fail the escape check
-        real = envelope.solve_lower_triangular
+        real = envelope._witness_coefficients
 
-        def shifted(lower, rhs):
-            x = real(lower, rhs)
-            return x + Matrix.from_rows(x.field, [[1]] * x.nrows)
+        def shifted(u_inv, i, j):
+            f = u_inv.field
+            return tuple(f.add(y, f.one()) for y in real(u_inv, i, j))
 
-        monkeypatch.setattr(envelope, "solve_lower_triangular", shifted)
+        monkeypatch.setattr(envelope, "_witness_coefficients", shifted)
         rng = SplitMix64(241)
         for field in (Q, F5):
             u = random_upper_invertible(rng, field, 3)
             for i, j in ((2, 1), (3, 1), (3, 2)):
                 with pytest.raises(ContractViolation):
                     devissage_witness(u, i, j)
+
+    def test_coefficients_match_triangular_solve(self):
+        # x read off u^-1 against forward substitution on the peeling system;
+        # over Q also for a u with non-integer entries
+        rng = SplitMix64(251)
+        for field in (Q, F2, F3, F5, F101):
+            for n in range(1, 7):
+                us = [random_upper_invertible(rng, field, n) for _ in range(3)]
+                if field == Q:
+                    ents = [
+                        Fraction(rng.randint(1, 9) if r == c else rng.randint(-9, 9), 1 + rng.below(7))
+                        if r <= c
+                        else Fraction(0)
+                        for r in range(n)
+                        for c in range(n)
+                    ]
+                    us.append(Matrix(Q, n, n, tuple(ents)))
+                for u in us:
+                    for i, j in envelope.lower_pairs(n):
+                        got = devissage_witness(u, i, j).x
+                        assert repr(got) == repr(naive_witness_coefficients(u, i, j))
 
     def test_bad_inputs(self):
         u = Matrix.from_rows(Q, [[1, 1], [0, 1]])
@@ -400,6 +422,53 @@ class TestCertificates:
                 assert not verify_certificate(EnvelopeCertificate(cert.target, entries, True))
             assert not verify_certificate(EnvelopeCertificate(cert.target, cert.entries, False))
             assert not verify_certificate(EnvelopeCertificate(cert.target, rest, True))
+
+    def test_in_translate_outside_algebra_rejected(self):
+        # such a vector passes the translate's zero-pattern test, so only the
+        # per-vector algebra check (run when the span is not the algebra)
+        # can reject it
+        rng = SplitMix64(257)
+        for field in (Q, F5):
+            g = random_invertible(rng, field, 3)
+            cert = envelope_certificate(g, restricted=True)
+            algebra = cert.target.algebra
+            vec, w = cert.entries[0]
+            unit = next(r for r in borel_translate(w, field).rows() if not algebra.contains(r))
+            for entries in (cert.entries + ((unit, w),), ((unit, w),) + cert.entries[1:]):
+                for spans in (True, False):
+                    assert not verify_certificate(EnvelopeCertificate(cert.target, entries, spans))
+
+    def test_forged_tag_size_rejected_and_bool_entry_raises(self):
+        rng = SplitMix64(263)
+        for field in (Q, F5):
+            cert = envelope_certificate(random_invertible(rng, field, 3), restricted=True)
+            (vec, w), rest = cert.entries[0], cert.entries[1:]
+            big = ((vec, Permutation.identity(4)),) + rest
+            assert not verify_certificate(EnvelopeCertificate(cert.target, big, True))
+            with pytest.raises(InvalidInput):
+                forged = (((True,) + vec[1:], w),) + rest
+                verify_certificate(EnvelopeCertificate(cert.target, forged, True))
+
+    def test_greedy_stops_once_spanned(self, monkeypatch):
+        calls = []
+        real = envelope.subspace_intersect
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(envelope, "subspace_intersect", counting)
+        g = random_invertible(SplitMix64(269), Q, 4)
+        cert = envelope_certificate(g)
+        assert cert.spans and verify_certificate(cert)
+        assert len(calls) < 24
+        assert len(cert.witness_set) == 24
+
+    def test_greedy_size_mismatch_rejected_wherever_it_sits(self):
+        # checked before any intersection, so the early stop cannot hide it
+        ws = list(enumerate_group(3)) + [Permutation.identity(2)]
+        with pytest.raises(InvalidInput):
+            envelope_certificate(Matrix.identity(Q, 3), ws)
 
     def test_witness_route_checks_every_membership(self, monkeypatch):
         # a translate that does not hold the witnesses must stop the route
@@ -590,3 +659,26 @@ class TestPinnedGreedyCertificates:
                 cert = envelope_certificate(g, ws)
                 digest.update(jsonio.dumps_canonical(jsonio.certificate_to_json(cert)).encode())
         assert digest.hexdigest() == self.PINS[(name, route)]
+
+
+class TestPinnedRestrictedCertificates:
+    """The JSON bytes of restricted certificates, pinned by sha256: three
+    seeded matrices for each n = 2..5."""
+
+    PINS = {
+        "Q": "3c916781874bd0d2957eb63ee429f1c0f2993c9dbdf6573468d84cb4f4e3667b",
+        "F2": "0f1ff7f7fa240014cd74e109fc2063b2169a0a770fe777ed7fd209af60c4af1a",
+        "F5": "13a21ea2cb9fb34d850356b842d271aa2db3936ca204dfda81240dd7c467020b",
+        "F101": "88e33ad8402d4beb2f1f3b2bdc8b9b96fe2af560d2bb985ff2f638dc84c6185f",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_certificate_bytes(self, name):
+        field = {"Q": Q, "F2": F2, "F5": F5, "F101": F101}[name]
+        digest = hashlib.sha256()
+        for n in range(2, 6):
+            for k in range(3):
+                g = random_invertible(derive_stream(2025, k), field, n)
+                cert = envelope_certificate(g, restricted=True)
+                digest.update(jsonio.dumps_canonical(jsonio.certificate_to_json(cert)).encode())
+        assert digest.hexdigest() == self.PINS[name]
