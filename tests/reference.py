@@ -232,3 +232,41 @@ def fiber_tangent_sum(h):
     total = subspace_sum(parts)
     gl = subspace_from_rows(n * n, [list(r)[: n * n] for r in total.rows()], field=field)
     return total == tangent_gtilde(fh).space, tuple(ledger), gl
+
+
+def naive_ulp_upper(m):
+    """The unipotent-upper ULP of square m by the complete permutation search.
+
+    The direct branch moves the diagonal of the unipotent-lower factor into
+    l.  Otherwise _ul_split is run on m @ P_p^-1 for base.p, then for every
+    p of S_n in lexicographic order, and the first split wins; exhausting
+    S_n proves UlpInfeasible.  n! eliminations on an infeasible input.
+    """
+    import itertools
+
+    from borelenv.decomp import UlpFactors, _square, _ul_split, _ulp_lower
+    from borelenv.errors import UlpInfeasible
+    from borelenv.weyl import Permutation
+
+    f = m.field
+    n = m.nrows
+    zero = f.zero()
+    base = _ulp_lower(m)
+    diag = [base.u.at(i, i) for i in range(n)]
+    if all(d != zero for d in diag):
+        u = _square(f, [[f.div(base.u.at(i, k), diag[k]) for k in range(n)] for i in range(n)])
+        lower = _square(f, [[f.mul(diag[i], base.l.at(i, k)) for k in range(n)] for i in range(n)])
+        return UlpFactors(u, lower, base.p, "upper")
+    candidates = itertools.chain(
+        [base.p], (Permutation(img) for img in itertools.permutations(range(1, n + 1)))
+    )
+    seen = set()
+    for p in candidates:
+        if p.images in seen:
+            continue
+        seen.add(p.images)
+        split = _ul_split(m.permute_cols(p.inverse()))
+        if split is not None:
+            u, lower = split
+            return UlpFactors(u, lower, p, "upper")
+    raise UlpInfeasible("no upper*lower*permutation factorization has a unipotent upper factor")

@@ -80,7 +80,9 @@ def test_criterion_4_ulp():
     result = ulp_roundtrip(ALL_FIELDS, (1, 2, 3, 4, 5, 6), 500, SEED)
     _report("4 ulp-roundtrip", result, t0)
     assert result.counts["checked"] == 500 * len(ALL_FIELDS)
-    assert result.counts["upper_checked"] > 0
+    # the verdicts of the complete permutation search, pinned: deciding
+    # infeasibility by rank tests must not move a single one
+    assert result.counts == {"checked": 2500, "upper_checked": 2419, "upper_infeasible": 81}
 
 
 def test_criterion_5_bruhat():

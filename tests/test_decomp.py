@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
+import borelenv.decomp as decomp
 from borelenv.decomp import bruhat_cell, bruhat_decompose, ulp_decompose
+from borelenv.envelope import envelope_certificate, verify_certificate
 from borelenv.errors import InvalidInput, NotInvertible, UlpInfeasible
 from borelenv.linalg import FieldSpec, Matrix
 from borelenv.rng import (
@@ -17,12 +19,13 @@ from borelenv.rng import (
 )
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
 
-from reference import naive_bruhat_cell
+from reference import naive_bruhat_cell, naive_ulp_upper
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
+F101 = FieldSpec.prime(101)
 
 
 class TestBruhat:
@@ -238,3 +241,95 @@ class TestUlp:
                 f = ulp_decompose(g, "lower")
                 pw0 = perm_matrix(longest_element(n), field)
                 assert (pw0 @ f.l @ pw0).is_upper_triangular()
+
+
+def _upper_or_none(m, decompose):
+    try:
+        f = decompose(m)
+    except UlpInfeasible:
+        return None
+    return f.u, f.l, f.p
+
+
+def _split_corner(field, n):
+    """[[1, 1], [0, 0]] (+) I_{n-2}: singular, and no unipotent-upper ULP."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows[0][1], rows[1][1] = 1, 0
+    return Matrix.from_rows(field, rows)
+
+
+class TestUlpUpperOracle:
+    """The column-set rank test against the complete n! split search."""
+
+    @staticmethod
+    def _assert_matches(m):
+        got = _upper_or_none(m, lambda x: ulp_decompose(x, "upper"))
+        assert got == _upper_or_none(m, naive_ulp_upper)
+        return got is None
+
+    def test_f2_exhaustive_up_to_3x3(self):
+        infeasible = 0
+        for n in (1, 2, 3):
+            for ents in itertools.product(range(2), repeat=n * n):
+                infeasible += self._assert_matches(Matrix(F2, n, n, ents))
+        assert infeasible == 1 + 54  # 1 of 16 at n = 2, 54 of 512 at n = 3
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, F101, Q], ids=str)
+    def test_seeded_singular_zero_invertible(self, field):
+        rng = SplitMix64(61)
+        for n in range(1, 7):
+            assert not self._assert_matches(Matrix.zeros(field, n, n))
+            for k in range(30):
+                m = random_invertible(rng, field, n) if k % 4 == 0 else random_singular(rng, field, n)
+                self._assert_matches(m)
+
+    @pytest.mark.parametrize("field", [F2, Q], ids=str)
+    def test_infeasible_family(self, field):
+        for n in range(2, 8):
+            assert self._assert_matches(_split_corner(field, n))
+
+    def test_split_and_rank_test_counts(self, monkeypatch):
+        calls = {"split": 0, "rank": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        # in decomp only the rank test calls _rref_prim
+        monkeypatch.setattr(decomp, "_ul_split", counted("split", decomp._ul_split))
+        monkeypatch.setattr(decomp, "_rref_prim", counted("rank", decomp._rref_prim))
+        rng = SplitMix64(67)
+        cases = [_split_corner(field, n) for field in (F2, Q) for n in range(2, 8)]
+        cases += [random_singular(rng, field, 1 + k % 6) for field in (F2, F3, Q) for k in range(30)]
+        infeasible = 0
+        for m in cases:
+            calls.update(split=0, rank=0)
+            infeasible += _upper_or_none(m, lambda x: ulp_decompose(x, "upper")) is None
+            assert calls["split"] <= 2
+            assert calls["rank"] <= 2**m.nrows - 2
+        assert infeasible > len(cases) // 10
+
+
+class TestUnreducedFpEntries:
+    """Entries outside [0, p) stand for their residues at every entry point."""
+
+    def test_decomp_and_restricted_certificate(self):
+        m = Matrix(F5, 2, 2, (7, -1, 3, 4))
+        r = Matrix.from_rows(F5, [[2, 4], [3, 4]])
+        for normalization in ("lower", "upper"):
+            assert ulp_decompose(m, normalization) == ulp_decompose(r, normalization)
+        assert bruhat_decompose(m) == bruhat_decompose(r)
+        assert bruhat_cell(m) == bruhat_cell(r)
+        cert = envelope_certificate(m, restricted=True)
+        assert cert.spans and verify_certificate(cert)
+        assert cert.entries == envelope_certificate(r, restricted=True).entries
+
+    def test_singular_upper_search(self):
+        m = Matrix(F5, 3, 3, (6, -4, 10, 0, 11, -9, 5, 0, 0))
+        r = Matrix.from_rows(F5, [[1, 1, 0], [0, 1, 1], [0, 0, 0]])
+        with pytest.raises(UlpInfeasible):
+            ulp_decompose(m, "upper")
+        assert ulp_decompose(m, "lower") == ulp_decompose(r, "lower")
