@@ -4,17 +4,19 @@ Two reduced-row-echelon cores sit behind the public linalg API:
 
 * prime fields: numpy int64 rows, vectorized row updates, inverses by
   Fermat exponentiation (Python-int object arrays above NUMPY_FP_LIMIT);
-* rationals: integer rows (denominators cleared up front) reduced by
-  fraction-free Gauss-Jordan with exact divisions.
+* rationals: integer rows reduced by fraction-free Gauss-Jordan with exact
+  divisions.
 
 Both use the same pivot rule (leftmost column, topmost usable row), so
 each computes the unique RREF of its input.
 
-Over Q the canonical form is kept in two interchangeable shapes: the RREF
-proper (Fraction rows with unit pivots) and the primitive shape (integer
-rows with content 1 and positive pivot).  The bijection row <-> row/pivot
-lets subspace equality, intersection and span accumulation run entirely
-on integers; Fractions are materialized only at the public boundary.
+There is one elimination path, and it runs on integers.  A row of
+Fractions enters it through :func:`clear_denominators` (scaling a row keeps
+its span, so the RREF is unchanged); over Q the canonical form comes out
+in the primitive shape (integer rows with content 1 and positive pivot),
+which determines the RREF proper by row <-> row/pivot.  Fractions are built
+again only by :func:`fracs_from_primitive`, where linalg returns a public
+``Matrix`` or ``Subspace.basis``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "fracs_from_primitive",
     "reduce_row_q",
     "reduce_row_fp",
-    "rref_rows",
 ]
 
 
@@ -76,15 +77,13 @@ def rref_fp(rows: list, width: int, p: int):
     return [tuple(row) for row in a.tolist()], r, pivots
 
 
-def clear_denominators(row) -> list[int]:
-    """Scale a row of Fractions/ints to integers (common denominator)."""
-    den = 1
-    fracs = []
-    for x in row:
-        f = x if isinstance(x, Fraction) else Fraction(x)
-        fracs.append(f)
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    return [int(f.numerator * (den // f.denominator)) for f in fracs]
+def clear_denominators(row) -> tuple[list[int], int]:
+    """Integers and one common denominator d with row == ints / d.
+
+    Entries are ints or Fractions; both carry numerator and denominator.
+    """
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
 
 
 def _primitive(row: list[int], pivot_col: int) -> tuple[int, ...]:
@@ -190,19 +189,3 @@ def fracs_from_primitive(prim_rows, pivots) -> list[tuple[Fraction, ...]]:
         out.append(tuple(Fraction(x, piv) for x in row))
     return out
 
-
-def rref_rows(field, rows: list, width: int):
-    """Field-dispatched RREF for general scalar rows (Matrix-level use).
-
-    Returns rows in the field's public scalar type, zero rows kept at the
-    bottom so the output shape matches the input.
-    """
-    if field.p is not None:
-        p = field.p
-        return rref_fp([[int(x) % p for x in r] for r in rows], width, p)
-    irows = [clear_denominators(r) for r in rows]
-    prim, rank, pivots = rref_q_int(irows, width)
-    out = fracs_from_primitive(prim, pivots)
-    zero_row = tuple(Fraction(0) for _ in range(width))
-    out.extend(zero_row for _ in range(len(rows) - rank))
-    return out, rank, pivots

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard, UlpInfeasible
-from .linalg import Matrix, _rref_prim, _to_int_rows, rref, solve_exact
+from .linalg import Matrix, _int_shape, _rref_prim, solve_exact
 from .weyl import Permutation
 
 __all__ = [
@@ -153,9 +153,10 @@ def bruhat_cell(g: Matrix) -> Permutation:
     """
     g = _require_square(g)
     n = g.nrows
+    rows = _int_shape(g.field, g.rows_list())
     rk = [[0] * (n + 1) for _ in range(n + 2)]  # rk[i][j], 1-based, rk[n+1][*] = 0
     for i in range(1, n + 1):
-        pivots = rref(Matrix(g.field, n - i + 1, n, g.entries[(i - 1) * n :])).pivot_cols
+        pivots = _rref_prim(g.field, rows[i - 1 :], n)[2]
         for j in range(1, n + 1):
             rk[i][j] = sum(1 for c in pivots if c < j)
     if rk[1][n] < n:
@@ -300,7 +301,7 @@ def _column_set_test(m: Matrix):
     row i is in the span of the rows below iff the last column has no pivot.
     """
     f, n = m.field, m.nrows
-    cols = _to_int_rows(f, [m.col(c) for c in range(n)])  # column scaling keeps ranks
+    cols = _int_shape(f, [m.col(c) for c in range(n)])  # column scaling keeps ranks
     passed: dict[int, bool] = {}
 
     def splits(images) -> bool:

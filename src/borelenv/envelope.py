@@ -36,7 +36,7 @@ from .linalg import (
     inverse,
     subspace_intersect,
 )
-from .linalg import _coordinate_subspace, _coordinate_support, _rref_prim, _span_int, _to_int_rows
+from .linalg import _coordinate_subspace, _coordinate_support, _int_shape, _rref_prim, _span_int
 from .weyl import (
     Permutation,
     compose,
@@ -99,8 +99,8 @@ class BorelConjugate:
         # Row (a, b) is the outer product of column a of g^-1 and row b of g;
         # rescaling a generator keeps the span, so each factor is made integral.
         n, f = self.n, self.g.field
-        cols = _to_int_rows(f, [self.g_inv.col(a) for a in range(n)])
-        rows = _to_int_rows(f, [self.g.row(b) for b in range(n)])
+        cols = _int_shape(f, [self.g_inv.col(a) for a in range(n)])
+        rows = _int_shape(f, [self.g.row(b) for b in range(n)])
         gens = [[x * y for x in cols[a - 1] for y in rows[b - 1]] for a, b in upper_pairs(n)]
         prim, rank, pivots = _rref_prim(f, gens, n * n)
         if rank != n * (n + 1) // 2:
@@ -274,7 +274,7 @@ def _checked_span(target: BorelConjugate, entries) -> Subspace | None:
         if any(x and c not in coords for c, x in enumerate(v)):
             return None
         rows.append(v)
-    span, algebra = _span_int(f, _to_int_rows(f, rows), n * n), target.algebra
+    span, algebra = _span_int(f, _int_shape(f, rows), n * n), target.algebra
     if span != algebra and not all(algebra.contains(v) for v in rows):
         return None
     return span

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .decomp import bruhat_cell
 from .envelope import borel_translate
 from .errors import ContractViolation, InvalidInput, ResourceGuard
 from .linalg import (
@@ -39,9 +40,8 @@ from .linalg import (
     Matrix,
     SpanAccumulator,
     Subspace,
+    _kernel_int,
     inverse,
-    kernel,
-    rref,
     subspace_from_rows,
     subspace_intersect,
 )
@@ -119,54 +119,31 @@ def stabilizer_algebra(f: Flag) -> Subspace:
     formula g @ b0 @ g^-1 is kept as an independent oracle in the tests).
     Cached: the coordinate flags recur in every tangent computation.
     """
-    n = f.n
-    fld = f.field
+    n, fld = f.n, f.field
     constraints = []
-    for i in range(n - 1):  # F_n imposes nothing
-        step = f.steps[i]
-        annihilator = kernel(step.basis)
-        for v in step.rows():
-            for z in annihilator.rows():
-                # (M v) . z = 0  <=>  sum_{r,c} z_r v_c M[r][c] = 0
-                row = [fld.mul(z[r], v[c]) for r in range(n) for c in range(n)]
-                constraints.append(row)
-    if not constraints:
-        return subspace_from_rows(
-            n * n,
-            [[fld.one() if t == s else fld.zero() for t in range(n * n)] for s in range(n * n)],
-            field=fld,
-        )
-    return kernel(Matrix.from_rows(fld, constraints))
+    for step in f.steps[:-1]:  # F_n imposes nothing
+        annihilator = _kernel_int(fld, step.prim_rows(), n)
+        for v in step.prim_rows():
+            for z in annihilator.prim_rows():
+                # (M v) . z = 0  <=>  sum_{r,c} z_r v_c M[r][c] = 0, and
+                # rescaling v or z keeps it, so integer shapes serve
+                constraints.append([zr * vc for zr in z for vc in v])
+    return _kernel_int(fld, constraints, n * n)
 
 
 def relative_position(f1: Flag, f2: Flag) -> Permutation:
     """The unique w with f2 in the f1-Borel orbit through w's coordinate flag.
 
-    Computed from the rank table r(i, j) = dim(F1_i ∩ F2_j): w(j) is the
-    unique i where the second difference of r equals 1.
+    w is the Bruhat cell of h = g1^-1 @ g2, g1 and g2 the adapted bases.
+    Proof: in g1's basis F1_i = span(e_1..e_i) and F2_j is spanned by the
+    first j columns of h, so dim(F1_i ∩ F2_j) = j - r(i+1, j) with r the
+    corner ranks of :func:`bruhat_cell`; j has no second difference, so
+    both tables have the same second differences and name the same w(j).
+    That is n RREFs (one per corner row) instead of n^2 joint ranks.
     """
     if f1.n != f2.n or f1.field != f2.field:
         raise InvalidInput("flags live in different spaces")
-    n = f1.n
-    fld = f1.field
-    r = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        rows_i = [list(v) for v in f1.steps[i - 1].rows()]
-        for j in range(1, n + 1):
-            stacked = rows_i + [list(v) for v in f2.steps[j - 1].rows()]
-            joint = rref(Matrix.from_rows(fld, stacked)).rank
-            r[i][j] = i + j - joint
-    images = []
-    for j in range(1, n + 1):
-        hits = [
-            i
-            for i in range(1, n + 1)
-            if r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1] == 1
-        ]
-        if len(hits) != 1:
-            raise ContractViolation("rank table is not a permutation profile")
-        images.append(hits[0])
-    return Permutation(tuple(images))
+    return bruhat_cell(inverse(f1.adapted_basis) @ f2.adapted_basis)
 
 
 def torus_fixed_flags(n: int, field: FieldSpec) -> tuple[Flag, ...]:

@@ -9,6 +9,12 @@ Subspaces are kept in canonical form: their basis is the unique reduced
 row-echelon basis, so two subspaces are equal as sets iff their bases
 compare equal entry by entry.  There are no tolerances anywhere; all
 comparisons are exact.
+
+Every elimination (``rref``, ``inverse``, ``kernel``, ``solve_exact`` and
+all subspace operations) runs on one integer-shape path: rows enter it
+through ``_int_shape`` (over Q, ``clear_denominators`` scales each row to
+integers), ``_rref_prim`` reduces them, and Fractions are built only where
+a public ``Matrix`` or ``Subspace.basis`` is returned.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from ._kernel import (
     reduce_row_q,
     rref_fp,
     rref_q_int,
-    rref_rows,
 )
 from .errors import InvalidInput, NotInvertible, ResourceGuard, SingularSystem
 
@@ -247,7 +252,7 @@ class Matrix:
             return Matrix(self.field, self.nrows, m, ents)
         # integer shape: one common denominator per row of A and per column
         # of B, integer dot products, one Fraction per output entry
-        rows, cols = [_scaled(r) for r in rows], [_scaled(c) for c in cols]
+        rows, cols = [clear_denominators(r) for r in rows], [clear_denominators(c) for c in cols]
         ents = tuple(Fraction(sum(map(mul, r, c)), dr * dc) for r, dr in rows for c, dc in cols)
         return Matrix(self.field, self.nrows, m, ents)
 
@@ -275,23 +280,25 @@ class Matrix:
         return "[" + "; ".join(rows) + "]"
 
 
-def _scaled(xs) -> tuple[list[int], int]:
-    """Integers and one common denominator d with xs == ints / d, over Q."""
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
 class RrefResult(NamedTuple):
     reduced: Matrix
     rank: int
     pivot_cols: tuple[int, ...]
 
 
+def _reduced(field: FieldSpec, rows: list, width: int):
+    """(RREF rows as field elements, zero rows dropped; pivots) of rows of
+    field elements, reduced in integer shape and materialized once."""
+    prim, _, pivots = _rref_prim(field, _int_shape(field, rows), width)
+    return (fracs_from_primitive(prim, pivots) if field.p is None else prim), pivots
+
+
 def rref(m: Matrix) -> RrefResult:
     """The unique reduced row-echelon form of m, with rank and pivots."""
-    rows, rank, pivots = rref_rows(m.field, m.rows_list(), m.ncols)
+    rows, pivots = _reduced(m.field, m.rows_list(), m.ncols)
     ents = tuple(x for row in rows for x in row)
-    return RrefResult(Matrix(m.field, m.nrows, m.ncols, ents), rank, tuple(pivots))
+    ents += (m.field.zero(),) * (len(m.entries) - len(ents))
+    return RrefResult(Matrix(m.field, m.nrows, m.ncols, ents), len(pivots), tuple(pivots))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -301,7 +308,7 @@ def inverse(m: Matrix) -> Matrix:
     n = m.ncols
     one, zero = m.field.one(), m.field.zero()
     aug = [list(m.row(i)) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    rows, rank, pivots = rref_rows(m.field, aug, 2 * n)
+    rows, pivots = _reduced(m.field, aug, 2 * n)
     if list(pivots[:n]) != list(range(n)):
         left_rank = sum(1 for c in pivots if c < n)
         raise NotInvertible(f"matrix of rank {left_rank} < {n}")
@@ -310,19 +317,23 @@ def inverse(m: Matrix) -> Matrix:
 
 def kernel(m: Matrix) -> Subspace:
     """Right kernel {x : m @ x = 0} as a canonical subspace of k^ncols."""
-    rows, rank, pivots = rref_rows(m.field, m.rows_list(), m.ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    zero, one = m.field.zero(), m.field.one()
-    neg = m.field.neg
+    return _kernel_int(m.field, _int_shape(m.field, m.rows_list()), m.ncols)
+
+
+def _kernel_int(field: FieldSpec, rows: list, width: int) -> Subspace:
+    """Right kernel of rows already in integer shape: with L the lcm of the
+    primitive pivots (1 over F_p), x_f = L at one free column f and
+    x_c = -row[f] * L / row[c] at each pivot c is a kernel vector."""
+    prim, _, pivots = _rref_prim(field, rows, width)
+    scale = lcm(*(row[c] for row, c in zip(prim, pivots)))
     basis = []
-    for f in free:
-        v = [zero] * m.ncols
-        v[f] = one
-        for t, c in enumerate(pivots):
-            v[c] = neg(rows[t][f])
+    for f in sorted(set(range(width)) - set(pivots)):
+        v = [0] * width
+        v[f] = scale
+        for row, c in zip(prim, pivots):
+            v[c] = -row[f] * (scale // row[c])
         basis.append(v)
-    return subspace_from_rows(m.ncols, basis, field=m.field)
+    return _span_int(field, basis, width)
 
 
 def solve_lower_triangular(lower: Matrix, rhs: Matrix) -> Matrix:
@@ -411,11 +422,10 @@ class Subspace:
         v = [self.field.coerce(x) for x in vector]
         if len(v) != self.ambient_dim:
             raise InvalidInput("vector length does not match ambient dimension")
-        if self.field.p is None:
-            residue = reduce_row_q(clear_denominators(v), self._prim, self._pivots)
-        else:
-            residue = reduce_row_fp([int(x) for x in v], self._prim, self._pivots, self.field.p)
-        return not any(residue)
+        v, p = _int_shape(self.field, [v])[0], self.field.p
+        if p is None:
+            return not any(reduce_row_q(v, self._prim, self._pivots))
+        return not any(reduce_row_fp(v, self._prim, self._pivots, p))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -447,17 +457,13 @@ def _span_int(field: FieldSpec, rows: list, width: int) -> Subspace:
     return Subspace._from_prim(width, field, prim, pivots)
 
 
-def _to_int_rows(field: FieldSpec, rows: list) -> list:
-    """Normalize arbitrary scalar rows into kernel-ready integer rows."""
+def _int_shape(field: FieldSpec, rows) -> list:
+    """Rows of field elements as kernel-ready integer rows: over Q each row
+    scaled by its common denominator (which keeps spans and ranks), over
+    F_p the entries reduced into [0, p)."""
     if field.p is None:
-        out = []
-        for r in rows:
-            if any(isinstance(x, Fraction) and x.denominator != 1 for x in r):
-                out.append(clear_denominators(r))
-            else:
-                out.append([int(x) for x in r])
-        return out
-    return [[int(x) % field.p for x in r] for r in rows]
+        return [clear_denominators(r)[0] for r in rows]
+    return [[x % field.p for x in r] for r in rows]
 
 
 def subspace_from_rows(ambient_dim: int, vectors: Iterable, field: FieldSpec) -> Subspace:
@@ -466,7 +472,7 @@ def subspace_from_rows(ambient_dim: int, vectors: Iterable, field: FieldSpec) ->
     if any(len(r) != ambient_dim for r in rows):
         raise InvalidInput("vector length does not match ambient dimension")
     coerced = [[field.coerce(x) for x in r] for r in rows]
-    return _span_int(field, _to_int_rows(field, coerced), ambient_dim)
+    return _span_int(field, _int_shape(field, coerced), ambient_dim)
 
 
 def _check_compatible(a: Subspace, b: Subspace):
@@ -622,10 +628,10 @@ def solve_exact(a: Matrix, b: Sequence):
     if len(bb) != a.nrows:
         raise InvalidInput("right-hand side length mismatch")
     aug = [list(a.row(i)) + [bb[i]] for i in range(a.nrows)]
-    rows, rank, pivots = rref_rows(f, aug, a.ncols + 1)
+    rows, pivots = _reduced(f, aug, a.ncols + 1)
     if a.ncols in pivots:
         return None
     x = [f.zero()] * a.ncols
-    for t, c in enumerate(pivots):
-        x[c] = rows[t][a.ncols]
+    for row, c in zip(rows, pivots):
+        x[c] = row[a.ncols]
     return x

@@ -30,7 +30,7 @@ from .envelope import (
 )
 from .errors import InvalidInput, UlpInfeasible
 from .flags import _tangent_sum
-from .linalg import FieldSpec, Matrix, Subspace, inverse, rref, subspace_from_rows
+from .linalg import FieldSpec, Matrix, Subspace, _coordinate_subspace, inverse, rref, subspace_from_rows
 from .rng import derive_stream, random_invertible, random_singular, random_upper_invertible
 from .weyl import (
     Permutation,
@@ -38,7 +38,6 @@ from .weyl import (
     compose,
     enumerate_group,
     length,
-    longest_element,
     transposition_set,
 )
 
@@ -201,14 +200,8 @@ def envelope_identity(fields, ns, samples: int, seed: int) -> CriterionResult:
 
 
 def _lower_triangular_space(field: FieldSpec, n: int) -> Subspace:
-    rows = []
-    zero, one = field.zero(), field.one()
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            row = [zero] * (n * n)
-            row[(i - 1) * n + (j - 1)] = one
-            rows.append(row)
-    return subspace_from_rows(n * n, rows, field=field)
+    """The lower triangular matrices: the coordinates (i, j) with j <= i."""
+    return _coordinate_subspace(n * n, field, [i * n + j for i in range(n) for j in range(i + 1)])
 
 
 def witness_construction(fields, ns, samples: int, seed: int) -> CriterionResult:
@@ -220,11 +213,8 @@ def witness_construction(fields, ns, samples: int, seed: int) -> CriterionResult
         if len(wits) != n * (n + 1) // 2:
             return u, "", "wrong witness count"
         u_inv = inverse(u)
-        w0 = longest_element(n)
         for wit in wits:
-            # membership in the lower triangular algebra, by conjugation
-            # with P_w0 (P_w @ m @ P_w^-1 shuffles rows and columns by w)
-            if not wit.a.permute_cols(w0.inverse()).permute_rows(w0).is_upper_triangular():
+            if not wit.a.is_lower_triangular():
                 return u, "", f"witness {wit.i},{wit.j} not lower"
             # membership in borel(P_s @ u^-1), by conjugation
             conj = (u_inv @ wit.a @ u).permute_cols(wit.s.inverse()).permute_rows(wit.s)

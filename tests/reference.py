@@ -163,6 +163,39 @@ def naive_bruhat_cell(g):
     return Permutation(tuple(images))
 
 
+def naive_relative_position(f1, f2):
+    """The relative position of two flags from all n^2 intersection ranks.
+
+    With r(i, j) = dim(F1_i ∩ F2_j) = i + j - rank of the stacked step
+    bases, w(j) is the unique i where the second difference of r equals 1.
+    One RREF per (i, j): no reuse between cells.
+    """
+    from borelenv.errors import ContractViolation, InvalidInput
+    from borelenv.linalg import Matrix, rref
+    from borelenv.weyl import Permutation
+
+    if f1.n != f2.n or f1.field != f2.field:
+        raise InvalidInput("flags live in different spaces")
+    n = f1.n
+    r = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        rows_i = [list(v) for v in f1.steps[i - 1].rows()]
+        for j in range(1, n + 1):
+            stacked = rows_i + [list(v) for v in f2.steps[j - 1].rows()]
+            r[i][j] = i + j - rref(Matrix.from_rows(f1.field, stacked)).rank
+    images = []
+    for j in range(1, n + 1):
+        hits = [
+            i
+            for i in range(1, n + 1)
+            if r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1] == 1
+        ]
+        if len(hits) != 1:
+            raise ContractViolation("rank table is not a permutation profile")
+        images.append(hits[0])
+    return Permutation(tuple(images))
+
+
 def naive_witness_coefficients(u, i, j):
     """The (i, j) witness coefficients x of upper triangular u, 1-based.
 

@@ -24,7 +24,7 @@ from borelenv.flags import (
 from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subspace_intersect
 from borelenv.rng import SplitMix64, random_invertible, random_upper_invertible
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
-from reference import fiber_tangent_sum
+from reference import fiber_tangent_sum, naive_relative_position
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -168,6 +168,24 @@ class TestRelativePosition:
                 flag_from_matrix(b @ perm_matrix(w, F2)) for b in uppers
             }
             assert f in orbit
+
+    def test_matches_rank_table_oracle(self):
+        # g2 = g1 @ b1 @ P_w @ b2 lies in cell w of f1; a second, unrelated
+        # g2 gives a generic pair.  Inverses give non-integer entries over Q.
+        rng = SplitMix64(131)
+        for field in (F2, F3, F5, F101, Q):
+            for n in range(1, 6):
+                cells = enumerate_group(n)
+                for _ in range(4):
+                    g1 = inverse(random_invertible(rng, field, n))
+                    w = cells[rng.below(len(cells))]
+                    b1 = random_upper_invertible(rng, field, n)
+                    b2 = inverse(random_upper_invertible(rng, field, n))
+                    f1 = flag_from_matrix(g1)
+                    f2 = flag_from_matrix(g1 @ b1 @ perm_matrix(w, field) @ b2)
+                    assert relative_position(f1, f2) == naive_relative_position(f1, f2) == w
+                    f3 = flag_from_matrix(random_invertible(rng, field, n))
+                    assert relative_position(f1, f3) == naive_relative_position(f1, f3)
 
     def test_mismatch_rejected(self):
         with pytest.raises(InvalidInput):

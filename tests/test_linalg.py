@@ -16,6 +16,7 @@ from borelenv.linalg import (
     inverse,
     kernel,
     rref,
+    solve_exact,
     solve_lower_triangular,
     subspace_from_rows,
     subspace_intersect,
@@ -28,7 +29,7 @@ from borelenv.rng import SplitMix64, random_invertible, random_matrix
 
 from borelenv.weyl import enumerate_group, perm_matrix
 
-from reference import naive_matmul, naive_rref_fp, naive_rref_q, rank_by_minors
+from reference import naive_inverse, naive_matmul, naive_rref_fp, naive_rref_q, rank_by_minors
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -330,6 +331,88 @@ class TestMatmulOracle:
             Matrix.zeros(Q, 3, 2).permute_cols(w)
         with pytest.raises(InvalidInput):
             Matrix.zeros(Q, 2, 3).permute_rows(w)
+
+
+def _naive_rref(rows, field):
+    return naive_rref_q(rows) if field.p is None else naive_rref_fp(rows, field.p)
+
+
+def _oracle_matrix(rng, field, nr, nc):
+    """Random entries (non-integer over Q); often a dependent last row."""
+    ents = list(_random_entries(rng, field, nr * nc))
+    if nr >= 3 and rng.below(2):
+        c = field.coerce(rng.randint(-3, 3))
+        ents[-nc:] = [field.add(field.mul(c, x), y) for x, y in zip(ents[:nc], ents[nc : 2 * nc])]
+    return Matrix(field, nr, nc, tuple(ents))
+
+
+class TestEliminationOracle:
+    """rref, inverse, kernel and solve_exact against the naive Gauss-Jordan
+    of tests/reference.py on wide, tall and square matrices."""
+
+    SHAPES = [(2, 5), (3, 6), (1, 4), (5, 2), (6, 3), (4, 1), (1, 1), (3, 3), (4, 4), (5, 5)]
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+    def test_rref_and_kernel(self, field):
+        rng = SplitMix64(313)
+        for nr, nc in self.SHAPES:
+            for _ in range(8):
+                m = _oracle_matrix(rng, field, nr, nc)
+                ref_rows, ref_rank, ref_piv = _naive_rref(m.rows_list(), field)
+                got = rref(m)
+                assert got.reduced.rows_list() == [list(r) for r in ref_rows]
+                assert got.rank == ref_rank and list(got.pivot_cols) == ref_piv
+                # kernel: one vector per free column of the naive RREF, then
+                # the naive RREF of those vectors is the canonical basis
+                basis = []
+                for f in (c for c in range(nc) if c not in ref_piv):
+                    v = [field.zero()] * nc
+                    v[f] = field.one()
+                    for row, c in zip(ref_rows, ref_piv):
+                        v[c] = field.neg(row[f])
+                    basis.append(v)
+                want = _naive_rref(basis, field)[0] if basis else []
+                k = kernel(m)
+                assert k.basis.rows_list() == [list(r) for r in want if any(r)]
+                for v in k.rows():
+                    assert m @ Matrix(field, nc, 1, tuple(v)) == Matrix.zeros(field, nr, 1)
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+    def test_inverse(self, field):
+        rng = SplitMix64(317)
+        for n in range(1, 6):
+            for _ in range(10):
+                m = _oracle_matrix(rng, field, n, n)
+                try:
+                    want = naive_inverse(m.rows_list(), field.p)
+                except ValueError:
+                    with pytest.raises(NotInvertible):
+                        inverse(m)
+                    continue
+                assert inverse(m).rows_list() == want
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+    def test_solve_exact(self, field):
+        # the reference solution: RREF of [a | b], free variables zero
+        rng = SplitMix64(331)
+        for nr, nc in self.SHAPES:
+            for _ in range(8):
+                a = _oracle_matrix(rng, field, nr, nc)
+                if rng.below(2):  # a consistent right-hand side a @ x
+                    x = Matrix(field, nc, 1, _random_entries(rng, field, nc))
+                    b = list((a @ x).entries)
+                else:
+                    b = list(_random_entries(rng, field, nr))
+                rows, _, piv = _naive_rref([r + [y] for r, y in zip(a.rows_list(), b)], field)
+                got = solve_exact(a, b)
+                if nc in piv:
+                    assert got is None
+                    continue
+                want = [field.zero()] * nc
+                for row, c in zip(rows, piv):
+                    want[c] = row[nc]
+                assert got == want
+                assert a @ Matrix(field, nc, 1, tuple(got)) == Matrix(field, nr, 1, tuple(b))
 
 
 class TestSubspace:
