@@ -2,8 +2,8 @@
 
 Two reduced-row-echelon cores sit behind the public linalg API:
 
-* prime fields: numpy int64 rows, vectorized row updates, inverses by
-  Fermat exponentiation (Python-int object arrays above NUMPY_FP_LIMIT);
+* prime fields: rows as lists of Python ints, Gauss-Jordan that updates
+  only the rows with a nonzero factor, inverses by Fermat exponentiation;
 * rationals: integer rows reduced by fraction-free Gauss-Jordan with exact
   divisions.
 
@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ContractViolation
 
 __all__ = [
@@ -38,43 +36,35 @@ __all__ = [
 ]
 
 
-# Largest p whose products (p-1)^2 still fit in int64; above it the row
-# update would overflow silently, so the array holds Python ints instead.
-NUMPY_FP_LIMIT = math.isqrt(2**63 - 1) + 1
-
-
 def rref_fp(rows: list, width: int, p: int):
     """RREF of integer rows modulo the prime p.
 
     Returns (rows, rank, pivot_cols); rows is a list of int tuples of the
     same length as the input, zero rows at the bottom.
     """
-    if not rows:
-        return [], 0, []
-    a = np.array(rows, dtype=np.int64 if p <= NUMPY_FP_LIMIT else object) % p
-    nrows = a.shape[0]
+    a = [[x % p for x in row] for row in rows]
+    nrows = len(a)
     r = 0
     pivots: list[int] = []
     for c in range(width):
         if r == nrows:
             break
-        col = a[r:, c]
-        hit = int(np.argmax(col != 0))
-        if col[hit] == 0:
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pr is None:
             continue
-        pr = r + hit
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        v = int(a[r, c])
+        a[r], a[pr] = a[pr], a[r]
+        rr = a[r]
+        v = rr[c]
         if v != 1:
-            a[r] = (a[r] * pow(v, p - 2, p)) % p
-        coef = a[:, c].copy()
-        coef[r] = 0
-        a -= np.outer(coef, a[r])
-        a %= p
+            inv = pow(v, p - 2, p)
+            rr = a[r] = [x * inv % p for x in rr]
+        for i in range(nrows):
+            f = a[i][c]
+            if f and i != r:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], rr)]
         pivots.append(c)
         r += 1
-    return [tuple(row) for row in a.tolist()], r, pivots
+    return [tuple(row) for row in a], r, pivots
 
 
 def clear_denominators(row) -> tuple[list[int], int]:

@@ -83,7 +83,7 @@ class Flag:
         self.adapted_basis = adapted_basis
         self.n = adapted_basis.nrows
         self.field = adapted_basis.field
-        inverse(adapted_basis)  # raises NotInvertible when degenerate
+        self._inverse = inverse(adapted_basis)  # raises NotInvertible when degenerate
 
     @cached_property
     def steps(self) -> tuple[Subspace, ...]:
@@ -143,7 +143,7 @@ def relative_position(f1: Flag, f2: Flag) -> Permutation:
     """
     if f1.n != f2.n or f1.field != f2.field:
         raise InvalidInput("flags live in different spaces")
-    return bruhat_cell(inverse(f1.adapted_basis) @ f2.adapted_basis)
+    return bruhat_cell(f1._inverse @ f2.adapted_basis)
 
 
 def torus_fixed_flags(n: int, field: FieldSpec) -> tuple[Flag, ...]:

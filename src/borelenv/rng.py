@@ -17,7 +17,7 @@ be replayed from its (seed, offset) pair alone.
 from __future__ import annotations
 
 from .errors import InvalidInput
-from .linalg import FieldSpec, Matrix, rref
+from .linalg import FieldSpec, Matrix, _rank
 
 __all__ = [
     "SplitMix64",
@@ -85,7 +85,7 @@ def random_invertible(rng: SplitMix64, field: FieldSpec, n: int) -> Matrix:
     """Rejection sampling: draw dense matrices until one has full rank."""
     while True:
         m = random_matrix(rng, field, n)
-        if rref(m).rank == n:
+        if _rank(m) == n:
             return m
 
 

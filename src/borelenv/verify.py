@@ -30,7 +30,7 @@ from .envelope import (
 )
 from .errors import InvalidInput, UlpInfeasible
 from .flags import _tangent_sum
-from .linalg import FieldSpec, Matrix, Subspace, _coordinate_subspace, inverse, rref, subspace_from_rows
+from .linalg import FieldSpec, Matrix, Subspace, _coordinate_subspace, _rank, inverse, subspace_from_rows
 from .rng import derive_stream, random_invertible, random_singular, random_upper_invertible
 from .weyl import (
     Permutation,
@@ -289,7 +289,7 @@ def ulp_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
                 if normalization == "lower":
                     return (m, "borelenv decomp --kind ulp --matrix INPUT",
                             "unipotent-lower reported infeasible"), outcomes
-                if rref(m).rank == n:
+                if _rank(m) == n:
                     return (m, "", "infeasible on an invertible input"), outcomes
                 outcomes["upper_infeasible"] += 1
                 continue

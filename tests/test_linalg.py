@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelenv._kernel import NUMPY_FP_LIMIT, rref_fp
+from borelenv._kernel import rref_fp
 from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard, SingularSystem
 from borelenv.linalg import (
     PRIMALITY_LIMIT,
@@ -153,10 +153,10 @@ class TestRref:
                 assert gotp.rank == refp_rank and list(gotp.pivot_cols) == refp_piv
 
     def test_large_primes_match_naive_reference(self):
-        # above NUMPY_FP_LIMIT an int64 row update would overflow silently
+        # products of residues of these primes do not fit in 64 bits
         rng = SplitMix64(101)
         for p in (4_294_967_311, 2**61 - 1):
-            assert p > NUMPY_FP_LIMIT
+            assert (p - 1) ** 2 > 2**63 - 1
             for _ in range(50):
                 nr = 1 + rng.below(4)
                 nc = 1 + rng.below(5)
@@ -413,6 +413,66 @@ class TestEliminationOracle:
                     want[c] = row[nc]
                 assert got == want
                 assert a @ Matrix(field, nc, 1, tuple(got)) == Matrix(field, nr, 1, tuple(b))
+
+
+class TestRrefFpOracle:
+    """The F_p kernel against naive_rref_fp on the full (rows, rank,
+    pivots) triple, zero rows included, on the shapes the library sends."""
+
+    PRIMES = (2, 3, 5, 101, 2**31 - 1)
+
+    @staticmethod
+    def _check(rows, width, p):
+        before = [list(r) for r in rows]
+        got = rref_fp(rows, width, p)
+        assert got == naive_rref_fp(rows, p)
+        assert len(got[0]) == len(rows)
+        assert all(type(x) is int for row in got[0] for x in row)
+        assert [list(r) for r in rows] == before  # the input is not modified
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_edge_cases(self, p):
+        self._check([], 4, p)
+        self._check([[0, 0, 0]], 3, p)
+        self._check([[0] * 4 for _ in range(3)], 4, p)
+        self._check([[1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 6]], 3, p)
+        self._check([[-1, -p, p + 1], [p, 2 * p - 1, -3 * p - 2], [-p - 5, 7, 0]], 3, p)
+        self._check([[p - 1] * 3, [1, 0, p - 1]], 3, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_random_shapes_with_dependent_rows(self, p):
+        rng = SplitMix64(401 + p % 1000)
+        for _ in range(60):
+            nr, nc = 1 + rng.below(7), 1 + rng.below(7)  # more and fewer rows than columns
+            rows = [[rng.randint(-2 * p, 2 * p) for _ in range(nc)] for _ in range(nr)]
+            if nr >= 2:
+                c = rng.randint(-3, 3)
+                rows.append([c * x - y for x, y in zip(rows[0], rows[1])])
+            if rng.below(3) == 0:
+                rows.insert(rng.below(len(rows)), list(rows[-1]))
+            self._check(rows, nc, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_sparse_borel_shaped_rows(self, p):
+        # vectorized n x n matrices supported on the upper triangle, or on a
+        # coordinate translate of it (P_w b0 P_w^-1), as the envelope and
+        # tangent code send them
+        rng = SplitMix64(409 + p % 1000)
+        for n in (2, 3, 4, 5):
+            for w in list(enumerate_group(n))[:6]:
+                support = [w(i + 1) - 1 for i in range(n)]
+                rows = []
+                for _ in range(1 + rng.below(n * (n + 1) // 2 + 2)):
+                    v = [0] * (n * n)
+                    for i in range(n):
+                        for j in range(i, n):
+                            if rng.below(3) == 0:
+                                v[support[i] * n + support[j]] = rng.randint(-3, p + 3)
+                    rows.append(v)
+                self._check(rows, n * n, p)
+                # the rows of an upper-triangular matrix itself
+                u = [[rng.below(p) if j >= i else 0 for j in range(n)] for i in range(n)]
+                self._check(u, n, p)
 
 
 class TestSubspace:
