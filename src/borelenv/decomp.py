@@ -3,8 +3,9 @@
 Two factorizations:
 
 * Bruhat: every invertible g splits as u1 @ P_s @ u2 with u1, u2 upper
-  triangular invertible; the permutation s is unique (the cell label) and
-  is recovered independently from corner ranks by :func:`bruhat_cell`.
+  triangular invertible, read off one row sweep; the cell label s is
+  unique, and :func:`bruhat_cell` reads it independently off the pivot
+  column that each row adds to the RREF of the rows from it down.
 
 * ULP: every square m, singular or not, splits as u @ l @ P_p with u upper
   triangular and l lower triangular.  The factor named by ``normalization``
@@ -88,11 +89,13 @@ def _require_square(m: Matrix) -> Matrix:
 def bruhat_decompose(g: Matrix) -> BruhatFactors:
     """Split invertible g as u1 @ P_s @ u2 with u1, u2 upper triangular.
 
-    Elimination sweeps columns left to right; the pivot of each column is
-    its lowest nonzero entry.  Entries above the pivot are cleared by row
-    operations (upper triangular on the left), the rest of the pivot row by
-    column operations (upper triangular on the right).  What remains is a
-    monomial matrix P_s @ D whose scaling D is folded into u2.
+    One row sweep over the columns, left to right: the pivot of column j is
+    its lowest nonzero entry, in row i, and row operations clear the
+    entries above it.  Column j is then zero outside row i, so the column
+    operations that would clear the rest of row i touch nothing else: row i
+    as it stands is row j of u2, and it is set to zero.  A row is reduced
+    only before it becomes a pivot row, so the row operations compose with
+    no cross terms: u1[r][i] is the multiplier that cleared m[r][j].
     """
     g = _require_square(g)
     f = g.field
@@ -100,77 +103,48 @@ def bruhat_decompose(g: Matrix) -> BruhatFactors:
     zero = f.zero()
     m = g.rows_list()
     u1 = [[f.one() if i == j else zero for j in range(n)] for i in range(n)]
-    u2 = [[f.one() if i == j else zero for j in range(n)] for i in range(n)]
+    u2 = [None] * n
     images = [0] * n
     for j in range(n):
-        pivot_row = None
-        for i in range(n - 1, -1, -1):
-            if m[i][j] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise NotInvertible(f"column {j} is zero")
-        i = pivot_row
+        i = next((r for r in range(n - 1, -1, -1) if m[r][j] != zero), None)
+        if i is None:
+            raise NotInvertible("matrix is singular")
         images[j] = i + 1
         piv = m[i][j]
         for r in range(i):
-            if m[r][j] == zero:
-                continue
-            fac = f.div(m[r][j], piv)
-            # m <- L(r,i;-fac) m  and  u1 <- u1 L(r,i;+fac)
-            m[r] = [f.sub(x, f.mul(fac, y)) for x, y in zip(m[r], m[i])]
-            for t in range(n):
-                u1[t][i] = f.add(u1[t][i], f.mul(fac, u1[t][r]))
-        for c in range(j + 1, n):
-            if m[i][c] == zero:
-                continue
-            fac = f.div(m[i][c], piv)
-            # m <- m R(j,c;-fac)  and  u2 <- R(j,c;+fac) u2
-            for t in range(n):
-                m[t][c] = f.sub(m[t][c], f.mul(fac, m[t][j]))
-            u2[j] = [f.add(x, f.mul(fac, y)) for x, y in zip(u2[j], u2[c])]
-    s = Permutation(tuple(images))
-    # m is now P_s @ D with D = diag(m[s(j), j]); fold D into u2.
-    for j in range(n):
-        d = m[images[j] - 1][j]
-        u2[j] = [f.mul(d, x) for x in u2[j]]
-    factors = BruhatFactors(_square(f, u1), s, _square(f, u2))
+            if m[r][j] != zero:
+                fac = u1[r][i] = f.div(m[r][j], piv)
+                m[r] = [f.sub(x, f.mul(fac, y)) for x, y in zip(m[r], m[i])]
+        u2[j], m[i] = m[i], [zero] * n
+    factors = BruhatFactors(_square(f, u1), Permutation(tuple(images)), _square(f, u2))
     if factors.recompose() != g:
         raise ContractViolation("Bruhat recomposition failed")
     return factors
 
 
 def bruhat_cell(g: Matrix) -> Permutation:
-    """The Bruhat cell label of invertible g, from corner ranks alone.
+    """The Bruhat cell label of invertible g, from the pivots of row blocks.
 
-    With r(i, j) = rank of the submatrix on rows i..n and columns 1..j,
-    w(j) is the unique i where the second difference of r equals 1.  The
+    With P_i the pivot columns of RREF(rows i..n), w(j) is the i with column
+    j in P_i but not in P_{i+1}: there the corner rank r(i, j) = |P_i ∩
+    columns 1..j| (RREF pivots are leftmost) has second difference 1.  The
     corner ranks are two-sided invariants under upper triangular
-    multiplication, so this is independent of any elimination choices.
-    One RREF per i gives the whole row of the table: RREF pivots are
-    leftmost, so r(i, j) is the number of pivots of RREF(rows i..n) in
-    columns 1..j.
+    multiplication, so the label does not depend on any elimination.
     """
     g = _require_square(g)
     n = g.nrows
     rows = _int_shape(g.field, g.rows_list())
-    rk = [[0] * (n + 1) for _ in range(n + 2)]  # rk[i][j], 1-based, rk[n+1][*] = 0
-    for i in range(1, n + 1):
-        pivots = _rref_prim(g.field, rows[i - 1 :], n)[2]
-        for j in range(1, n + 1):
-            rk[i][j] = sum(1 for c in pivots if c < j)
-    if rk[1][n] < n:
-        raise NotInvertible(f"matrix of rank {rk[1][n]} < {n}")
-    images = []
-    for j in range(1, n + 1):
-        hits = [
-            i
-            for i in range(1, n + 1)
-            if rk[i][j] - rk[i + 1][j] - rk[i][j - 1] + rk[i + 1][j - 1] == 1
-        ]
-        if len(hits) != 1:
-            raise ContractViolation("corner rank profile is not a permutation")
-        images.append(hits[0])
+    images = [0] * n
+    below: set[int] = set()
+    for i in range(n, 0, -1):
+        pivots = set(_rref_prim(g.field, rows[i - 1 :], n)[2])
+        if not below <= pivots:
+            raise ContractViolation("pivot sets of the row blocks do not nest")
+        if pivots == below:
+            raise NotInvertible(f"row {i} adds no pivot column: matrix is singular")
+        (c,) = pivots - below
+        images[c] = i
+        below = pivots
     return Permutation(tuple(images))
 
 

@@ -111,13 +111,13 @@ def flag_from_matrix(g: Matrix) -> Flag:
     return Flag(g)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=128)
 def stabilizer_algebra(f: Flag) -> Subspace:
     """{M in gl_n : M F_i ⊆ F_i for all i}, as a subspace of k^(n^2).
 
     Solved directly from the linear stability conditions (the conjugation
     formula g @ b0 @ g^-1 is kept as an independent oracle in the tests).
-    Cached: the coordinate flags recur in every tangent computation.
+    Cached: the coordinate flags (n! <= 120) recur in every tangent sum.
     """
     n, fld = f.n, f.field
     constraints = []
@@ -136,10 +136,10 @@ def relative_position(f1: Flag, f2: Flag) -> Permutation:
 
     w is the Bruhat cell of h = g1^-1 @ g2, g1 and g2 the adapted bases.
     Proof: in g1's basis F1_i = span(e_1..e_i) and F2_j is spanned by the
-    first j columns of h, so dim(F1_i ∩ F2_j) = j - r(i+1, j) with r the
-    corner ranks of :func:`bruhat_cell`; j has no second difference, so
-    both tables have the same second differences and name the same w(j).
-    That is n RREFs (one per corner row) instead of n^2 joint ranks.
+    first j columns of h, so dim(F1_i ∩ F2_j) = j - r(i+1, j), r(i, j) the
+    number of pivots of RREF(rows i..n of h) in columns 1..j, whose second
+    difference is 1 exactly where row i adds column j to those pivots: the
+    reading of :func:`bruhat_cell`, n RREFs instead of n^2 joint ranks.
     """
     if f1.n != f2.n or f1.field != f2.field:
         raise InvalidInput("flags live in different spaces")
@@ -232,9 +232,10 @@ def tangent_fiber(f1: Flag, f2: Flag) -> TangentSpaceFiber:
 def dpi2(t: TangentSpaceFiber) -> Subspace:
     """Project the fiber tangent space onto the (gl_n ⊕ second chart) block.
 
-    The first-chart rows of the canonical basis project to zero and every
-    other row keeps its support, so dropping the leading block of each
-    surviving row is already canonical.
+    A canonical row with its pivot past the first chart is zero on it, so
+    dropping the chart keeps such rows canonical; the other rows project
+    to zero unless one reaches past the chart (a hand-built fiber), and
+    then the projection is computed generically.
     """
     n = t.flags[0].n
     cd = chart_dim(n)
@@ -243,12 +244,11 @@ def dpi2(t: TangentSpaceFiber) -> Subspace:
     pivots = []
     for r, pc in zip(t.space.prim_rows(), t.space._pivots):
         if pc >= cd:
-            if any(r[:cd]):
-                # not block-shaped (hand-built fiber): project generically
-                rows = [list(row)[cd:] for row in t.space.rows()]
-                return subspace_from_rows(n * n + cd, rows, field=fld)
             prim.append(tuple(r[cd:]))
             pivots.append(pc - cd)
+        elif any(r[cd:]):
+            rows = [list(row)[cd:] for row in t.space.rows()]
+            return subspace_from_rows(n * n + cd, rows, field=fld)
     return Subspace._from_prim(n * n + cd, fld, prim, pivots)
 
 

@@ -129,6 +129,65 @@ def naive_matmul(a, b):
     return tuple(out)
 
 
+def naive_bruhat_decompose(g):
+    """Split invertible g as u1 @ P_s @ u2 with u1, u2 upper triangular.
+
+    Elimination sweeps columns left to right; the pivot of each column is
+    its lowest nonzero entry.  Entries above the pivot are cleared by row
+    operations (upper triangular on the left), the rest of the pivot row by
+    column operations (upper triangular on the right).  What remains is a
+    monomial matrix P_s @ D whose scaling D is folded into u2.
+    """
+    from borelenv.decomp import BruhatFactors, _require_square, _square
+    from borelenv.errors import ContractViolation, NotInvertible
+    from borelenv.weyl import Permutation
+
+    g = _require_square(g)
+    f = g.field
+    n = g.nrows
+    zero = f.zero()
+    m = g.rows_list()
+    u1 = [[f.one() if i == j else zero for j in range(n)] for i in range(n)]
+    u2 = [[f.one() if i == j else zero for j in range(n)] for i in range(n)]
+    images = [0] * n
+    for j in range(n):
+        pivot_row = None
+        for i in range(n - 1, -1, -1):
+            if m[i][j] != zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            raise NotInvertible(f"column {j} is zero")
+        i = pivot_row
+        images[j] = i + 1
+        piv = m[i][j]
+        for r in range(i):
+            if m[r][j] == zero:
+                continue
+            fac = f.div(m[r][j], piv)
+            # m <- L(r,i;-fac) m  and  u1 <- u1 L(r,i;+fac)
+            m[r] = [f.sub(x, f.mul(fac, y)) for x, y in zip(m[r], m[i])]
+            for t in range(n):
+                u1[t][i] = f.add(u1[t][i], f.mul(fac, u1[t][r]))
+        for c in range(j + 1, n):
+            if m[i][c] == zero:
+                continue
+            fac = f.div(m[i][c], piv)
+            # m <- m R(j,c;-fac)  and  u2 <- R(j,c;+fac) u2
+            for t in range(n):
+                m[t][c] = f.sub(m[t][c], f.mul(fac, m[t][j]))
+            u2[j] = [f.add(x, f.mul(fac, y)) for x, y in zip(u2[j], u2[c])]
+    s = Permutation(tuple(images))
+    # m is now P_s @ D with D = diag(m[s(j), j]); fold D into u2.
+    for j in range(n):
+        d = m[images[j] - 1][j]
+        u2[j] = [f.mul(d, x) for x in u2[j]]
+    factors = BruhatFactors(_square(f, u1), s, _square(f, u2))
+    if factors.recompose() != g:
+        raise ContractViolation("Bruhat recomposition failed")
+    return factors
+
+
 def naive_bruhat_cell(g):
     """The Bruhat cell label of invertible g from all n^2 corner ranks.
 

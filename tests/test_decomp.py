@@ -1,10 +1,12 @@
 """Factorization tests: Bruhat cells and ULP with both normalizations."""
 
+import hashlib
 import itertools
 
 import pytest
 
 import borelenv.decomp as decomp
+from borelenv import jsonio
 from borelenv.decomp import bruhat_cell, bruhat_decompose, ulp_decompose
 from borelenv.envelope import envelope_certificate, verify_certificate
 from borelenv.errors import InvalidInput, NotInvertible, UlpInfeasible
@@ -19,13 +21,24 @@ from borelenv.rng import (
 )
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
 
-from reference import naive_bruhat_cell, naive_ulp_upper
+from reference import naive_bruhat_cell, naive_bruhat_decompose, naive_ulp_upper
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 F101 = FieldSpec.prime(101)
+F_MERSENNE = FieldSpec.prime(2**31 - 1)
+
+# singular inputs whose dependency shows at different rows and columns
+SINGULAR_ROWS = [
+    [[0]],
+    [[1, 2], [2, 4]],
+    [[1, 1, 0], [0, 1, 1], [0, 0, 0]],
+    [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+    [[1, 2, 3], [0, 1, 1], [1, 2, 3]],
+    [[1, 1, 1, 1], [1, 2, 3, 4], [2, 3, 4, 5], [0, 0, 1, 1]],
+]
 
 
 class TestBruhat:
@@ -117,12 +130,88 @@ class TestBruhatCellOracle:
     def test_singular_rejected_by_both(self):
         rng = SplitMix64(523)
         for field in self.FIELDS:
-            for n in range(1, 6):
-                g = random_singular(rng, field, n)
+            cases = [random_singular(rng, field, n) for n in range(1, 8)]
+            cases += [Matrix.from_rows(field, rows) for rows in SINGULAR_ROWS]
+            for g in cases:
                 with pytest.raises(NotInvertible):
                     bruhat_cell(g)
                 with pytest.raises(NotInvertible):
                     naive_bruhat_cell(g)
+
+
+def _factors_repr(f):
+    return repr((f.u1.entries, f.s.images, f.u2.entries))
+
+
+class TestBruhatDecomposeOracle:
+    """The row sweep against the column-sweep elimination with a diagonal
+    fold: the same factors, entry by entry and type by type."""
+
+    FIELDS = (Q, F2, F3, F5, F101, F_MERSENNE)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_random_invertible(self, field):
+        rng = SplitMix64(541)
+        for n in range(1, 8):
+            for k in range(8):
+                g = random_invertible(rng, field, n)
+                if field.p is None and k % 2:  # non-integer entries
+                    rows = [[x / (1 + rng.below(9)) for x in r] for r in g.rows_list()]
+                    g = Matrix.from_rows(field, rows)
+                want = naive_bruhat_decompose(g)
+                assert _factors_repr(bruhat_decompose(g)) == _factors_repr(want)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_upper_permutation_upper(self, field):
+        rng = SplitMix64(547)
+        for n in range(1, 8):
+            group = enumerate_group(n)
+            for _ in range(6):
+                w = group[rng.below(len(group))]
+                g = random_upper_invertible(rng, field, n) @ perm_matrix(w, field)
+                g = g @ random_upper_invertible(rng, field, n)
+                f = bruhat_decompose(g)
+                assert f.s == w
+                assert _factors_repr(f) == _factors_repr(naive_bruhat_decompose(g))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_singular_rejected_by_both(self, field):
+        rng = SplitMix64(557)
+        cases = [random_singular(rng, field, n) for n in range(1, 8) for _ in range(3)]
+        cases += [Matrix.from_rows(field, rows) for rows in SINGULAR_ROWS]
+        for g in cases:
+            with pytest.raises(NotInvertible):
+                bruhat_decompose(g)
+            with pytest.raises(NotInvertible):
+                naive_bruhat_decompose(g)
+
+    def test_singular_message(self):
+        g = Matrix.from_rows(Q, [[1, 1, 0], [0, 1, 1], [0, 0, 0]])
+        with pytest.raises(NotInvertible, match="singular"):
+            bruhat_decompose(g)
+
+
+class TestPinnedBruhatFactors:
+    """The JSON bytes of Bruhat factors, pinned by sha256: three seeded
+    matrices for each n = 1..6."""
+
+    PINS = {
+        "Q": "bc1fe6b28f0f582da2f4bb550d9db3ec038d08e804ca2c03216eddf667b8fd49",
+        "F2": "dedd87c00b75ca54d2166964d1f8b4139a2e311d020a55e576ba5d7c333601f8",
+        "F5": "68672eb8789db40fa784aca30a688b770cbe22770e768a777b9d6a4088071adb",
+        "F101": "5bf2c1ad5579f64bad2c981ec4071a77ee3294249773097d106de3ed532821c3",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_factor_bytes(self, name):
+        field = {"Q": Q, "F2": F2, "F5": F5, "F101": F101}[name]
+        digest = hashlib.sha256()
+        for n in range(1, 7):
+            for k in range(3):
+                g = random_invertible(derive_stream(2025, k), field, n)
+                factors = jsonio.bruhat_to_json(bruhat_decompose(g))
+                digest.update(jsonio.dumps_canonical(factors).encode())
+        assert digest.hexdigest() == self.PINS[name]
 
 
 class TestUlp:

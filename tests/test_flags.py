@@ -9,6 +9,7 @@ from borelenv.envelope import borel_from_g, envelope_bruteforce
 from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard
 from borelenv.flags import (
     Flag,
+    TangentSpaceFiber,
     _tangent_sum,
     chart_dim,
     chart_pairs,
@@ -103,6 +104,9 @@ class TestStabilizer:
                 n = 2 + rng.below(3)
                 g = random_invertible(rng, field, n)
                 assert stabilizer_algebra(flag_from_matrix(g)) == conjugated_uppers(g)
+
+    def test_cache_is_bounded(self):
+        assert 0 < stabilizer_algebra.cache_info().maxsize <= 128
 
     def test_bridge_to_envelope_convention(self):
         rng = SplitMix64(109)
@@ -263,6 +267,18 @@ class TestTangentSpaces:
         assert proj.dim < target.dim
         for row in proj.rows():
             assert target.contains(row)
+
+    def test_dpi2_hand_built_fiber_with_first_chart_pivot(self):
+        # span(e_0 + e_cd): the pivot lies in the first chart, but the row
+        # also reaches the gl_n block, so its projection is not zero
+        f = standard_flag(Q, 2)
+        cd = chart_dim(2)
+        row = [0] * (2 * cd + 4)
+        row[0] = row[cd] = 1
+        fiber = TangentSpaceFiber((f, f), subspace_from_rows(len(row), [row], field=Q))
+        proj = dpi2(fiber)
+        assert proj.dim == 1
+        assert proj == subspace_from_rows(4 + cd, [row[cd:]], field=Q)
 
 
 class TestTangentSum:
