@@ -117,7 +117,10 @@ def stabilizer_algebra(f: Flag) -> Subspace:
 
     Solved directly from the linear stability conditions (the conjugation
     formula g @ b0 @ g^-1 is kept as an independent oracle in the tests).
-    Cached: the coordinate flags (n! <= 120) recur in every tangent sum.
+    Cached: ``_tangent_sum`` looks up flag(h) here and again through
+    ``tangent_gtilde`` in the same call, which is the only repeat in the
+    library; a small bound keeps that hit without holding the flag of
+    every h a long run has seen.
     """
     n, fld = f.n, f.field
     constraints = []
@@ -230,26 +233,11 @@ def tangent_fiber(f1: Flag, f2: Flag) -> TangentSpaceFiber:
 
 
 def dpi2(t: TangentSpaceFiber) -> Subspace:
-    """Project the fiber tangent space onto the (gl_n ⊕ second chart) block.
-
-    A canonical row with its pivot past the first chart is zero on it, so
-    dropping the chart keeps such rows canonical; the other rows project
-    to zero unless one reaches past the chart (a hand-built fiber), and
-    then the projection is computed generically.
-    """
+    """Project the fiber tangent space onto the (gl_n ⊕ second chart) block."""
     n = t.flags[0].n
     cd = chart_dim(n)
-    fld = t.flags[0].field
-    prim = []
-    pivots = []
-    for r, pc in zip(t.space.prim_rows(), t.space._pivots):
-        if pc >= cd:
-            prim.append(tuple(r[cd:]))
-            pivots.append(pc - cd)
-        elif any(r[cd:]):
-            rows = [list(row)[cd:] for row in t.space.rows()]
-            return subspace_from_rows(n * n + cd, rows, field=fld)
-    return Subspace._from_prim(n * n + cd, fld, prim, pivots)
+    rows = [list(r)[cd:] for r in t.space.rows()]
+    return subspace_from_rows(n * n + cd, rows, field=t.flags[0].field)
 
 
 def _tangent_sum(h: Matrix):
