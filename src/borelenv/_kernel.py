@@ -4,8 +4,8 @@ Two reduced-row-echelon cores sit behind the public linalg API:
 
 * prime fields: rows as lists of Python ints, Gauss-Jordan that updates
   only the rows with a nonzero factor, inverses by Fermat exponentiation;
-* rationals: integer rows reduced by fraction-free Gauss-Jordan with exact
-  divisions.
+* rationals: integer rows, Gauss-Jordan that clears a column with
+  row[c]*v - v[c]*row and keeps every updated row primitive (content 1).
 
 Both use the same pivot rule (leftmost column, topmost usable row), so
 each computes the unique RREF of its input.
@@ -90,47 +90,39 @@ def _primitive(row: list[int], pivot_col: int) -> tuple[int, ...]:
     return tuple(x // g for x in row)
 
 
+def _clear(v, row, c: int) -> list[int]:
+    """Primitive part of row[c]*v - v[c]*row: v with column c cleared by
+    row, g = gcd(row[c], v[c]) divided out of both factors first."""
+    g = math.gcd(row[c], v[c])
+    p, f = row[c] // g, v[c] // g
+    w = [p * x - f * y for x, y in zip(v, row)]
+    g = math.gcd(*w)
+    return [x // g for x in w] if g > 1 else w
+
+
 def rref_q_int(irows: list, width: int):
-    """Fraction-free Gauss-Jordan on integer rows.
+    """Gauss-Jordan on integer rows that keeps every updated row primitive.
 
     Returns (prim_rows, rank, pivot_cols): the primitive canonical shape,
-    zero rows dropped.  Every interior division is exact by the standard
-    minor identities; the test suite pins this against a plain Fraction
-    elimination bitwise.
+    zero rows dropped.  Each row stays a nonzero multiple of the row that
+    plain Fraction elimination holds, so the zero patterns and pivots are
+    the same; the test suite pins the result against it bitwise.
     """
-    if not irows:
-        return [], 0, []
-    a = [list(r) for r in irows]
+    a = list(irows)
     nrows = len(a)
-    prev = 1
     r = 0
     pivots: list[int] = []
     for c in range(width):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        piv = a[r][c]
+        a[r], a[pr] = a[pr], a[r]
         rr = a[r]
         for i in range(nrows):
-            if i == r:
-                continue
-            ri = a[i]
-            fac = ri[c]
-            if fac:
-                if prev == 1:
-                    a[i] = [piv * x - fac * y for x, y in zip(ri, rr)]
-                else:
-                    a[i] = [(piv * x - fac * y) // prev for x, y in zip(ri, rr)]
-            elif piv != prev:
-                if prev == 1:
-                    a[i] = [piv * x for x in ri]
-                else:
-                    a[i] = [piv * x // prev for x in ri]
-        prev = piv
+            if i != r and a[i][c]:
+                a[i] = _clear(a[i], rr, c)
         pivots.append(c)
         r += 1
     out = [_primitive(a[t], c) for t, c in enumerate(pivots)]
@@ -143,22 +135,12 @@ def rref_q_int(irows: list, width: int):
 def reduce_row_q(v: list[int], prim, pivots) -> list[int]:
     """Reduce an integer row against primitive canonical rows over Q.
 
-    Returns the (gcd-trimmed) residue; all zeros iff the row lies in the
-    span of the given rows.
+    Returns the primitive residue; all zeros iff the row lies in the span
+    of the given rows.
     """
     for row, pc in zip(prim, pivots):
-        coef = v[pc]
-        if coef:
-            piv = row[pc]
-            v = [piv * x - coef * y for x, y in zip(v, row)]
-            g = 0
-            for x in v:
-                if x:
-                    g = math.gcd(g, x)
-                    if g == 1:
-                        break
-            if g > 1:
-                v = [x // g for x in v]
+        if v[pc]:
+            v = _clear(v, row, pc)
     return v
 
 

@@ -18,8 +18,9 @@ Two factorizations:
   restricted to T (the lemma in :func:`_ul_split`).  The test depends on
   the set T alone, so at most 2^n - 2 small ranks decide every p.
 
-Over F_p the entry points reduce the entries of a directly built Matrix
-into [0, p) first, as ``inverse``, ``rref`` and ``kernel`` do.
+Over F_p a Matrix holds its entries reduced into [0, p) (its constructor
+reduces them), so the factors of a directly built Matrix recompose to a
+Matrix equal to it.
 """
 
 from __future__ import annotations
@@ -77,12 +78,9 @@ def _square(f, rows) -> Matrix:
 
 
 def _require_square(m: Matrix) -> Matrix:
-    """m, checked square; over F_p with its entries reduced into [0, p)."""
+    """m, checked square."""
     if not m.is_square:
         raise InvalidInput(f"square matrix required, got {m.nrows}x{m.ncols}")
-    p = m.field.p
-    if p is not None and m.entries and (min(m.entries) < 0 or max(m.entries) >= p):
-        return Matrix(m.field, m.nrows, m.ncols, tuple(x % p for x in m.entries))
     return m
 
 

@@ -156,8 +156,9 @@ class FieldSpec:
 class Matrix:
     """Immutable dense matrix with exact entries, row-major storage.
 
-    The constructor trusts its entries to be field elements; ``from_rows``
-    coerces.  Permutations act as index shuffles under weyl's convention
+    The constructor trusts its entries to be field elements but reduces them
+    into [0, p) over F_p, so equal matrices hash equal; ``from_rows`` coerces.
+    Permutations act as index shuffles under weyl's convention
     P_w e_j = e_{w(j)}: ``permute_cols(w)`` is m @ P_w (column j is column
     w(j) of m), ``permute_rows(w)`` is P_w @ m (row w(i) is row i of m).
     """
@@ -172,6 +173,9 @@ class Matrix:
             raise InvalidInput("negative matrix dimensions")
         if len(self.entries) != self.nrows * self.ncols:
             raise InvalidInput("entry count does not match shape")
+        p = self.field.p
+        if p is not None and self.entries and (min(self.entries) < 0 or max(self.entries) >= p):
+            object.__setattr__(self, "entries", tuple(x % p for x in self.entries))
 
     # -- constructors -----------------------------------------------------
 

@@ -416,6 +416,18 @@ class TestUnreducedFpEntries:
         assert cert.spans and verify_certificate(cert)
         assert cert.entries == envelope_certificate(r, restricted=True).entries
 
+    def test_equal_and_hash_equal_to_residues(self):
+        # the constructor reduces, so a directly built matrix equals its
+        # residues and the documented round-trips hold
+        assert Matrix(F5, 1, 1, (7,)) == Matrix(F5, 1, 1, (2,))
+        assert hash(Matrix(F5, 1, 1, (7,))) == hash(Matrix(F5, 1, 1, (2,)))
+        m = Matrix(F5, 2, 2, (7, -1, 3, 4))
+        r = Matrix.from_rows(F5, [[2, 4], [3, 4]])
+        assert m == r and hash(m) == hash(r)
+        for normalization in ("lower", "upper"):
+            assert ulp_decompose(m, normalization).recompose() == m
+        assert bruhat_decompose(m).recompose() == m
+
     def test_singular_upper_search(self):
         m = Matrix(F5, 3, 3, (6, -4, 10, 0, 11, -9, 5, 0, 0))
         r = Matrix.from_rows(F5, [[1, 1, 0], [0, 1, 1], [0, 0, 0]])

@@ -8,6 +8,7 @@ import pytest
 
 from borelenv import envelope, jsonio
 from borelenv.envelope import (
+    RESTRICTED_LIMIT,
     EnvelopeCertificate,
     borel_from_g,
     borel_intersection_dim,
@@ -377,16 +378,18 @@ class TestCertificates:
 
     def test_restricted_small_translate(self):
         rng = SplitMix64(79)
-        for field in (Q, F2, F5):
-            for n in (2, 3, 4):
-                g = random_invertible(rng, field, n)
-                cert = envelope_certificate(g, restricted=True)
-                assert cert.spans
-                assert len(cert.entries) == n * (n + 1) // 2
-                assert verify_certificate(cert)
-                tags = {w.images for _, w in cert.entries}
-                assert len(cert.witness_set) == (n * n - n + 2) // 2
-                assert tags <= {w.images for w in cert.witness_set}
+        cases = [(field, n) for field in (Q, F2, F5) for n in (2, 3, 4)]
+        # then n = 8 and the guard itself, drawn after the small cases
+        cases += [(field, n) for field in (Q, F2, F5) for n in (8, RESTRICTED_LIMIT)]
+        for field, n in cases:
+            g = random_invertible(rng, field, n)
+            cert = envelope_certificate(g, restricted=True)
+            assert cert.spans
+            assert len(cert.entries) == n * (n + 1) // 2
+            assert verify_certificate(cert)
+            tags = {w.images for _, w in cert.entries}
+            assert len(cert.witness_set) == (n * n - n + 2) // 2
+            assert tags <= {w.images for w in cert.witness_set}
 
     def test_restricted_rejects_explicit_set(self):
         with pytest.raises(InvalidInput):
@@ -681,4 +684,25 @@ class TestPinnedRestrictedCertificates:
                 g = random_invertible(derive_stream(2025, k), field, n)
                 cert = envelope_certificate(g, restricted=True)
                 digest.update(jsonio.dumps_canonical(jsonio.certificate_to_json(cert)).encode())
+        assert digest.hexdigest() == self.PINS[name]
+
+
+class TestPinnedLargeRestrictedCertificates:
+    """The JSON bytes of restricted certificates at n = 8 and at the
+    RESTRICTED_LIMIT guard, n = 12, pinned by sha256: one seeded matrix for
+    each n."""
+
+    PINS = {
+        "Q": "4df526b67d52516984d7875526717dda658c6f0dff68b549c360b6055ac80d6c",
+        "F101": "1e60cecd329fcc41952afdfca598952abdd79d056e3c25cfb1564be02472caf9",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_certificate_bytes(self, name):
+        field = {"Q": Q, "F101": F101}[name]
+        digest = hashlib.sha256()
+        for n in (8, RESTRICTED_LIMIT):
+            g = random_invertible(derive_stream(2025, 0), field, n)
+            cert = envelope_certificate(g, restricted=True)
+            digest.update(jsonio.dumps_canonical(jsonio.certificate_to_json(cert)).encode())
         assert digest.hexdigest() == self.PINS[name]

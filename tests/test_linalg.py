@@ -1,12 +1,13 @@
 """Exact-kernel tests: scalars, rref, triangular solves, subspaces."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelenv._kernel import rref_fp
+from borelenv._kernel import clear_denominators, reduce_row_q, rref_fp, rref_q_int
 from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard, SingularSystem
 from borelenv.linalg import (
     PRIMALITY_LIMIT,
@@ -263,8 +264,8 @@ class TestInverse:
             inverse(Matrix.from_rows(F2, [[1, 1], [1, 1]]))
 
     def test_unreduced_fp_entries_match_from_rows(self):
-        # a Matrix built directly keeps its entries as given; the kernel
-        # reduces them mod p, so entries past int64 do not overflow
+        # a Matrix built directly reduces its entries mod p, entries past
+        # int64 included
         m = Matrix(F5, 2, 2, (7, -1, 10**30 + 3, 4))
         r = Matrix.from_rows(F5, [[2, 4], [3, 4]])
         assert inverse(m) == inverse(r)
@@ -473,6 +474,102 @@ class TestRrefFpOracle:
                 # the rows of an upper-triangular matrix itself
                 u = [[rng.below(p) if j >= i else 0 for j in range(n)] for i in range(n)]
                 self._check(u, n, p)
+
+
+class TestRrefQIntOracle:
+    """The Q kernel against naive_rref_q, each nonzero reference row made
+    primitive (scaled by the lcm of its denominators, divided by its gcd),
+    on the shapes the library sends; reduce_row_q against the rank test."""
+
+    @staticmethod
+    def _primitive(row):
+        d = math.lcm(*(x.denominator for x in row))
+        ints = [int(x * d) for x in row]
+        g = math.gcd(*ints)
+        return tuple(x // g for x in ints)
+
+    @classmethod
+    def _check(cls, rows, width, probes=()):
+        before = [list(r) for r in rows]
+        prim, rank, pivots = rref_q_int(rows, width)
+        ref_rows, ref_rank, ref_piv = naive_rref_q(rows)
+        assert (rank, list(pivots)) == (ref_rank, ref_piv)
+        assert list(prim) == [cls._primitive(r) for r in ref_rows[:rank]]
+        assert [list(r) for r in rows] == before  # the input is not modified
+        # reduce_row_q leaves all zeros exactly on the span
+        assert not any(any(reduce_row_q(list(v), prim, pivots)) for v in rows)
+        for v in probes:
+            in_span = naive_rref_q(list(rows) + [v])[1] == rank
+            assert not any(reduce_row_q(list(v), prim, pivots)) == in_span
+
+    def test_edge_cases(self):
+        self._check([], 4)
+        self._check([[0, 0, 0]], 3, probes=[[0, 0, 0], [0, 1, 0]])
+        self._check([[0] * 4 for _ in range(3)], 4)
+        self._check([[1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 6]], 3, probes=[[3, 6, 9], [1, 2, 4]])
+        # negative leading entries and rows that are not primitive on input
+        self._check([[-4, 6, 8]], 3, probes=[[2, -3, -4], [2, 3, 4]])
+        self._check([[-3, 6, 9], [-2, -4, 5], [0, 0, -7]], 3, probes=[[1, 0, 0]])
+        self._check([[0, -6, 4, 2], [0, 0, 0, -5], [0, 3, -2, 9]], 4, probes=[[0, 3, -2, 0], [1, 0, 0, 0]])
+
+    @staticmethod
+    def _entry(rng, bits):
+        """A signed integer of at most ``bits`` bits, 64 drawn at a time."""
+        x = 0
+        for _ in range(-(-bits // 64)):
+            x = x << 64 | rng.next_u64()
+        return (x >> (-bits % 64)) * (1 - 2 * rng.below(2))
+
+    def test_random_with_dependent_rows_and_large_entries(self):
+        rng = SplitMix64(421)
+        widest = 0
+        for t in range(80):
+            nr, nc = 1 + rng.below(7), 1 + rng.below(8)  # more and fewer rows than columns
+            bits = (4, 64, 100, 160)[t % 4]
+            rows = [[self._entry(rng, bits) if rng.below(4) else 0 for _ in range(nc)] for _ in range(nr)]
+            if nr >= 2:
+                a, b = rng.randint(-3, 3), rng.randint(1, 3)
+                rows.insert(rng.below(nr), [a * x - b * y for x, y in zip(rows[0], rows[1])])
+            if rng.below(3) == 0:
+                rows.append(list(rows[rng.below(len(rows))]))
+            combo = [sum(rng.randint(-2, 2) * r[j] for r in rows) for j in range(nc)]
+            self._check(rows, nc, probes=[combo, [self._entry(rng, bits) for _ in range(nc)]])
+            widest = max(widest, *(abs(x).bit_length() for r in rows for x in r))
+        assert widest >= 150
+
+    def test_borel_algebra_generators(self):
+        # row (a, b) is column a of g^-1 times row b of g, as in
+        # BorelConjugate.algebra; the probes are unit vectors
+        rng = SplitMix64(431)
+        for n in (2, 3, 4, 5):
+            for _ in range(3):
+                g = random_invertible(rng, Q, n)
+                cols = [clear_denominators(inverse(g).col(a))[0] for a in range(n)]
+                rows = [clear_denominators(g.row(b))[0] for b in range(n)]
+                gens = [[x * y for x in cols[a] for y in rows[b]] for a in range(n) for b in range(a, n)]
+                units = [[int(i == j) for j in range(n * n)] for i in range(n * n)]
+                self._check(gens, n * n, probes=units[:: n + 1] + units[n : n + 1])
+
+    def test_zassenhaus_stacks(self):
+        # [A | A; B | 0] for the primitive bases of two random spans
+        rng = SplitMix64(433)
+        for width in (2, 3, 4, 6):
+            for _ in range(4):
+                a, b = (
+                    rref_q_int([[rng.randint(-5, 5) for _ in range(width)] for _ in range(1 + rng.below(width))], width)[0]
+                    for _ in range(2)
+                )
+                stacked = [list(r) + list(r) for r in a] + [list(r) + [0] * width for r in b]
+                self._check(stacked, 2 * width, probes=[[0] * width + list(r) for r in b])
+
+    def test_augmented_identity(self):
+        # [m | I] rows, invertible and singular m, non-integer entries
+        rng = SplitMix64(439)
+        for n in (1, 2, 3, 4, 5):
+            for m in (random_invertible(rng, Q, n), random_matrix(rng, Q, n), Matrix.zeros(Q, n, n)):
+                m = Matrix.from_rows(Q, [[x / (1 + rng.below(4)) for x in r] for r in m.rows_list()])
+                aug = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+                self._check([clear_denominators(r)[0] for r in aug], 2 * n)
 
 
 class TestSubspace:
