@@ -23,9 +23,11 @@ as the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
+from ._kernel import clear_denominators
 from .decomp import ulp_decompose
 from .errors import ContractViolation, InvalidInput, ResourceGuard
 from .linalg import (
@@ -177,18 +179,22 @@ def _witness_coefficients(u_inv: Matrix, i: int, j: int) -> tuple:
     return tuple(f.mul(y, d) for y in row[1:])
 
 
-def _conjugate_witness(left: Matrix, right: Matrix, i: int, j: int, x: tuple) -> tuple:
-    """left @ a @ right for a = e^{i,j} + sum_l x_l e^{i,j+l}, as factors:
-    a is rank one, so the product is the outer product of left's column i
-    with (1, x) @ rows j..i of right; the caller multiplies out what it needs.
-    """
-    f = left.field
-    zero = f.zero()
-    rowv = [zero] * right.ncols
-    for r, val in enumerate((f.one(),) + x, start=j - 1):
-        if val != zero:
-            rowv = [f.add(acc, f.mul(val, y)) for acc, y in zip(rowv, right.row(r))]
-    return left.col(i - 1), rowv
+def _int_rows(m: Matrix) -> tuple[list, int]:
+    """m's rows as integers over one common denominator d: m = rows / d."""
+    ints, d = clear_denominators(m.entries)
+    return [ints[k : k + m.ncols] for k in range(0, len(ints), m.ncols)], d
+
+
+def _witness_row(coefs, rows, p) -> list[int]:
+    """sum_t coefs[t] * rows[t], reduced over F_p.  a is rank one, so
+    left @ a @ right is left's column i times (1, x) @ rows j..i of right;
+    with coefs = (1, x) and rows j..i of right, each scaled to integers,
+    this is that row factor times a nonzero scalar."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coefs, rows):
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    return out if p is None else [x % p for x in out]
 
 
 def devissage_witness(u: Matrix, i: int, j: int, _u_inv: Matrix | None = None) -> DevissageWitness:
@@ -211,14 +217,13 @@ def devissage_witness(u: Matrix, i: int, j: int, _u_inv: Matrix | None = None) -
     ents[_flat(n, i, j) : _flat(n, i, i) + 1] = (f.one(),) + x
     a = Matrix(f, n, n, tuple(ents))
     s = Permutation.transposition(n, i, j)
-    col, rowv = _conjugate_witness(u_inv, u, i, j, x)
-    zero = f.zero()
-    # conjugating by P_s permutes indices; check upper-triangularity of
-    # the permuted matrix without building it.  The factors hold reduced
-    # field elements, so an outer-product entry is zero iff a factor is.
+    col = u_inv.col(i - 1)
+    rowv = _witness_row(clear_denominators((f.one(),) + x)[0], _int_rows(u)[0][j - 1 : i], f.p)
+    # conjugating by P_s permutes indices; check upper-triangularity of the
+    # permuted outer product col x rowv without building it
     for r in range(1, n + 1):
         for c in range(1, n + 1):
-            if s(r) > s(c) and col[r - 1] != zero and rowv[c - 1] != zero:
+            if s(r) > s(c) and col[r - 1] and rowv[c - 1]:
                 raise ContractViolation(f"witness ({i}, {j}) escaped its Borel")
     return DevissageWitness(i, j, x, a, s)
 
@@ -255,43 +260,32 @@ class EnvelopeCertificate:
     witness_set: tuple = dataclass_field(default=())
 
 
-def _checked_span(target: BorelConjugate, entries) -> Subspace | None:
-    """The span of the entries' vectors, or None when some vector or tag has
-    the wrong size or a vector lies outside the algebra or its translate.
-
-    Each vector is coerced once; a non-scalar entry raises InvalidInput.
-    borel(P_w) is a coordinate subspace, so translate membership is a zero
-    pattern.  Algebra membership follows when the span is the algebra; only
-    when the two differ is each vector reduced against the algebra.
-    """
-    n, f = target.n, target.g.field
-    rows = []
-    for vec, w in entries:
-        if len(vec) != n * n or w.n != n:
-            return None
-        v = [f.coerce(x) for x in vec]
-        coords = _coordinate_support(borel_translate(w, f))
-        if any(x and c not in coords for c, x in enumerate(v)):
-            return None
-        rows.append(v)
-    span, algebra = _span_int(f, _int_shape(f, rows), n * n), target.algebra
-    if span != algebra and not all(algebra.contains(v) for v in rows):
-        return None
-    return span
-
-
 def verify_certificate(cert: EnvelopeCertificate) -> bool:
     """Recheck every claim in the certificate from scratch.
 
-    Each vector must lie in the target algebra and in its tagged translate
-    (:func:`_checked_span`), and ``spans`` must agree with a comparison of
-    the entries' span against the target.  Membership failures return False
-    rather than raising, so forged certificates are rejected, not crashed
-    on.  The CLI and the restricted suite run this recheck; the witness
-    route makes the same check once while it builds the certificate.
+    Each vector is coerced once (a non-scalar entry raises InvalidInput).
+    Translate membership is a zero pattern, borel(P_w) being a coordinate
+    subspace; algebra membership follows when the span is the algebra, and
+    only otherwise is each vector reduced against it.  ``spans`` must agree
+    with that comparison.  Failures return False, so forged certificates
+    are rejected, not crashed on.  The CLI and the restricted suite run this
+    recheck; it shares only ``_span_int`` with the certificate routes.
     """
-    span = _checked_span(cert.target, cert.entries)
-    return span is not None and cert.spans == (span == cert.target.algebra)
+    target = cert.target
+    n, f = target.n, target.g.field
+    rows = []
+    for vec, w in cert.entries:
+        if len(vec) != n * n or w.n != n:
+            return False
+        v = [f.coerce(x) for x in vec]
+        coords = _coordinate_support(borel_translate(w, f))
+        if any(x and c not in coords for c, x in enumerate(v)):
+            return False
+        rows.append(v)
+    span, algebra = _span_int(f, _int_shape(f, rows), n * n), target.algebra
+    if span != algebra and not all(algebra.contains(v) for v in rows):
+        return False
+    return cert.spans == (span == algebra)
 
 
 def _dedup(ws: Sequence[Permutation]) -> list[Permutation]:
@@ -325,9 +319,12 @@ def _certificate_greedy(target: BorelConjugate, ws: Sequence[Permutation]) -> En
 
 def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     """The witness route: entry (i, j) is P_q^-1 u2^-1 a u2 P_q, tagged s∘q,
-    for the (i, j) witness a of u2, its x read off u2^-1.  Its membership in
-    borel(P_{s∘q}) is the witness's escape claim conjugated by P_q; that,
-    membership in borel(g) and spanning are checked by one _checked_span.
+    for the (i, j) witness a of u2, (1, x) read off row j of u2^-1.  right,
+    the rows of u2^-1 and left's columns are cleared to integers once, so
+    each entry is an integer outer product over one denominator; Fractions
+    are built only for the returned vectors.  Membership in borel(P_{s∘q})
+    (the escape claim conjugated by P_q) is a zero-pattern test on each
+    vector, and the integer vectors must span borel(g) (one ``_span_int``).
     """
     g = target.g
     n, f = target.n, g.field
@@ -340,17 +337,30 @@ def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     q = compose(w0, factors.p)
     u2_inv = inverse(u2)
     # right = u2 @ P_q, and its inverse is P_q^-1 @ u2^-1
-    right, left = u2.permute_cols(q), u2_inv.permute_rows(q.inverse())
-    entries = []
+    right, d = _int_rows(u2.permute_cols(q))
+    left = u2_inv.permute_rows(q.inverse())
+    cols = [clear_denominators(left.col(i)) for i in range(n)]
+    coefs = [clear_denominators(u2_inv.row(j))[0] for j in range(n)]
+    entries, vecs = [], []
     for i, j in lower_pairs(n):
-        col, rowv = _conjugate_witness(left, right, i, j, _witness_coefficients(u2_inv, i, j))
-        vec = tuple(f.mul(a, b) for a in col for b in rowv)
-        entries.append((vec, compose(Permutation.transposition(n, i, j), q)))
-    span = _checked_span(target, entries)
-    if span is None:
-        raise ContractViolation("devissage certificate failed self-verification")
+        (col, e), coef = cols[i - 1], coefs[j - 1]
+        rowv = _witness_row(coef[j - 1 : i], right[j - 1 : i], f.p)
+        vec = [a * b for a in col for b in rowv]
+        tag = compose(Permutation.transposition(n, i, j), q)
+        coords = _coordinate_support(borel_translate(tag, f))
+        if any(x and c not in coords for c, x in enumerate(vec)):
+            raise ContractViolation(f"witness ({i}, {j}) escaped its translate")
+        den = e * coef[j - 1] * d  # the entry is vec / den
+        if f.p is None:
+            entries.append((tuple(Fraction(x, den) for x in vec), tag))
+        else:
+            scale = pow(den, f.p - 2, f.p)
+            entries.append((tuple(x * scale % f.p for x in vec), tag))
+        vecs.append(vec)
+    if _span_int(f, vecs, n * n) != target.algebra:
+        raise ContractViolation("devissage certificate does not span borel(g)")
     translate = tuple(compose(t, q) for t in transposition_set(n))
-    return EnvelopeCertificate(target, tuple(entries), span == target.algebra, translate)
+    return EnvelopeCertificate(target, tuple(entries), True, translate)
 
 
 def envelope_certificate(
@@ -385,11 +395,14 @@ def envelope_certificate(
     return _certificate_greedy(target, ws)
 
 
+@lru_cache(maxsize=None)
+def _rotations(n: int) -> dict:
+    return {tuple((k + j) % n + 1 for j in range(n)): k for k in range(n)}
+
+
 def _rotation_key(w: Permutation) -> int:
     """k when w is the k-th power of the n-cycle, images (k+1, ..., n, 1, ..., k); else n."""
-    img, n = w.images, w.n
-    k = img[0] - 1
-    return k if all(img[j] == (k + j) % n + 1 for j in range(n)) else n
+    return _rotations(w.n).get(w.images, w.n)
 
 
 def envelope_bruteforce(g: Matrix, weyl_set: Sequence[Permutation]) -> Subspace:

@@ -470,10 +470,10 @@ def _span_int(field: FieldSpec, rows: list, width: int) -> Subspace:
 def _int_shape(field: FieldSpec, rows) -> list:
     """Rows of field elements as kernel-ready integer rows: over Q each row
     scaled by its common denominator (which keeps spans and ranks), over
-    F_p the entries reduced into [0, p)."""
+    F_p the rows as given, since field elements are residues already."""
     if field.p is None:
         return [clear_denominators(r)[0] for r in rows]
-    return [[x % field.p for x in r] for r in rows]
+    return list(rows)
 
 
 def subspace_from_rows(ambient_dim: int, vectors: Iterable, field: FieldSpec) -> Subspace:
@@ -513,35 +513,32 @@ def _coordinate_support(s: Subspace) -> frozenset[int] | None:
 def _intersect_with_coordinates(s: Subspace, coords: frozenset[int]) -> Subspace:
     """Intersection of s with the coordinate subspace on ``coords``.
 
-    One elimination with the complement columns ordered first: the reduced
-    rows whose pivots land past the complement block are supported on
-    ``coords`` and span exactly the intersection.  Because ``coords`` is
-    taken in increasing order, un-permuting the surviving rows lands them
-    already in canonical form.
+    A basis row whose pivot lies outside ``coords`` is dropped first: in
+    RREF its pivot column is zero in every other row, so no vector that
+    uses it lies in the intersection.  The rest take one elimination with
+    the complement columns ordered first: the reduced rows whose pivots land
+    past the complement block are supported on ``coords`` and span exactly
+    the intersection.  Because ``coords`` is taken in increasing order,
+    un-permuting the surviving rows lands them already in canonical form.
     """
     width = s.ambient_dim
-    comp = sorted(c for c in range(width) if c not in coords)
+    comp = [c for c in range(width) if c not in coords]
     if not comp:
-        return s
-    rows = s.prim_rows()
-    if not rows:
         return s
     inside = sorted(coords)
     order = comp + inside
     f = s.field
-    reordered = [[row[c] for c in order] for row in rows]
-    prim, rank, pivots = _rref_prim(f, reordered, width)
+    reordered = [[row[c] for c in order] for row, pc in zip(s._prim, s._pivots) if pc in coords]
+    prim, _, pivots = _rref_prim(f, reordered, width)
     k = len(comp)
     out = []
-    out_pivots = []
-    for t, pc in enumerate(pivots):
-        if pc >= k:
+    for row, pc in zip(prim, pivots):
+        if pc >= k:  # then row[:k] is zero, and row[k:] sits on ``inside``
             vec = [0] * width
-            for idx, c in enumerate(order):
-                vec[c] = prim[t][idx]
-            out.append(tuple(vec))
-            out_pivots.append(inside[pc - k])
-    return Subspace._from_prim(width, f, out, out_pivots)
+            for c, x in zip(inside, row[k:]):
+                vec[c] = x
+            out.append(vec)
+    return Subspace._from_prim(width, f, out, [inside[pc - k] for pc in pivots if pc >= k])
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidInput, ResourceGuard
 from .linalg import FieldSpec, Matrix
@@ -151,8 +152,13 @@ def transposition_set(n: int) -> tuple[Permutation, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def enumerate_group(n: int) -> tuple[Permutation, ...]:
-    """All of S_n in lexicographic one-line order; guarded at n <= 8."""
+    """All of S_n in lexicographic one-line order; guarded at n <= 8.
+
+    Built once per n: repeat calls return the same tuple (Permutations are
+    frozen).  Errors are raised again on every call; they are never cached.
+    """
     if n < 1:
         raise InvalidInput("n must be >= 1")
     if n > ENUMERATION_LIMIT:

@@ -362,3 +362,111 @@ def naive_ulp_upper(m):
             u, lower = split
             return UlpFactors(u, lower, p, "upper")
     raise UlpInfeasible("no upper*lower*permutation factorization has a unipotent upper factor")
+
+
+def naive_subspace_intersect(a_rows, b_rows, p=None):
+    """The RREF basis (zero rows dropped) of span(a_rows) ∩ span(b_rows).
+
+    The kernel of the stacked bases: z = (x, y) with x @ A + y @ B = 0 is
+    read off the naive RREF of [A^T | B^T], and each kernel vector gives
+    the intersection vector x @ A = -(y @ B).  Over Q when p is None.
+    """
+    rref = naive_rref_q if p is None else (lambda rows: naive_rref_fp(rows, p))
+    stacked = [list(r) for r in a_rows] + [list(r) for r in b_rows]
+    if not a_rows or not b_rows:
+        return []
+    k, width = len(a_rows), len(stacked[0])
+    red, rank, pivots = rref([[row[c] for row in stacked] for c in range(width)])
+    vecs = []
+    for free in range(len(stacked)):
+        if free in pivots:
+            continue
+        z = [0] * len(stacked)
+        z[free] = 1
+        for r, pc in enumerate(pivots):
+            z[pc] = -red[r][free]
+        vecs.append([sum(z[t] * stacked[t][c] for t in range(k)) for c in range(width)])
+    if not vecs:
+        return []
+    red, rank, _ = rref(vecs)
+    return [tuple(r) for r in red[:rank]]
+
+
+def _naive_conjugate_witness(left, right, i, j, x):
+    """left @ a @ right for a = e^{i,j} + sum_l x_l e^{i,j+l}, as factors:
+    a is rank one, so the product is the outer product of left's column i
+    with (1, x) @ rows j..i of right; the caller multiplies out what it needs.
+    """
+    f = left.field
+    zero = f.zero()
+    rowv = [zero] * right.ncols
+    for r, val in enumerate((f.one(),) + x, start=j - 1):
+        if val != zero:
+            rowv = [f.add(acc, f.mul(val, y)) for acc, y in zip(rowv, right.row(r))]
+    return left.col(i - 1), rowv
+
+
+def _naive_checked_span(target, entries):
+    """The span of the entries' vectors, or None when some vector or tag has
+    the wrong size or a vector lies outside the algebra or its translate.
+    """
+    from borelenv.envelope import borel_translate
+    from borelenv.linalg import _coordinate_support, _int_shape, _span_int
+
+    n, f = target.n, target.g.field
+    rows = []
+    for vec, w in entries:
+        if len(vec) != n * n or w.n != n:
+            return None
+        v = [f.coerce(x) for x in vec]
+        coords = _coordinate_support(borel_translate(w, f))
+        if any(x and c not in coords for c, x in enumerate(v)):
+            return None
+        rows.append(v)
+    span, algebra = _span_int(f, _int_shape(f, rows), n * n), target.algebra
+    if span != algebra and not all(algebra.contains(v) for v in rows):
+        return None
+    return span
+
+
+def naive_certificate_devissage(g):
+    """The restricted (witness-route) certificate of g, built with Fractions.
+
+    Entry (i, j) is P_q^-1 u2^-1 a u2 P_q, tagged s∘q, for the (i, j)
+    witness a of u2 (x from _witness_coefficients).  Every row factor is a
+    sum of FieldSpec products, every vector a FieldSpec outer product, and
+    the entries are checked by one span that coerces them again.
+    """
+    from borelenv.decomp import ulp_decompose
+    from borelenv.envelope import (
+        EnvelopeCertificate,
+        _witness_coefficients,
+        borel_from_g,
+        lower_pairs,
+    )
+    from borelenv.errors import ContractViolation
+    from borelenv.linalg import Matrix, inverse
+    from borelenv.weyl import Permutation, compose, longest_element, transposition_set
+
+    target = borel_from_g(g)
+    n, f = target.n, g.field
+    factors = ulp_decompose(g, "lower")
+    w0 = longest_element(n)
+    # P_w0 @ l @ P_w0 reverses the row-major entries of l
+    u2 = Matrix(f, n, n, factors.l.entries[::-1])
+    if not u2.is_upper_triangular():
+        raise ContractViolation("conjugated lower factor is not upper triangular")
+    q = compose(w0, factors.p)
+    u2_inv = inverse(u2)
+    # right = u2 @ P_q, and its inverse is P_q^-1 @ u2^-1
+    right, left = u2.permute_cols(q), u2_inv.permute_rows(q.inverse())
+    entries = []
+    for i, j in lower_pairs(n):
+        col, rowv = _naive_conjugate_witness(left, right, i, j, _witness_coefficients(u2_inv, i, j))
+        vec = tuple(f.mul(a, b) for a in col for b in rowv)
+        entries.append((vec, compose(Permutation.transposition(n, i, j), q)))
+    span = _naive_checked_span(target, entries)
+    if span is None:
+        raise ContractViolation("devissage certificate failed self-verification")
+    translate = tuple(compose(t, q) for t in transposition_set(n))
+    return EnvelopeCertificate(target, tuple(entries), span == target.algebra, translate)

@@ -20,7 +20,7 @@ from borelenv.envelope import (
     witness_basis,
 )
 from borelenv.errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
-from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subspace_sum, subspace_intersect
+from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows, subspace_sum, subspace_intersect
 from borelenv.rng import SplitMix64, derive_stream, random_invertible, random_upper_invertible
 from borelenv.weyl import (
     Permutation,
@@ -32,7 +32,7 @@ from borelenv.weyl import (
     transposition_set,
 )
 
-from reference import naive_borel_algebra, naive_witness_coefficients
+from reference import naive_borel_algebra, naive_certificate_devissage, naive_witness_coefficients
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -490,6 +490,21 @@ def _rotations(n):
     return [Permutation(tuple((k + j) % n + 1 for j in range(n))) for k in range(n)]
 
 
+def _loop_rotation_key(w):
+    """The rotation key by its definition: k when w is the k-th power of the
+    n-cycle, images (k+1, ..., n, 1, ..., k); else n."""
+    img, n = w.images, w.n
+    k = img[0] - 1
+    return k if all(img[j] == (k + j) % n + 1 for j in range(n)) else n
+
+
+def test_rotation_key_matches_its_definition():
+    for n in range(1, 7):
+        keys = [envelope._rotation_key(w) for w in enumerate_group(n)]
+        assert keys == [_loop_rotation_key(w) for w in enumerate_group(n)]
+        assert sorted(k for k in keys if k < n) == list(range(n))
+
+
 class TestBruteforce:
     def test_identity_with_identity_set(self):
         s = envelope_bruteforce(Matrix.identity(Q, 3), [Permutation.identity(3)])
@@ -622,6 +637,34 @@ class TestCertificateSoundness:
                 )
                 assert span2 == oracle
                 assert cert2.spans == (oracle == target)
+
+
+def _fraction_invertible(rng, n):
+    """A random invertible Q matrix whose entries have denominators up to 6."""
+    while True:
+        ents = [Fraction(rng.randint(-9, 9), 1 + rng.below(6)) for _ in range(n * n)]
+        g = Matrix(Q, n, n, tuple(ents))
+        if rref(g).rank == n:
+            return g
+
+
+class TestRestrictedRouteOracle:
+    """The integer-shape witness route against the Fraction route it
+    replaced (reference.naive_certificate_devissage), entry by entry."""
+
+    @pytest.mark.parametrize("p", [None, 2, 3, 5, 101, 2**31 - 1])
+    def test_matches_fraction_route(self, p):
+        field = Q if p is None else FieldSpec.prime(p)
+        rng = SplitMix64(271 + (p or 0))
+        for n in range(1, 9):
+            gs = [random_invertible(rng, field, n) for _ in range(3 if n <= 5 else 1)]
+            if p is None:
+                gs.append(_fraction_invertible(rng, n))
+            for g in gs:
+                got, want = envelope_certificate(g, restricted=True), naive_certificate_devissage(g)
+                assert repr(got.entries) == repr(want.entries)
+                assert got.spans == want.spans is True
+                assert repr(got.witness_set) == repr(want.witness_set)
 
 
 class TestTranslateExactness:

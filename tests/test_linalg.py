@@ -30,7 +30,14 @@ from borelenv.rng import SplitMix64, random_invertible, random_matrix
 
 from borelenv.weyl import enumerate_group, perm_matrix
 
-from reference import naive_inverse, naive_matmul, naive_rref_fp, naive_rref_q, rank_by_minors
+from reference import (
+    naive_inverse,
+    naive_matmul,
+    naive_rref_fp,
+    naive_rref_q,
+    naive_subspace_intersect,
+    rank_by_minors,
+)
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -572,6 +579,15 @@ class TestRrefQIntOracle:
                 self._check([clear_denominators(r)[0] for r in aug], 2 * n)
 
 
+def _sparse_entry(rng, field):
+    """Zero half the time, else a random nonzero field element."""
+    if rng.below(2):
+        return field.zero()
+    if field.p is None:
+        return Fraction(rng.randint(1, 9) * (1 - 2 * rng.below(2)), 1 + rng.below(3))
+    return 1 + rng.below(field.p - 1)
+
+
 class TestSubspace:
     def test_full_plane(self):
         s = subspace_from_rows(2, [[1, 0], [0, 1]], field=Q)
@@ -689,27 +705,66 @@ class TestSubspace:
                 assert pivots == sorted(set(pivots))
 
     def test_intersect_matches_zassenhaus_both_ways(self):
-        # the coordinate fast path and the general path agree
+        # a random subspace against coordinate sets that hold some of its
+        # basis pivots and miss others: subspace_intersect, with either
+        # operand first, against the kernel of the stacked bases
         rng = SplitMix64(23)
-        for field in (Q, F5):
-            for _ in range(20):
-                n = 4 + rng.below(3)
-                coords = {c for c in range(n) if rng.below(2)}
+        for field in FIELDS:
+            nontrivial = 0
+            for _ in range(25):
+                n = 5 + rng.below(3)
+                rows = [[_sparse_entry(rng, field) for _ in range(n)] for _ in range(2 + rng.below(3))]
+                a = subspace_from_rows(n, rows, field=field)
+                if a.dim < 2:
+                    continue
+                pivots = a._pivots
+                coords = {c for c in range(n) if c != pivots[-1] and (c == pivots[0] or rng.below(3))}
+                assert pivots[0] in coords and pivots[-1] not in coords
                 one, zero = field.one(), field.zero()
-                coord_rows = [[one if c == u else zero for c in range(n)] for u in sorted(coords)]
-                a = subspace_from_rows(
-                    n,
-                    [[field.coerce(rng.randint(-9, 9)) if field.p is None else rng.below(field.p) for _ in range(n)]
-                     for _ in range(3)],
-                    field=field,
-                )
-                b = subspace_from_rows(n, coord_rows, field=field)
-                fast = subspace_intersect(a, b)
-                # force the general path by perturbing b's basis away from
-                # unit rows while keeping the same subspace, when possible
-                assert fast.dim + subspace_sum([a, b]).dim == a.dim + b.dim
-                for row in fast.rows():
-                    assert a.contains(row) and b.contains(row)
+                unit = [[one if c == u else zero for c in range(n)] for u in sorted(coords)]
+                b = subspace_from_rows(n, unit, field=field)
+                want = tuple(naive_subspace_intersect(a.rows(), b.rows(), field.p))
+                assert subspace_intersect(a, b).rows() == want
+                assert subspace_intersect(b, a).rows() == want
+                nontrivial += bool(want)
+            assert nontrivial >= 5
+
+    def test_borel_intersections_match_zassenhaus(self):
+        # borel(g) ∩ borel(P_w) for every w in S_n, n <= 4
+        from borelenv.envelope import borel_from_g, borel_translate
+
+        rng = SplitMix64(29)
+        for field in FIELDS:
+            for n in range(1, 5):
+                algebra = borel_from_g(random_invertible(rng, field, n)).algebra
+                for w in enumerate_group(n):
+                    coord = borel_translate(w, field)
+                    want = tuple(naive_subspace_intersect(algebra.rows(), coord.rows(), field.p))
+                    assert subspace_intersect(algebra, coord).rows() == want
+                    assert subspace_intersect(coord, algebra).rows() == want
+
+    def test_coordinate_intersection_eliminates_inside_pivots_only(self, monkeypatch):
+        # a basis row pivoting outside the coordinate set cannot enter the
+        # intersection, so it never reaches the elimination
+        import borelenv.linalg as linalg
+
+        seen = []
+        real = linalg._rref_prim
+
+        def spy(field, rows, width):
+            seen.append(len(rows))
+            return real(field, rows, width)
+
+        rng = SplitMix64(31)
+        for field in FIELDS:
+            a = subspace_from_rows(6, [[_sparse_entry(rng, field) for _ in range(6)] for _ in range(4)], field)
+            assert {pc % 2 for pc in a._pivots} == {0, 1}
+            b = _coordinate_subspace(6, field, range(0, 6, 2))
+            monkeypatch.setattr(linalg, "_rref_prim", spy)
+            got = subspace_intersect(a, b)
+            monkeypatch.undo()
+            assert seen.pop() == sum(1 for pc in a._pivots if pc % 2 == 0)
+            assert got.rows() == tuple(naive_subspace_intersect(a.rows(), b.rows(), field.p))
 
     def test_coordinate_support_computed_once(self):
         s = subspace_from_rows(4, [[0, 2, 0, 0], [3, 0, 0, 0]], field=Q)

@@ -1,6 +1,7 @@
 """Symmetric-group tests: composition, length, Bruhat order, matrices."""
 
 import doctest
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,19 @@ class TestEnumerateGroup:
     def test_guard(self):
         with pytest.raises(ResourceGuard):
             enumerate_group(9)
+
+    def test_built_once_per_n(self):
+        for n in range(1, 7):
+            group = enumerate_group(n)
+            assert enumerate_group(n) is group
+            assert [w.images for w in group] == list(itertools.permutations(range(1, n + 1)))
+
+    def test_errors_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(InvalidInput):
+                enumerate_group(0)
+            with pytest.raises(ResourceGuard):
+                enumerate_group(9)
 
 
 def test_module_doctests():
