@@ -259,7 +259,8 @@ def _tangent_sum(h: Matrix):
     for w in enumerate_group(n):
         mid = subspace_intersect(stab, borel_translate(w.inverse(), fld))
         ledger.append((w, mid.dim))
-        acc.add_subspace(mid)
+        if acc.dim < stab.dim:  # every mid lies in stab: a full sum cannot grow
+            acc.add_subspace(mid)
     gl = acc.to_subspace()
     total = _block_diag_space(fld, [(0, n * n, gl), (n * n, chart_dim(n), None)])
     return total == tangent_gtilde(fh).space, tuple(ledger), gl

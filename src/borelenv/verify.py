@@ -35,7 +35,6 @@ from .rng import derive_stream, random_invertible, random_singular, random_upper
 from .weyl import (
     Permutation,
     bruhat_leq,
-    compose,
     enumerate_group,
     length,
     transposition_set,
@@ -334,6 +333,11 @@ def bruhat_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
 
 # ---------------------------------------------------------------------------
 # Criterion 6: Bruhat order against the subword oracle
+#
+# Every ordered pair of S_n, n <= max_n, is compared with the subword
+# oracle, built once per w; then the partial-order axioms are checked on the
+# relation, u outer and w inner.  Transitivity through w is one set test:
+# up[w] <= up[u], where up[u] = {v : u <= v}.
 
 
 def _reduced_word(w: Permutation) -> tuple[int, ...]:
@@ -351,22 +355,26 @@ def _reduced_word(w: Permutation) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
+def _subword_set(w: Permutation) -> set[tuple[int, ...]]:
+    """Image tuples of every u <= w: the products of the subwords of a fixed
+    reduced word of w in which each letter raises the length, i.e. of its
+    reduced subwords.  Exponential, used only as an oracle for small n.
+
+    Right-multiplying by s_g swaps image positions g and g+1 and raises the
+    length iff img[g-1] < img[g].
+    """
+    found = {tuple(range(1, w.n + 1))}
+    for g in _reduced_word(w):
+        for img in list(found):
+            if img[g - 1] < img[g]:
+                found.add(img[:g - 1] + (img[g], img[g - 1]) + img[g + 1:])
+    return found
+
+
 def _subword_leq(u: Permutation, w: Permutation) -> bool:
     """u <= w iff some subword of a fixed reduced word of w is a reduced
-    word of u.  Exponential, used only as an oracle for small n."""
-    word = _reduced_word(w)
-    lu = length(u)
-    n = u.n
-    for mask in range(1 << len(word)):
-        if bin(mask).count("1") != lu:
-            continue
-        prod = Permutation.identity(n)
-        for t, gen in enumerate(word):
-            if mask >> t & 1:
-                prod = compose(prod, Permutation.transposition(n, gen, gen + 1))
-        if prod == u:
-            return True
-    return False
+    word of u."""
+    return u.images in _subword_set(w)
 
 
 def bruhat_order_exhaustive(max_n: int = 4) -> CriterionResult:
@@ -374,25 +382,27 @@ def bruhat_order_exhaustive(max_n: int = 4) -> CriterionResult:
     result = CriterionResult(name, True, {"pairs": 0})
     for n in range(1, max_n + 1):
         group = enumerate_group(n)
-        leq = {}
+        below = {w.images: _subword_set(w) for w in group}
+        up = {u.images: set() for u in group}
         for u in group:
             for w in group:
                 got = bruhat_leq(u, w)
-                leq[(u.images, w.images)] = got
+                if got:
+                    up[u.images].add(w.images)
                 result.counts["pairs"] += 1
-                if got != _subword_leq(u, w):
+                if got != (u.images in below[w.images]):
                     return _fail(result, {"criterion": name, "n": n, "detail": f"disagreement at {u} vs {w}"})
-        # partial order axioms
         for u in group:
-            if not leq[(u.images, u.images)]:
+            above_u = up[u.images]
+            if u.images not in above_u:
                 return _fail(result, {"criterion": name, "n": n, "detail": f"not reflexive at {u}"})
             for w in group:
-                if leq[(u.images, w.images)] and leq[(w.images, u.images)] and u != w:
+                if w.images not in above_u:
+                    continue
+                if u.images in up[w.images] and u != w:
                     return _fail(result, {"criterion": name, "n": n, "detail": "antisymmetry fails"})
-                for v in group:
-                    if leq[(u.images, w.images)] and leq[(w.images, v.images)]:
-                        if not leq[(u.images, v.images)]:
-                            return _fail(result, {"criterion": name, "n": n, "detail": "transitivity fails"})
+                if not up[w.images] <= above_u:
+                    return _fail(result, {"criterion": name, "n": n, "detail": "transitivity fails"})
     return result
 
 

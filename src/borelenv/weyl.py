@@ -106,25 +106,16 @@ def longest_element(n: int) -> Permutation:
     return Permutation(tuple(range(n, 0, -1)))
 
 
-def _rank_table(w: Permutation) -> list[list[int]]:
-    # table[i][j] = #{a <= j : w(a) >= i}, 1-based i, j
-    n = w.n
-    table = [[0] * (n + 1) for _ in range(n + 2)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            table[i][j] = table[i][j - 1] + (1 if w.images[j - 1] >= i else 0)
-    return table
-
-
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat order via the rank-matrix criterion.
+    """Bruhat order via the tableau criterion (Ehresmann).
 
-    u <= w iff #{a <= j : u(a) >= i} <= #{a <= j : w(a) >= i} for all i, j.
+    u <= w iff for every j < n the sorted prefix u(1..j) is entrywise <= the
+    sorted prefix w(1..j); Björner–Brenti, *Combinatorics of Coxeter
+    Groups*, Thm 2.6.3.
     """
     _check_same_n(u, w)
-    tu, tw = _rank_table(u), _rank_table(w)
-    n = u.n
-    return all(tu[i][j] <= tw[i][j] for i in range(1, n + 1) for j in range(1, n + 1))
+    a, b = u.images, w.images
+    return all(x <= y for j in range(1, u.n) for x, y in zip(sorted(a[:j]), sorted(b[:j])))
 
 
 def perm_matrix(w: Permutation, field: FieldSpec) -> Matrix:

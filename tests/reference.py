@@ -255,6 +255,26 @@ def naive_relative_position(f1, f2):
     return Permutation(tuple(images))
 
 
+def _naive_rank_table(w):
+    # table[i][j] = #{a <= j : w(a) >= i}, 1-based i, j
+    n = w.n
+    table = [[0] * (n + 1) for _ in range(n + 2)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            table[i][j] = table[i][j - 1] + (1 if w.images[j - 1] >= i else 0)
+    return table
+
+
+def naive_bruhat_leq(u, w):
+    """Bruhat order via the rank-matrix criterion.
+
+    u <= w iff #{a <= j : u(a) >= i} <= #{a <= j : w(a) >= i} for all i, j.
+    """
+    tu, tw = _naive_rank_table(u), _naive_rank_table(w)
+    n = u.n
+    return all(tu[i][j] <= tw[i][j] for i in range(1, n + 1) for j in range(1, n + 1))
+
+
 def naive_witness_coefficients(u, i, j):
     """The (i, j) witness coefficients x of upper triangular u, 1-based.
 

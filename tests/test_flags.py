@@ -22,7 +22,7 @@ from borelenv.flags import (
     tangent_sum_check,
     torus_fixed_flags,
 )
-from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subspace_intersect
+from borelenv.linalg import FieldSpec, Matrix, SpanAccumulator, inverse, subspace_from_rows, subspace_intersect
 from borelenv.rng import SplitMix64, random_invertible, random_upper_invertible
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
 from reference import fiber_tangent_sum, naive_relative_position
@@ -332,6 +332,23 @@ class TestTangentSum:
         h = random_invertible(SplitMix64(157), Q, 4)
         assert _tangent_sum(h)[0]
         assert calls == {"flag_from_matrix": 1, "tangent_fiber": 0, "dpi2": 0}
+
+    def test_full_sum_stops_adding(self, monkeypatch):
+        # every intersection lies in stab(flag(h)), so once the sum has its
+        # dimension no later one is reduced; the ledger still has every w
+        sizes = []
+        real = SpanAccumulator.add_subspace
+
+        def spied(acc, s):
+            sizes.append(acc.dim)
+            return real(acc, s)
+
+        monkeypatch.setattr(SpanAccumulator, "add_subspace", spied)
+        h = random_invertible(SplitMix64(157), Q, 4)
+        holds, ledger, gl_part = _tangent_sum(h)
+        assert holds and len(ledger) == 24
+        assert gl_part.dim == 10 and sizes and max(sizes) < 10
+        assert len(sizes) < 24
 
     def test_guard_and_errors(self):
         with pytest.raises(ResourceGuard):

@@ -32,6 +32,7 @@ from borelenv.verify import (
     ulp_roundtrip,
     witness_construction,
 )
+from borelenv.weyl import enumerate_group
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -283,6 +284,35 @@ class TestFailurePath:
         [dump] = result["failures"]
         assert (dump["offset"], dump["n"], dump["detail"]) == (4, 2, "recomposition mismatch")
         assert jsonio.matrix_from_json(dump["input"]) == broken
+
+    def test_bruhat_order_disagreement(self, monkeypatch):
+        real = verify.bruhat_leq
+        flip = ((1, 3, 2), (2, 1, 3))  # an incomparable pair, made related
+        monkeypatch.setattr(verify, "bruhat_leq", lambda u, w: real(u, w) != ((u.images, w.images) == flip))
+        result = bruhat_order_exhaustive()
+        # all of S_1 and S_2, then u = (1,3,2) is the 2nd of S_3 and w = (2,1,3) the 3rd
+        assert result.counts == {"pairs": 1 + 4 + 6 + 3}
+        assert result.failures == [
+            {"criterion": "bruhat-order", "n": 3, "detail": "disagreement at (1,3,2) vs (2,1,3)"}]
+
+    @pytest.mark.parametrize("flip, detail", [
+        (((2, 3, 1), (2, 3, 1)), "not reflexive at (2,3,1)"),
+        (((2, 1, 3), (1, 2, 3)), "antisymmetry fails"),
+        (((1, 2, 3), (3, 2, 1)), "transitivity fails"),
+    ])
+    def test_bruhat_order_axioms(self, monkeypatch, flip, detail):
+        # the order and its subword oracle broken alike: only the axioms can fail
+        real = verify.bruhat_leq
+
+        def broken(u, w):
+            return real(u, w) != ((u.images, w.images) == flip)
+
+        monkeypatch.setattr(verify, "bruhat_leq", broken)
+        monkeypatch.setattr(verify, "_subword_set",
+                            lambda w: {u.images for u in enumerate_group(w.n) if broken(u, w)})
+        result = bruhat_order_exhaustive()
+        assert result.counts == {"pairs": 1 + 4 + 36}  # every pair up to S_3, none of S_4
+        assert result.failures == [{"criterion": "bruhat-order", "n": 3, "detail": detail}]
 
     def test_one_thread_stops_at_the_failure(self, oracle_fails_at):
         target = random_invertible(derive_stream(1, 1), F5, 3)

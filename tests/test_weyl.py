@@ -21,6 +21,7 @@ from borelenv.weyl import (
     perm_matrix,
     transposition_set,
 )
+from reference import naive_bruhat_leq
 
 Q = FieldSpec.rational()
 
@@ -118,6 +119,18 @@ class TestBruhatOrder:
         u = Permutation((3, 1, 2))
         w = Permutation((2, 3, 1))
         assert not bruhat_leq(u, w) and not bruhat_leq(w, u)
+
+    def test_size_mismatch(self):
+        with pytest.raises(InvalidInput):
+            bruhat_leq(Permutation((1, 2)), Permutation((1, 2, 3)))
+
+    def test_matches_rank_table_oracle(self):
+        # every ordered pair for n <= 5, 14,400 of them in S_5
+        for n in range(1, 6):
+            group = enumerate_group(n)
+            for u in group:
+                for w in group:
+                    assert bruhat_leq(u, w) == naive_bruhat_leq(u, w), (u, w)
 
     def test_agrees_with_subword_oracle_exhaustively(self):
         # all pairs for n <= 3 plus all 576 ordered pairs of S_4
