@@ -3,9 +3,9 @@
 The package computes, over Q or any prime field, the span identity that
 recovers a Borel subalgebra from its intersections with the coordinate
 Borels, together with the matrix factorizations (Bruhat, ULP), flag
-combinatorics (relative position, torus-fixed flags) and tangent-space
-calculations that surround it.  Everything is exact: subspaces live in
-canonical reduced-echelon form and all equality checks are bitwise.
+combinatorics (relative position) and tangent-space calculations that
+surround it.  Everything is exact: subspaces live in canonical
+reduced-echelon form and all equality checks are bitwise.
 """
 
 from .decomp import BruhatFactors, UlpFactors, bruhat_cell, bruhat_decompose, ulp_decompose
@@ -42,7 +42,6 @@ from .flags import (
     tangent_fiber,
     tangent_gtilde,
     tangent_sum_check,
-    torus_fixed_flags,
 )
 from .linalg import (
     FieldSpec,

@@ -405,35 +405,38 @@ def _rotation_key(w: Permutation) -> int:
     return _rotations(w.n).get(w.images, w.n)
 
 
+def _intersection_sum(algebra: Subspace, ws: Sequence[Permutation]) -> Subspace:
+    """Sum of algebra ∩ borel(P_w) over ws, stopping once it is all of
+    ``algebra``: every later term lies in it and cannot grow the sum.
+
+    ws is visited rotations first: the powers of the n-cycle, then the rest
+    in the caller's order.  Rotated coordinate Borels overlap little, so
+    for a generic Borel algebra the sum is full after n terms (lexicographic
+    order needed 34 of the 120 elements of S_5).  The order depends on n
+    alone, and the result does not depend on it: a sum is order-free.
+    """
+    f = algebra.field
+    acc = SpanAccumulator(algebra.ambient_dim, f)
+    # sorted() is stable: the non-rotations keep the caller's order
+    for w in sorted(ws, key=_rotation_key):
+        acc.add_subspace(subspace_intersect(algebra, borel_translate(w, f)))
+        if acc.dim == algebra.dim and acc.equals(algebra):
+            break
+    return acc.to_subspace()
+
+
 def envelope_bruteforce(g: Matrix, weyl_set: Sequence[Permutation]) -> Subspace:
     """Sum of the intersections borel(g) ∩ borel(P_w) over the given set.
 
     The independent oracle: no witness machinery, just subspace
-    intersections accumulated into a span.  Accumulation stops early once
-    the span reaches the whole of borel(g); every remaining term is an
-    intersection with borel(g) and cannot grow the sum further.
-
-    The set is visited rotations first: the powers of the n-cycle that are
-    in it, then the other elements in the caller's order.  Rotated
-    coordinate Borels overlap little, so for generic g the sum fills
-    borel(g) after n terms (lexicographic order needed 34 of the 120
-    elements of S_5).  The order depends on n alone, never on g, and the
-    result does not depend on it: a sum of subspaces is order-free, and
-    the early stop only skips terms that cannot enlarge it.
+    intersections accumulated into a span by :func:`_intersection_sum`,
+    the loop the tangent cover of :mod:`borelenv.flags` also runs.
     """
     target = borel_from_g(g)
-    n, f = target.n, g.field
+    n = target.n
     if n > FULL_GROUP_LIMIT:
         raise ResourceGuard(f"envelope_bruteforce guarded at n <= {FULL_GROUP_LIMIT}")
     ws = _dedup(weyl_set)
     if any(w.n != n for w in ws):
         raise InvalidInput("weyl_set size does not match the matrix")
-    algebra = target.algebra
-    acc = SpanAccumulator(n * n, f)
-    # sorted() is stable: the non-rotations keep the caller's order
-    for w in sorted(ws, key=_rotation_key):
-        inter = subspace_intersect(algebra, borel_translate(w, f))
-        acc.add_subspace(inter)
-        if acc.dim == algebra.dim and acc.equals(algebra):
-            break
-    return acc.to_subspace()
+    return _intersection_sum(target.algebra, ws)

@@ -22,9 +22,10 @@ n(n-1)/2 chart coordinates ordered lexicographically by (row, col) with
 row > col.  The tangent space of the incidence variety at a point (0, F)
 is then stab(F) ⊕ chart inside k^(n^2) ⊕ k^(n(n-1)/2), and the fiber
 square over 0 has tangent chart ⊕ (stab ∩ stab) ⊕ chart.  The coordinate
-flag of w has stabilizer borel(P_w^-1), so the tangent sum adds stab(F_h) ∩
-borel(P_w^-1) in gl_n directly; the n! fiber tangents through
-``tangent_fiber`` and ``dpi2`` are now its test oracle.
+flag of w has stabilizer borel(P_w^-1), so the tangent sum is the envelope
+sum of stab(F_h) over S_n, run by the loop of :mod:`borelenv.envelope`;
+the n! fiber tangents through ``tangent_fiber`` and ``dpi2`` are its test
+oracle.
 """
 
 from __future__ import annotations
@@ -33,19 +34,18 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .decomp import bruhat_cell
-from .envelope import borel_translate
+from .envelope import _intersection_sum, borel_translate
 from .errors import ContractViolation, InvalidInput, ResourceGuard
 from .linalg import (
     FieldSpec,
     Matrix,
-    SpanAccumulator,
     Subspace,
     _kernel_int,
     inverse,
     subspace_from_rows,
     subspace_intersect,
 )
-from .weyl import Permutation, enumerate_group, perm_matrix
+from .weyl import Permutation, enumerate_group
 
 __all__ = [
     "Flag",
@@ -54,7 +54,6 @@ __all__ = [
     "flag_from_matrix",
     "stabilizer_algebra",
     "relative_position",
-    "torus_fixed_flags",
     "tangent_gtilde",
     "tangent_fiber",
     "dpi2",
@@ -62,12 +61,6 @@ __all__ = [
 ]
 
 TANGENT_SUM_LIMIT = 6
-FLAG_ENUMERATION_LIMIT = 8
-
-
-def chart_pairs(n: int) -> list[tuple[int, int]]:
-    """1-based strictly-lower (row, col) pairs in lexicographic order."""
-    return [(i, j) for i in range(2, n + 1) for j in range(1, i)]
 
 
 def chart_dim(n: int) -> int:
@@ -117,10 +110,9 @@ def stabilizer_algebra(f: Flag) -> Subspace:
 
     Solved directly from the linear stability conditions (the conjugation
     formula g @ b0 @ g^-1 is kept as an independent oracle in the tests).
-    Cached: ``_tangent_sum`` looks up flag(h) here and again through
-    ``tangent_gtilde`` in the same call, which is the only repeat in the
-    library; a small bound keeps that hit without holding the flag of
-    every h a long run has seen.
+    Cached with a small bound: the tangent cover asks once per flag, so
+    hits come from callers that repeat a flag, and the bound keeps a long
+    run from holding the flag of every h it has seen.
     """
     n, fld = f.n, f.field
     constraints = []
@@ -147,13 +139,6 @@ def relative_position(f1: Flag, f2: Flag) -> Permutation:
     if f1.n != f2.n or f1.field != f2.field:
         raise InvalidInput("flags live in different spaces")
     return bruhat_cell(f1._inverse @ f2.adapted_basis)
-
-
-def torus_fixed_flags(n: int, field: FieldSpec) -> tuple[Flag, ...]:
-    """The n! coordinate flags: exactly the flags fixed by the diagonal torus."""
-    if n > FLAG_ENUMERATION_LIMIT:
-        raise ResourceGuard(f"flag enumeration guarded at n <= {FLAG_ENUMERATION_LIMIT}")
-    return tuple(flag_from_matrix(perm_matrix(w, field)) for w in enumerate_group(n))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +173,8 @@ def _block_diag_space(fld: FieldSpec, blocks) -> Subspace:
     """Canonical subspace from block-supported canonical pieces.
 
     ``blocks`` is a list of (offset, width, subspace_or_None); None means
-    the full block.  Offsets are increasing and non-overlapping, so padding
-    each piece's canonical rows into the total width is again canonical.
+    the full block.  Offsets are increasing and non-overlapping, so the
+    pieces' canonical rows, padded in block order, are again canonical.
     """
     total = sum(w for _, w, _ in blocks)
     prim = []
@@ -207,8 +192,7 @@ def _block_diag_space(fld: FieldSpec, blocks) -> Subspace:
                 row[offset : offset + width] = list(r)
                 prim.append(tuple(row))
                 pivots.append(offset + pc)
-    order = sorted(range(len(prim)), key=lambda t: pivots[t])
-    return Subspace._from_prim(total, fld, [prim[t] for t in order], [pivots[t] for t in order])
+    return Subspace._from_prim(total, fld, prim, pivots)
 
 
 def tangent_gtilde(f: Flag) -> TangentSpaceGtilde:
@@ -241,29 +225,24 @@ def dpi2(t: TangentSpaceFiber) -> Subspace:
 
 
 def _tangent_sum(h: Matrix):
-    """(holds, ledger, gl_n block of the sum) over all coordinate flags.
+    """(holds, stab, gl): stab(flag(h)), and gl the sum of its intersections
+    with the stabilizers of all coordinate flags.
 
-    stab(coordinate flag of w) = borel(P_w^-1), a coordinate subspace; the
-    fiber route through ``tangent_fiber`` and ``dpi2`` is the test oracle.
+    The coordinate flag of w has stabilizer borel(P_w^-1), and {w^-1} is
+    all of S_n, so gl is :func:`envelope._intersection_sum` of stab over
+    S_n.  The tangent space at (0, flag(h)) and the sum of the projected
+    fiber tangents both carry the full chart block, so the sum covers it
+    exactly when gl == stab.  The fiber route through ``tangent_fiber``
+    and ``dpi2`` is the test oracle.
     """
     if not h.is_square:
         raise InvalidInput("square matrix required")
     n = h.nrows
     if n > TANGENT_SUM_LIMIT:
         raise ResourceGuard(f"tangent sum guarded at n <= {TANGENT_SUM_LIMIT}")
-    fld = h.field
-    fh = flag_from_matrix(h)
-    stab = stabilizer_algebra(fh)
-    acc = SpanAccumulator(n * n, fld)
-    ledger = []
-    for w in enumerate_group(n):
-        mid = subspace_intersect(stab, borel_translate(w.inverse(), fld))
-        ledger.append((w, mid.dim))
-        if acc.dim < stab.dim:  # every mid lies in stab: a full sum cannot grow
-            acc.add_subspace(mid)
-    gl = acc.to_subspace()
-    total = _block_diag_space(fld, [(0, n * n, gl), (n * n, chart_dim(n), None)])
-    return total == tangent_gtilde(fh).space, tuple(ledger), gl
+    stab = stabilizer_algebra(flag_from_matrix(h))
+    gl = _intersection_sum(stab, enumerate_group(n))
+    return gl == stab, stab, gl
 
 
 def tangent_sum_check(h: Matrix):
@@ -272,8 +251,13 @@ def tangent_sum_check(h: Matrix):
 
     Returns ``(holds, ledger)`` where the ledger lists, for each w in S_n in
     enumeration order, the dimension of stab(coordinate flag of w) ∩
-    stab(flag(h)).  ``holds`` is True for every invertible h; False would
-    indicate an implementation bug, and callers treat it as such.
+    stab(flag(h)); it is built only here, for the CLI's output.  ``holds``
+    is True for every invertible h; False would indicate an implementation
+    bug, and callers treat it as such.
     """
-    holds, ledger, _ = _tangent_sum(h)
+    holds, stab, _ = _tangent_sum(h)
+    ledger = tuple(
+        (w, subspace_intersect(stab, borel_translate(w.inverse(), h.field)).dim)
+        for w in enumerate_group(h.nrows)
+    )
     return holds, ledger

@@ -105,7 +105,8 @@ def test_criterion_6_bruhat_order():
 
 def test_criterion_7_tangent_cover():
     # exhaustive over GL_2(F_2) and GL_2(F_3), then 200 seeded samples per
-    # field for each n in {3, 4}; includes the bridge to the envelope oracle
+    # field for each n in {3, 4}; each input checks that the intersection
+    # sum covers stab(flag(h)) and the bridge stab(flag(h)) = borel(h^-1)
     t0 = time.time()
     result = tangent_cover(TANGENT_FIELDS, (3, 4), 200, SEED)
     _report("7 tangent-cover", result, t0)

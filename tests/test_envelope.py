@@ -20,6 +20,7 @@ from borelenv.envelope import (
     witness_basis,
 )
 from borelenv.errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
+from borelenv.flags import flag_from_matrix, stabilizer_algebra
 from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows, subspace_sum, subspace_intersect
 from borelenv.rng import SplitMix64, derive_stream, random_invertible, random_upper_invertible
 from borelenv.weyl import (
@@ -599,6 +600,37 @@ class TestBruteforce:
         ws = list(enumerate_group(3)) + [Permutation.identity(2)]
         with pytest.raises(InvalidInput):
             envelope_bruteforce(Matrix.identity(Q, 3), ws)
+
+
+class TestIntersectionSum:
+    # over F_2 the four rotations do not fill this borel(g): the sum needs 6 terms
+    TAIL_F2 = Matrix.from_rows(F2, [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0]])
+
+    @staticmethod
+    def _algebras(g):
+        # borel(g), and stab(flag(g)) = borel(g^-1)
+        return borel_from_g(g).algebra, stabilizer_algebra(flag_from_matrix(g))
+
+    def test_matches_sum_of_all_intersections(self):
+        rng = SplitMix64(229)
+        for field in (F2, F3, F5, F101, Q):
+            for n in range(1, 5):
+                gs = [random_invertible(rng, field, n) for _ in range(3)]
+                if (field, n) == (F2, 4):
+                    gs += [self.TAIL_F2, inverse(self.TAIL_F2)]
+                for algebra in (a for g in gs for a in self._algebras(g)):
+                    group = enumerate_group(n)
+                    terms = [subspace_intersect(algebra, borel_translate(w, field)) for w in group]
+                    assert envelope._intersection_sum(algebra, group) == subspace_sum(terms)
+
+    def test_tail_after_the_rotations(self, monkeypatch):
+        calls = []
+        real = envelope.subspace_intersect
+        monkeypatch.setattr(envelope, "subspace_intersect", lambda a, b: calls.append(1) or real(a, b))
+        # the tangent cover of h = TAIL_F2^-1 sums this same algebra, stab(flag(h))
+        algebra = borel_from_g(self.TAIL_F2).algebra
+        assert envelope._intersection_sum(algebra, enumerate_group(4)) == algebra
+        assert len(calls) > 4  # the four rotations, then the caller's order
 
 
 class TestGl2SpecValues:

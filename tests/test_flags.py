@@ -4,15 +4,15 @@ import itertools
 
 import pytest
 
-from borelenv import flags
+from borelenv import envelope, flags
 from borelenv.envelope import borel_from_g, envelope_bruteforce
 from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard
 from borelenv.flags import (
     Flag,
     TangentSpaceFiber,
+    _block_diag_space,
     _tangent_sum,
     chart_dim,
-    chart_pairs,
     dpi2,
     flag_from_matrix,
     relative_position,
@@ -20,10 +20,10 @@ from borelenv.flags import (
     tangent_fiber,
     tangent_gtilde,
     tangent_sum_check,
-    torus_fixed_flags,
 )
-from borelenv.linalg import FieldSpec, Matrix, SpanAccumulator, inverse, subspace_from_rows, subspace_intersect
-from borelenv.rng import SplitMix64, random_invertible, random_upper_invertible
+from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subspace_intersect
+from borelenv.rng import SplitMix64, random_invertible, random_matrix, random_upper_invertible
+from borelenv.verify import tangent_cover
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
 from reference import fiber_tangent_sum, naive_relative_position
 
@@ -198,32 +198,11 @@ class TestRelativePosition:
             relative_position(standard_flag(Q, 2), standard_flag(F2, 2))
 
 
-class TestTorusFixedFlags:
-    def test_counts_and_distinctness(self):
-        assert len(torus_fixed_flags(1, Q)) == 1
-        flags = torus_fixed_flags(3, F5)
-        assert len(flags) == 6
-        assert len(set(flags)) == 6
-
-    def test_stabilizers_contain_diagonal(self):
-        for f in torus_fixed_flags(3, Q):
-            s = stabilizer_algebra(f)
-            for t in range(3):
-                diag = [0] * 9
-                diag[t * 3 + t] = 1
-                assert s.contains(diag)
-
-    def test_guard(self):
-        with pytest.raises(ResourceGuard):
-            torus_fixed_flags(9, Q)
-
-
 class TestTangentSpaces:
     def test_chart_coordinates(self):
-        # the chart block is indexed by strictly-lower positions, lex order
-        assert chart_pairs(3) == [(2, 1), (3, 1), (3, 2)]
+        # the chart block has one coordinate per strictly-lower position
         for n in range(1, 7):
-            assert len(chart_pairs(n)) == chart_dim(n) == n * (n - 1) // 2
+            assert chart_dim(n) == n * (n - 1) // 2
 
     def test_gtilde_dimension(self):
         assert tangent_gtilde(standard_flag(Q, 2)).space.dim == 4
@@ -281,6 +260,26 @@ class TestTangentSpaces:
         assert proj == subspace_from_rows(4 + cd, [row[cd:]], field=Q)
 
 
+class TestBlockDiagSpace:
+    def test_matches_span_of_padded_rows(self):
+        # random pieces of random dimension, with a full (None) block between
+        rng = SplitMix64(163)
+        for field in (F2, F3, F5, F101, Q):
+            for _ in range(6):
+                first, last = (random_matrix(rng, field, w).rows_list() for w in (3, 4))
+                first, last = first[: rng.below(4)], last[: rng.below(5)]
+                blocks = [
+                    (0, 3, subspace_from_rows(3, first, field=field)),
+                    (3, 2, None),
+                    (5, 4, subspace_from_rows(4, last, field=field)),
+                ]
+                padded = [r + [0] * 6 for r in first] + [[0] * 5 + r for r in last]
+                padded += [[int(c == t) for c in range(9)] for t in (3, 4)]
+                built = _block_diag_space(field, blocks)
+                expected = subspace_from_rows(9, padded, field=field)
+                assert built == expected and built._pivots == expected._pivots
+
+
 class TestTangentSum:
     def test_identity_ledger(self):
         holds, ledger = tangent_sum_check(Matrix.identity(Q, 3))
@@ -307,8 +306,8 @@ class TestTangentSum:
         for field in (Q, F5):
             n = 3
             h = random_invertible(rng, field, n)
-            holds, ledger, gl_part = _tangent_sum(h)
-            assert holds
+            holds, stab, gl_part = _tangent_sum(h)
+            assert holds and gl_part == stab
             assert gl_part == envelope_bruteforce(inverse(h), enumerate_group(n))
 
     def test_matches_fiber_oracle(self):
@@ -319,7 +318,9 @@ class TestTangentSum:
                 hs = [Matrix.identity(field, n), perm_matrix(longest_element(n), field)]
                 hs += [random_invertible(rng, field, n) for _ in range(3)]
                 for h in hs:
-                    assert _tangent_sum(h) == fiber_tangent_sum(h)
+                    holds, ledger, gl = fiber_tangent_sum(h)
+                    assert tangent_sum_check(h) == (holds, ledger)
+                    assert _tangent_sum(h)[2] == gl
 
     def test_one_flag_and_no_fibers_per_call(self, monkeypatch):
         calls = dict.fromkeys(("flag_from_matrix", "tangent_fiber", "dpi2"), 0)
@@ -333,22 +334,20 @@ class TestTangentSum:
         assert _tangent_sum(h)[0]
         assert calls == {"flag_from_matrix": 1, "tangent_fiber": 0, "dpi2": 0}
 
-    def test_full_sum_stops_adding(self, monkeypatch):
-        # every intersection lies in stab(flag(h)), so once the sum has its
-        # dimension no later one is reduced; the ledger still has every w
+    def test_cover_check_intersects_at_most_n_times(self, monkeypatch):
+        # c7's check of one n = 4 input over Q: the sum is full after the
+        # four rotations, and c7 builds neither the n! = 24 ledger
+        # intersections nor a second envelope sum
         sizes = []
-        real = SpanAccumulator.add_subspace
+        for module in (envelope, flags):
+            def spied(a, b, _real=module.subspace_intersect):
+                sizes.append(a.ambient_dim)
+                return _real(a, b)
 
-        def spied(acc, s):
-            sizes.append(acc.dim)
-            return real(acc, s)
-
-        monkeypatch.setattr(SpanAccumulator, "add_subspace", spied)
-        h = random_invertible(SplitMix64(157), Q, 4)
-        holds, ledger, gl_part = _tangent_sum(h)
-        assert holds and len(ledger) == 24
-        assert gl_part.dim == 10 and sizes and max(sizes) < 10
-        assert len(sizes) < 24
+            monkeypatch.setattr(module, "subspace_intersect", spied)
+        result = tangent_cover((Q,), (4,), 1, 157)
+        assert result.passed and result.counts == {"checked": 54 + 1}
+        assert 0 < sizes.count(16) <= 4  # the 54 GL_2 prelude inputs have ambient 4
 
     def test_guard_and_errors(self):
         with pytest.raises(ResourceGuard):

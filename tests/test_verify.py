@@ -7,10 +7,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from borelenv import jsonio, verify
+from borelenv import flags, jsonio, verify
 from borelenv.cli import main
 from borelenv.errors import InvalidInput, UlpInfeasible
-from borelenv.linalg import FieldSpec, inverse, rref
+from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows
 from borelenv.rng import (
     SplitMix64,
     derive_stream,
@@ -246,10 +246,7 @@ class TestFailurePath:
         assert dump["detail"] == "brute-force envelope != borel(g)"
         assert jsonio.matrix_from_json(dump["input"]) == gl2_elements(F3)[-1 - dump["offset"]]
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_failure_in_sampled_trial(self, threads, oracle_fails_at):
-        h = random_invertible(derive_stream(1, 1), F5, 3)
-        oracle_fails_at(inverse(h))  # tangent_cover checks h against the oracle of h^-1
+    def _tangent_cover_fails_at(self, threads, h, detail):
         # the flag suite runs tangent_cover((F2, F5, Q), [2, 3], 2, seed=1)
         config = RunConfig(1, 2, (F2, F5, Q), (2, 3), "full")
         result = self._criterion(config, "flag", "tangent-cover", threads)
@@ -258,8 +255,32 @@ class TestFailurePath:
         [dump] = result["failures"]
         assert (dump["offset"], dump["n"], dump["seed"]) == (1, 3, 1)
         assert dump["field"] == jsonio.field_to_json(F5)
-        assert dump["detail"] == "bridge to envelope oracle fails"
+        assert dump["detail"] == detail
         assert jsonio.matrix_from_json(dump["input"]) == h
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_failure_in_sampled_trial(self, threads, monkeypatch):
+        h = random_invertible(derive_stream(1, 1), F5, 3)
+        real = verify.borel_from_g
+        # tangent_cover bridges stab(flag(h)) to borel(h^-1); give h^-1 a wrong Borel
+        wrong = SimpleNamespace(algebra=real(Matrix.identity(F5, 3)).algebra)
+        monkeypatch.setattr(verify, "borel_from_g", lambda g: wrong if g == inverse(h) else real(g))
+        self._tangent_cover_fails_at(threads, h, "bridge to envelope oracle fails")
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_tangent_sum_does_not_cover(self, threads, monkeypatch):
+        h = random_invertible(derive_stream(1, 1), F5, 3)
+        stab = flags.stabilizer_algebra(flags.flag_from_matrix(h))
+        real = flags._intersection_sum
+
+        def dropping(algebra, ws):
+            out = real(algebra, ws)
+            if algebra != stab:
+                return out
+            return subspace_from_rows(out.ambient_dim, out.rows()[1:], field=out.field)
+
+        monkeypatch.setattr(flags, "_intersection_sum", dropping)
+        self._tangent_cover_fails_at(threads, h, "tangent sum does not cover")
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_ulp_counts_stop_at_the_failure(self, threads, monkeypatch):
