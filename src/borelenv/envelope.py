@@ -16,8 +16,8 @@ and a certificate for that span can be produced constructively by peeling
 witness matrices out of triangular data (:func:`devissage_witness`).  The
 witness route needs only a small translate of the identity-plus-
 transpositions subset of S_n; the brute-force route
-(:func:`envelope_bruteforce`) sums the intersections directly and serves
-as the independent oracle.
+(:func:`envelope_bruteforce`) sums the intersections directly, each as a
+small kernel in the algebra's own coordinates, and serves as the oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import isqrt
 from typing import Sequence
 
 from ._kernel import clear_denominators
@@ -38,7 +39,7 @@ from .linalg import (
     inverse,
     subspace_intersect,
 )
-from .linalg import _coordinate_subspace, _coordinate_support, _int_shape, _rref_prim, _span_int
+from .linalg import _coordinate_kernel, _coordinate_subspace, _coordinate_support, _int_shape, _rref_prim, _span_int
 from .weyl import (
     Permutation,
     compose,
@@ -400,14 +401,27 @@ def _rotations(n: int) -> dict:
     return {tuple((k + j) % n + 1 for j in range(n)): k for k in range(n)}
 
 
-def _rotation_key(w: Permutation) -> int:
-    """k when w is the k-th power of the n-cycle, images (k+1, ..., n, 1, ..., k); else n."""
-    return _rotations(w.n).get(w.images, w.n)
+def _rotations_first(ws: Sequence[Permutation], n: int) -> list[Permutation]:
+    """ws (no repeats) in one pass: the k-th powers of the n-cycle, images
+    (k+1, ..., n, 1, ..., k), by k, then the rest in the caller's order."""
+    rots, first, rest = _rotations(n), {}, []
+    for w in ws:
+        k = rots.get(w.images)
+        if k is None:
+            rest.append(w)
+        else:
+            first[k] = w
+    return [first[k] for k in sorted(first)] + rest
 
 
 def _intersection_sum(algebra: Subspace, ws: Sequence[Permutation]) -> Subspace:
     """Sum of algebra ∩ borel(P_w) over ws, stopping once it is all of
     ``algebra``: every later term lies in it and cannot grow the sum.
+
+    It is taken in the algebra's coordinates: B its canonical rows, each
+    term is λ·B for the λ rows of one small kernel (``_coordinate_kernel``)
+    and λ ↦ λ·B is injective, so the sum is full once the λ rows reach
+    rank dim; only a sum that is not is mapped back through B.
 
     ws is visited rotations first: the powers of the n-cycle, then the rest
     in the caller's order.  Rotated coordinate Borels overlap little, so
@@ -415,22 +429,24 @@ def _intersection_sum(algebra: Subspace, ws: Sequence[Permutation]) -> Subspace:
     order needed 34 of the 120 elements of S_5).  The order depends on n
     alone, and the result does not depend on it: a sum is order-free.
     """
-    f = algebra.field
-    acc = SpanAccumulator(algebra.ambient_dim, f)
-    # sorted() is stable: the non-rotations keep the caller's order
-    for w in sorted(ws, key=_rotation_key):
-        acc.add_subspace(subspace_intersect(algebra, borel_translate(w, f)))
-        if acc.dim == algebra.dim and acc.equals(algebra):
-            break
-    return acc.to_subspace()
+    f, width = algebra.field, algebra.ambient_dim
+    acc = SpanAccumulator(algebra.dim, f)
+    for w in _rotations_first(ws, isqrt(width)):
+        acc.add_rows(_coordinate_kernel(algebra, _coordinate_support(borel_translate(w, f))))
+        if acc.dim == algebra.dim:
+            return algebra
+    prim, lams = algebra.prim_rows(), acc.to_subspace().prim_rows()
+    rows = [[sum(x * b[c] for x, b in zip(lam, prim)) for c in range(width)] for lam in lams]
+    return _span_int(f, rows, width)
 
 
 def envelope_bruteforce(g: Matrix, weyl_set: Sequence[Permutation]) -> Subspace:
     """Sum of the intersections borel(g) ∩ borel(P_w) over the given set.
 
-    The independent oracle: no witness machinery, just subspace
-    intersections accumulated into a span by :func:`_intersection_sum`,
-    the loop the tangent cover of :mod:`borelenv.flags` also runs.
+    The independent oracle: no witness machinery, just the intersections,
+    each the λ-kernel of one small system in borel(g)'s own coordinates,
+    summed by :func:`_intersection_sum`, the loop the tangent cover of
+    :mod:`borelenv.flags` also runs.
     """
     target = borel_from_g(g)
     n = target.n

@@ -23,9 +23,9 @@ row > col.  The tangent space of the incidence variety at a point (0, F)
 is then stab(F) ⊕ chart inside k^(n^2) ⊕ k^(n(n-1)/2), and the fiber
 square over 0 has tangent chart ⊕ (stab ∩ stab) ⊕ chart.  The coordinate
 flag of w has stabilizer borel(P_w^-1), so the tangent sum is the envelope
-sum of stab(F_h) over S_n, run by the loop of :mod:`borelenv.envelope`;
-the n! fiber tangents through ``tangent_fiber`` and ``dpi2`` are its test
-oracle.
+sum of stab(F_h) over S_n, run by the loop of :mod:`borelenv.envelope` in
+stab(F_h)'s own coordinates (one small kernel per w); the n! fiber
+tangents through ``tangent_fiber`` and ``dpi2`` are its test oracle.
 """
 
 from __future__ import annotations
@@ -36,15 +36,8 @@ from functools import cached_property, lru_cache
 from .decomp import bruhat_cell
 from .envelope import _intersection_sum, borel_translate
 from .errors import ContractViolation, InvalidInput, ResourceGuard
-from .linalg import (
-    FieldSpec,
-    Matrix,
-    Subspace,
-    _kernel_int,
-    inverse,
-    subspace_from_rows,
-    subspace_intersect,
-)
+from .linalg import FieldSpec, Matrix, Subspace, inverse, subspace_from_rows, subspace_intersect
+from .linalg import _kernel_rows, _span_int
 from .weyl import Permutation, enumerate_group
 
 __all__ = [
@@ -117,13 +110,13 @@ def stabilizer_algebra(f: Flag) -> Subspace:
     n, fld = f.n, f.field
     constraints = []
     for step in f.steps[:-1]:  # F_n imposes nothing
-        annihilator = _kernel_int(fld, step.prim_rows(), n)
+        annihilator = _kernel_rows(fld, step.prim_rows(), n)
         for v in step.prim_rows():
-            for z in annihilator.prim_rows():
+            for z in annihilator:
                 # (M v) . z = 0  <=>  sum_{r,c} z_r v_c M[r][c] = 0, and
                 # rescaling v or z keeps it, so integer shapes serve
                 constraints.append([zr * vc for zr in z for vc in v])
-    return _kernel_int(fld, constraints, n * n)
+    return _span_int(fld, _kernel_rows(fld, constraints, n * n), n * n)
 
 
 def relative_position(f1: Flag, f2: Flag) -> Permutation:
@@ -230,10 +223,11 @@ def _tangent_sum(h: Matrix):
 
     The coordinate flag of w has stabilizer borel(P_w^-1), and {w^-1} is
     all of S_n, so gl is :func:`envelope._intersection_sum` of stab over
-    S_n.  The tangent space at (0, flag(h)) and the sum of the projected
-    fiber tangents both carry the full chart block, so the sum covers it
-    exactly when gl == stab.  The fiber route through ``tangent_fiber``
-    and ``dpi2`` is the test oracle.
+    S_n, one kernel on stab's canonical rows per w until the sum has rank
+    dim(stab), which returns stab itself.  The tangent space at (0, flag(h))
+    and the sum of the projected fiber tangents both carry the full chart
+    block, so the sum covers it exactly when gl == stab.  The fiber route
+    through ``tangent_fiber`` and ``dpi2`` is the test oracle.
     """
     if not h.is_square:
         raise InvalidInput("square matrix required")

@@ -321,13 +321,15 @@ def inverse(m: Matrix) -> Matrix:
 
 def kernel(m: Matrix) -> Subspace:
     """Right kernel {x : m @ x = 0} as a canonical subspace of k^ncols."""
-    return _kernel_int(m.field, _int_shape(m.field, m.rows_list()), m.ncols)
+    f = m.field
+    return _span_int(f, _kernel_rows(f, _int_shape(f, m.rows_list()), m.ncols), m.ncols)
 
 
-def _kernel_int(field: FieldSpec, rows: list, width: int) -> Subspace:
-    """Right kernel of rows already in integer shape: with L the lcm of the
-    primitive pivots (1 over F_p), x_f = L at one free column f and
-    x_c = -row[f] * L / row[c] at each pivot c is a kernel vector."""
+def _kernel_rows(field: FieldSpec, rows: list, width: int) -> list:
+    """Basis of the right kernel of rows already in integer shape (entries
+    in [0, p) over F_p): with L the lcm of the primitive pivots (1 over
+    F_p), x_f = L at a free column f and x_c = -row[f] * L / row[c] at each
+    pivot c."""
     prim, _, pivots = _rref_prim(field, rows, width)
     scale = lcm(*(row[c] for row, c in zip(prim, pivots)))
     basis = []
@@ -336,8 +338,8 @@ def _kernel_int(field: FieldSpec, rows: list, width: int) -> Subspace:
         v[f] = scale
         for row, c in zip(prim, pivots):
             v[c] = -row[f] * (scale // row[c])
-        basis.append(v)
-    return _span_int(field, basis, width)
+        basis.append(v if field.p is None else [x % field.p for x in v])
+    return basis
 
 
 def solve_lower_triangular(lower: Matrix, rhs: Matrix) -> Matrix:
@@ -541,6 +543,19 @@ def _intersect_with_coordinates(s: Subspace, coords: frozenset[int]) -> Subspace
     return Subspace._from_prim(width, f, out, [inside[pc - k] for pc in pivots if pc >= k])
 
 
+def _coordinate_kernel(s: Subspace, coords: frozenset[int]) -> list:
+    """Rows λ of length ``s.dim`` spanning {λ : λ·B is supported on
+    ``coords``}, B the canonical rows of s.  As in
+    :func:`_intersect_with_coordinates`, λ_t = 0 when row t's pivot lies
+    outside ``coords``; each other column outside is a non-pivot column of
+    B and gives one equation on the kept λ_t."""
+    keep = [t for t, pc in enumerate(s._pivots) if pc in coords]
+    skip, pos = coords.union(s._pivots), dict(zip(keep, range(len(keep))))
+    eqs = [[s._prim[t][c] for t in keep] for c in range(s.ambient_dim) if c not in skip]
+    basis = _kernel_rows(s.field, eqs, len(keep))
+    return [[v[pos[t]] if t in pos else 0 for t in range(s.dim)] for v in basis]
+
+
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Canonical intersection of two subspaces of the same ambient space."""
     _check_compatible(a, b)
@@ -614,9 +629,6 @@ class SpanAccumulator:
         self._prim = [tuple(r) for r in prim]
         self._pivots = list(pivots)
         return True
-
-    def add_subspace(self, s: Subspace) -> bool:
-        return self.add_rows(s.prim_rows())
 
     def to_subspace(self) -> Subspace:
         return Subspace._from_prim(self.ambient_dim, self.field, self._prim, self._pivots)

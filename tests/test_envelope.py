@@ -22,6 +22,7 @@ from borelenv.envelope import (
 from borelenv.errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
 from borelenv.flags import flag_from_matrix, stabilizer_algebra
 from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows, subspace_sum, subspace_intersect
+from borelenv.linalg import _coordinate_kernel
 from borelenv.rng import SplitMix64, derive_stream, random_invertible, random_upper_invertible
 from borelenv.weyl import (
     Permutation,
@@ -33,7 +34,12 @@ from borelenv.weyl import (
     transposition_set,
 )
 
-from reference import naive_borel_algebra, naive_certificate_devissage, naive_witness_coefficients
+from reference import (
+    naive_borel_algebra,
+    naive_certificate_devissage,
+    naive_subspace_intersect,
+    naive_witness_coefficients,
+)
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -499,11 +505,15 @@ def _loop_rotation_key(w):
     return k if all(img[j] == (k + j) % n + 1 for j in range(n)) else n
 
 
-def test_rotation_key_matches_its_definition():
+def test_rotations_first_matches_its_definition():
+    # the one-pass order is the stable sort by the rotation key: the n
+    # rotations by power, then the caller's order, for any caller's order
     for n in range(1, 7):
-        keys = [envelope._rotation_key(w) for w in enumerate_group(n)]
-        assert keys == [_loop_rotation_key(w) for w in enumerate_group(n)]
-        assert sorted(k for k in keys if k < n) == list(range(n))
+        group = list(enumerate_group(n))
+        for ws in (group, group[::-1], group[n:] + group[:n]):
+            order = envelope._rotations_first(ws, n)
+            assert order == sorted(ws, key=_loop_rotation_key)
+            assert order[:n] == _rotations(n)
 
 
 class TestBruteforce:
@@ -573,16 +583,16 @@ class TestBruteforce:
         import borelenv.envelope as env
 
         calls = []
-        real = env.subspace_intersect
+        real = env._coordinate_kernel
 
-        def counting(a, b):
+        def counting(s, coords):
             calls.append(1)
-            return real(a, b)
+            return real(s, coords)
 
-        monkeypatch.setattr(env, "subspace_intersect", counting)
+        monkeypatch.setattr(env, "_coordinate_kernel", counting)
         g = random_invertible(SplitMix64(227), Q, 5)
         assert envelope_bruteforce(g, enumerate_group(5)) == borel_from_g(g).algebra
-        assert len(calls) <= 5
+        assert 0 < len(calls) <= 5
 
     def test_envelope_identity_random(self):
         rng = SplitMix64(89)
@@ -625,12 +635,58 @@ class TestIntersectionSum:
 
     def test_tail_after_the_rotations(self, monkeypatch):
         calls = []
-        real = envelope.subspace_intersect
-        monkeypatch.setattr(envelope, "subspace_intersect", lambda a, b: calls.append(1) or real(a, b))
+        real = envelope._coordinate_kernel
+        monkeypatch.setattr(envelope, "_coordinate_kernel", lambda s, c: calls.append(1) or real(s, c))
         # the tangent cover of h = TAIL_F2^-1 sums this same algebra, stab(flag(h))
         algebra = borel_from_g(self.TAIL_F2).algebra
         assert envelope._intersection_sum(algebra, enumerate_group(4)) == algebra
         assert len(calls) > 4  # the four rotations, then the caller's order
+
+
+class TestCoordinateKernelOracle:
+    """``_coordinate_kernel`` mapped back through the canonical rows B is
+    the naive intersection with every borel(P_w), for n <= 4."""
+
+    @staticmethod
+    def _mapped(algebra, coords):
+        lams = _coordinate_kernel(algebra, coords)
+        prim = algebra.prim_rows()
+        rows = [[sum(x * b[c] for x, b in zip(lam, prim)) for c in range(algebra.ambient_dim)] for lam in lams]
+        out = subspace_from_rows(algebra.ambient_dim, rows, field=algebra.field)
+        assert out.dim == len(lams)  # the λ rows are a basis, not just a spanning set
+        return out.rows()
+
+    def test_matches_naive_intersect(self):
+        rng = SplitMix64(271)
+        reached = set()
+        for field in (F2, F3, F5, F101, Q):
+            for n in range(1, 5):
+                group = enumerate_group(n)
+                algebras = list(TestIntersectionSum._algebras(random_invertible(rng, field, n)))
+                # every coordinate Borel up to n = 3; at n = 4, where the
+                # naive Q oracle is slowest, those of the rotations and w0
+                vs = group if n < 4 else _rotations(n) + [longest_element(n)]
+                algebras += [borel_translate(v, field) for v in vs]
+                # the strictly lower matrices: at a Borel algebra some pivot
+                # always lies in borel(P_w) (n(n+1)/2 pivots, n(n+1)/2 of the
+                # n^2 coordinates), so only a smaller algebra drops every row
+                strict = [i * n + j for i in range(n) for j in range(i)]
+                algebras.append(subspace_from_rows(
+                    n * n, [[int(c == u) for c in range(n * n)] for u in strict], field=field))
+                if (field, n) == (F2, 4):
+                    algebras.append(borel_from_g(TestIntersectionSum.TAIL_F2).algebra)
+                for algebra in algebras:
+                    pivots = set(algebra._pivots)
+                    for w in group:
+                        target = borel_translate(w, field)
+                        coords = frozenset(target._pivots)
+                        if not pivots & coords:
+                            reached.add("no row kept")
+                        if coords | pivots == set(range(n * n)):
+                            reached.add("no equation")
+                        want = tuple(naive_subspace_intersect(algebra.rows(), target.rows(), field.p))
+                        assert self._mapped(algebra, coords) == want
+        assert reached == {"no row kept", "no equation"}
 
 
 class TestGl2SpecValues:

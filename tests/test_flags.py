@@ -336,18 +336,22 @@ class TestTangentSum:
 
     def test_cover_check_intersects_at_most_n_times(self, monkeypatch):
         # c7's check of one n = 4 input over Q: the sum is full after the
-        # four rotations, and c7 builds neither the n! = 24 ledger
+        # four rotations' kernels, and c7 builds neither the n! = 24 ledger
         # intersections nor a second envelope sum
-        sizes = []
+        terms, intersections = [], []
+        real = envelope._coordinate_kernel
+        monkeypatch.setattr(envelope, "_coordinate_kernel",
+                            lambda s, coords: terms.append(s.ambient_dim) or real(s, coords))
         for module in (envelope, flags):
             def spied(a, b, _real=module.subspace_intersect):
-                sizes.append(a.ambient_dim)
+                intersections.append(a.ambient_dim)
                 return _real(a, b)
 
             monkeypatch.setattr(module, "subspace_intersect", spied)
         result = tangent_cover((Q,), (4,), 1, 157)
         assert result.passed and result.counts == {"checked": 54 + 1}
-        assert 0 < sizes.count(16) <= 4  # the 54 GL_2 prelude inputs have ambient 4
+        assert 0 < terms.count(16) <= 4  # the 54 GL_2 prelude inputs have ambient 4
+        assert intersections.count(16) == 0
 
     def test_guard_and_errors(self):
         with pytest.raises(ResourceGuard):

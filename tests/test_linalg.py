@@ -24,7 +24,9 @@ from borelenv.linalg import (
     subspace_sum,
     _coordinate_subspace,
     _coordinate_support,
+    _int_shape,
     _is_prime,
+    _kernel_rows,
 )
 from borelenv.rng import SplitMix64, random_invertible, random_matrix
 
@@ -805,6 +807,25 @@ class TestKernel:
                     prod = m @ Matrix(field, 4, 1, tuple(v))
                     assert prod == Matrix.zeros(field, 4, 1)
 
+    def test_kernel_rows_of_zero_rows_is_the_identity(self):
+        for field in FIELDS:
+            for width in (0, 1, 4):
+                eye = [[int(c == r) for c in range(width)] for r in range(width)]
+                assert _kernel_rows(field, [], width) == eye
+                assert _kernel_rows(field, [[0] * width] * 2, width) == eye
+
+    def test_kernel_rows_are_a_reduced_basis(self):
+        # over F_p the pivot entries -row[f] are negative before reduction
+        rng = SplitMix64(277)
+        for field in FIELDS:
+            for _ in range(10):
+                m = random_matrix(rng, field, 4)
+                rows = _kernel_rows(field, _int_shape(field, m.rows_list()), 4)
+                assert subspace_from_rows(4, rows, field=field) == kernel(m)
+                assert len(rows) == kernel(m).dim
+                if field.p is not None:
+                    assert all(0 <= x < field.p for r in rows for x in r)
+
 
 class TestSpanAccumulator:
     def test_incremental_matches_sum(self):
@@ -823,5 +844,5 @@ class TestSpanAccumulator:
                 ]
                 acc = SpanAccumulator(n, field)
                 for s in parts:
-                    acc.add_subspace(s)
+                    acc.add_rows(s.prim_rows())
                 assert acc.to_subspace() == subspace_sum(parts)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from borelenv import flags, jsonio, verify
+from borelenv import envelope, flags, jsonio, verify
 from borelenv.cli import main
 from borelenv.errors import InvalidInput, UlpInfeasible
 from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows
@@ -334,6 +334,18 @@ class TestFailurePath:
         result = bruhat_order_exhaustive()
         assert result.counts == {"pairs": 1 + 4 + 36}  # every pair up to S_3, none of S_4
         assert result.failures == [{"criterion": "bruhat-order", "n": 3, "detail": detail}]
+
+    def test_intersection_sum_short_of_full_rank(self, monkeypatch):
+        # each term's kernel cut to its first row: the λ rows never reach
+        # rank dim, so the sum is mapped back and compared, and it falls
+        # short at the first GL_2(F_2) prelude element
+        real = envelope._coordinate_kernel
+        monkeypatch.setattr(envelope, "_coordinate_kernel", lambda s, coords: real(s, coords)[:1])
+        result = envelope_identity((F5,), [3], 1, 11)
+        assert not result.passed and result.counts == {"checked": 1}
+        [dump] = result.failures
+        assert (dump["offset"], dump["field"]) == (-1, jsonio.field_to_json(F2))
+        assert dump["detail"] == "brute-force envelope != borel(g)"
 
     def test_one_thread_stops_at_the_failure(self, oracle_fails_at):
         target = random_invertible(derive_stream(1, 1), F5, 3)
