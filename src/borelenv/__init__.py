@@ -50,7 +50,6 @@ from .linalg import (
     inverse,
     kernel,
     rref,
-    solve_lower_triangular,
     subspace_from_rows,
     subspace_intersect,
     subspace_sum,

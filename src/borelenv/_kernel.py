@@ -16,7 +16,9 @@ its span, so the RREF is unchanged); over Q the canonical form comes out
 in the primitive shape (integer rows with content 1 and positive pivot),
 which determines the RREF proper by row <-> row/pivot.  Fractions are built
 again only by :func:`fracs_from_primitive`, where linalg returns a public
-``Matrix`` or ``Subspace.basis``.
+``Matrix`` or ``Subspace.basis``, and by :func:`ratio` for decomp's factors,
+whose sweeps carry each row as a pair (v, d) standing for v/d and tell Q
+from F_p only through :func:`int_rows`, :func:`peel` and :func:`unit_row`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ __all__ = [
     "fracs_from_primitive",
     "reduce_row_q",
     "reduce_row_fp",
+    "int_rows",
+    "peel",
+    "unit_row",
+    "ratio",
 ]
 
 
@@ -151,6 +157,40 @@ def reduce_row_fp(v: list[int], prim, pivots, p: int) -> list[int]:
         if coef:
             v = [(x - coef * y) % p for x, y in zip(v, row)]
     return v
+
+
+def int_rows(rows, p: int | None) -> list:
+    """Rows as pairs (v, d) with row == v/d: integers over their common
+    denominator over Q, the residues as given and d = 1 over F_p."""
+    return [clear_denominators(r) for r in rows] if p is None else [(r, 1) for r in rows]
+
+
+def peel(v: list[int], d: int, x, e: int, a: int, p: int | None) -> tuple[list[int], int]:
+    """v/d - (a/d) * (x/e) as (row, denominator).  Over F_p, d = e = 1 and
+    the row is (v - a*x) % p; over Q, with g = gcd(e, a), it is
+    (e/g)*v - (a/g)*x over d*e/g, with the content they share divided out."""
+    if p is not None:
+        return [(y - a * z) % p for y, z in zip(v, x)], 1
+    g = math.gcd(e, a)
+    e, a = e // g, a // g
+    w, d = [e * y - a * z for y, z in zip(v, x)], d * e
+    g = math.gcd(d, *w)
+    return ([y // g for y in w], d // g) if g > 1 else (w, d)
+
+
+def unit_row(v: list[int], d: int, c: int, p: int | None):
+    """(x, r, e) with x/e = v / v[c] and r/e = d / v[c], for v[c] != 0: over
+    F_p x is v times one inverse and e = 1, over Q x = v and e = v[c]."""
+    if p is not None:
+        inv = pow(v[c], p - 2, p)
+        return [y * inv % p for y in v], inv, 1
+    return v, d, v[c]
+
+
+def ratio(num: int, den: int, p: int | None):
+    """num/den as a field element: a Fraction over Q; over F_p, where the
+    sweeps keep every denominator 1, the residue of num."""
+    return Fraction(num, den) if p is None else num % p
 
 
 def fracs_from_primitive(prim_rows, pivots) -> list[tuple[Fraction, ...]]:

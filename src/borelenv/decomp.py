@@ -18,19 +18,22 @@ Two factorizations:
   restricted to T (the lemma in :func:`_ul_split`).  The test depends on
   the set T alone, so at most 2^n - 2 small ranks decide every p.
 
-Over F_p a Matrix holds its entries reduced into [0, p) (its constructor
-reduces them), so the factors of a directly built Matrix recompose to a
-Matrix equal to it.
+The sweeps run on integer rows (v, d) standing for v/d (residues, d = 1,
+over F_p), updated by ``_kernel.peel``; each returned entry is built once,
+and the self-checks compare products by integer dot products.  Over F_p a
+Matrix holds its entries in [0, p), so a directly built one recomposes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Literal
 
+from ._kernel import int_rows, peel, ratio, unit_row
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard, UlpInfeasible
-from .linalg import Matrix, _int_shape, _rref_prim, solve_exact
+from .linalg import Matrix, _int_shape, _rref_prim
 from .weyl import Permutation
 
 __all__ = [
@@ -77,8 +80,11 @@ def _square(f, rows) -> Matrix:
     return Matrix(f, len(rows), len(rows), tuple(x for r in rows for x in r))
 
 
+def _rows(m: Matrix) -> list[tuple]:
+    return [m.row(i) for i in range(m.nrows)]
+
+
 def _require_square(m: Matrix) -> Matrix:
-    """m, checked square."""
     if not m.is_square:
         raise InvalidInput(f"square matrix required, got {m.nrows}x{m.ncols}")
     return m
@@ -96,27 +102,26 @@ def bruhat_decompose(g: Matrix) -> BruhatFactors:
     no cross terms: u1[r][i] is the multiplier that cleared m[r][j].
     """
     g = _require_square(g)
-    f = g.field
-    n = g.nrows
-    zero = f.zero()
-    m = g.rows_list()
-    u1 = [[f.one() if i == j else zero for j in range(n)] for i in range(n)]
-    u2 = [None] * n
-    images = [0] * n
+    f, n, p, zero, one = g.field, g.nrows, g.field.p, g.field.zero(), g.field.one()
+    rows, u2, images = int_rows(_rows(g), p), [None] * n, [0] * n
+    u1 = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for j in range(n):
-        i = next((r for r in range(n - 1, -1, -1) if m[r][j] != zero), None)
+        i = next((r for r in range(n - 1, -1, -1) if rows[r][0][j]), None)
         if i is None:
             raise NotInvertible("matrix is singular")
         images[j] = i + 1
-        piv = m[i][j]
+        mi, di = rows[i]
+        x, rec, e = unit_row(mi, di, j, p)
         for r in range(i):
-            if m[r][j] != zero:
-                fac = u1[r][i] = f.div(m[r][j], piv)
-                m[r] = [f.sub(x, f.mul(fac, y)) for x, y in zip(m[r], m[i])]
-        u2[j], m[i] = m[i], [zero] * n
+            v, d = rows[r]
+            if v[j]:
+                u1[r][i] = ratio(v[j] * rec, d * e, p)
+                rows[r] = peel(v, d, x, e, v[j], p)
+        u2[j], rows[i] = [ratio(y, di, p) for y in mi], ([0] * n, 1)
     factors = BruhatFactors(_square(f, u1), Permutation(tuple(images)), _square(f, u2))
-    if factors.recompose() != g:
-        raise ContractViolation("Bruhat recomposition failed")
+    # (u1 @ P_s)'s column j is u1's column s(j)
+    left = [tuple(r[w - 1] for w in factors.s.images) for r in _rows(factors.u1)]
+    _check_product(left, [factors.u2.entries[j::n] for j in range(n)], g, "Bruhat recomposition failed")
     return factors
 
 
@@ -150,6 +155,38 @@ def bruhat_cell(g: Matrix) -> Permutation:
 # ULP
 
 
+def _ulp_sweep(m: Matrix):
+    """_ulp_lower's sweep in integer shape: (perm, claimed, res, units, coefs).
+
+    Row i claims column claimed[i] (perm sends it to i + 1), with residue
+    res[i] = (v, d) and peel row units[i] (unit_row there, or the unit
+    vector if the residue vanishes); coefs[i][k], k >= i, is u[i][k] as
+    (num, den)."""
+    n, p = m.nrows, m.field.p
+    res = int_rows(_rows(m), p)
+    claimed, units = [0] * n, [None] * n
+    coefs = [[(0, 1)] * n for _ in range(n)]
+    free = set(range(n))
+    for i in range(n - 1, -1, -1):
+        v, d = res[i]
+        for k in range(n - 1, i, -1):
+            a = v[claimed[k]]
+            if a:
+                coefs[i][k] = (a, d)
+                x, _, e = units[k]
+                v, d = peel(v, d, x, e, a, p)
+        j = next((c for c in range(n - 1, -1, -1) if v[c]), None)
+        if j is None:
+            j = max(free)
+            units[i] = ([1 if c == j else 0 for c in range(n)], 0, 1)
+        else:
+            coefs[i][i] = (v[j], d)
+            units[i] = unit_row(v, d, j, p)
+        res[i], claimed[i] = (v, d), j
+        free.discard(j)
+    return Permutation(tuple(c + 1 for c in claimed)).inverse(), claimed, res, units, coefs
+
+
 def _ulp_lower(m: Matrix) -> UlpFactors:
     """Unipotent-lower ULP; always exists.
 
@@ -160,39 +197,11 @@ def _ulp_lower(m: Matrix) -> UlpFactors:
     permutation; the scaled residues assemble into the unipotent lower
     factor.
     """
-    f = m.field
-    n = m.nrows
-    zero, one = f.zero(), f.one()
-    x_rows: list[list] = [None] * n  # type: ignore[list-item]
-    claimed: list[int] = [0] * n  # claimed[k] = column claimed at stage k
-    free = set(range(n))
-    u = [[zero] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        v = list(m.row(i))
-        for k in range(n - 1, i, -1):
-            coef = v[claimed[k]]
-            u[i][k] = coef
-            if coef != zero:
-                xk = x_rows[k]
-                v = [f.sub(a, f.mul(coef, b)) for a, b in zip(v, xk)]
-        support = [c for c in range(n) if v[c] != zero]
-        if support:
-            j = max(support)
-            u[i][i] = v[j]
-            inv = f.inv(v[j])
-            x_rows[i] = [f.mul(inv, a) for a in v]
-        else:
-            j = max(free)
-            u[i][i] = zero
-            x_rows[i] = [one if c == j else zero for c in range(n)]
-        claimed[i] = j
-        free.discard(j)
-    images = [0] * n
-    for k in range(n):
-        images[claimed[k]] = k + 1
-    p = Permutation(tuple(images))
-    lower = [[x_rows[k][claimed[c]] for c in range(n)] for k in range(n)]
-    return UlpFactors(_square(f, u), _square(f, lower), p, "lower")
+    f, n, p, zero = m.field, m.nrows, m.field.p, m.field.zero()
+    base, claimed, _, units, coefs = _ulp_sweep(m)
+    u = [[ratio(*coefs[i][k], p) if k >= i else zero for k in range(n)] for i in range(n)]
+    lower = [[ratio(x[c], e, p) for c in claimed] for x, _, e in units]
+    return UlpFactors(_square(f, u), _square(f, lower), base, "lower")
 
 
 def _ul_split(b: Matrix):
@@ -206,56 +215,53 @@ def _ul_split(b: Matrix):
     L[i+1:, >i] have one row span S; b[i, >i] = sum_{k>i} U[i, k] L[k, >i]
     lies in S; conversely b[i, >i] in S gives t with b[i, >i] =
     t @ L[i+1:, >i], and L[i] = b[i] - t @ L[i+1:] is zero past i.  So
-    this single pass succeeds exactly when every row passes.
+    this single pass succeeds exactly when every row passes.  With rows
+    (w, e) for w/e, t_k L_k = (s_k/d0) w_k for s_k = row[-1]/row[pc] off the
+    primitive RREF of [w_k columns | v], v/d0 the row being split.
     """
-    f = b.field
-    n = b.nrows
-    zero, one = f.zero(), f.one()
-    l_rows: list[list] = [None] * n  # type: ignore[list-item]
+    f, n, p, zero, one = b.field, b.nrows, b.field.p, b.field.zero(), b.field.one()
+    rows = int_rows(_rows(b), p)
     u = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for i in range(n - 1, -1, -1):
-        tail = n - 1 - i
-        v = list(b.row(i))
-        if tail:
-            # coefficients t with sum_k t_k L_k matching v on columns > i
-            cols = range(i + 1, n)
-            a = Matrix(f, tail, tail, tuple(l_rows[k][c] for c in cols for k in range(i + 1, n)))
-            t = solve_exact(a, [v[c] for c in cols])
-            if t is None:
-                return None
-            for idx, k in enumerate(range(i + 1, n)):
-                u[i][k] = t[idx]
-                if t[idx] != zero:
-                    v = [f.sub(x, f.mul(t[idx], y)) for x, y in zip(v, l_rows[k])]
-        if any(v[c] != zero for c in range(i + 1, n)):
+    for i in range(n - 2, -1, -1):
+        v, d = rows[i]
+        cols = range(i + 1, n)
+        aug = [[rows[k][0][c] for k in cols] + [v[c]] for c in cols]
+        prim, _, pivots = _rref_prim(f, aug, n - i)
+        if n - 1 - i in pivots:
+            return None
+        d0 = d
+        for row, pc in zip(prim, pivots):
+            if row[-1]:  # t_k L_k as peel's (a/d) (x/e): a = row[-1] d, e = row[pc] d0
+                k = i + 1 + pc
+                u[i][k] = ratio(row[-1] * rows[k][1], row[pc] * d0, p)
+                v, d = peel(v, d, rows[k][0], row[pc] * d0, row[-1] * d, p)
+        if any(v[i + 1 :]):
             raise ContractViolation("residual row escaped its lower support")
-        l_rows[i] = v
-    return _square(f, u), _square(f, l_rows)
+        rows[i] = (v, d)
+    return _square(f, u), _square(f, [[ratio(y, d, p) for y in v] for v, d in rows])
 
 
 def _ulp_upper(m: Matrix) -> UlpFactors:
-    f = m.field
-    n = m.nrows
-    zero = f.zero()
-    base = _ulp_lower(m)
-    diag = [base.u.at(i, i) for i in range(n)]
-    if all(d != zero for d in diag):
-        # move the diagonal of u into l
-        u = _square(f, [[f.div(base.u.at(i, k), diag[k]) for k in range(n)] for i in range(n)])
-        lower = _square(f, [[f.mul(diag[i], base.l.at(i, k)) for k in range(n)] for i in range(n)])
-        return UlpFactors(u, lower, base.p, "upper")
-    # Singular corner: the first p with m @ P_p^-1 = U @ L, trying base.p and
+    f, n, zero = m.field, m.nrows, m.field.zero()
+    base, claimed, res, units, coefs = _ulp_sweep(m)
+    if all(coefs[i][i][0] for i in range(n)):
+        # move u's diagonal into l: u's column k times r_k/e_k, l's row i the residue
+        u = [[ratio(a * units[k][1], b * units[k][2], f.p) if k >= i else zero
+              for k, (a, b) in enumerate(row)] for i, row in enumerate(coefs)]
+        lower = [[ratio(v[c], d, f.p) for c in claimed] for v, d in res]
+        return UlpFactors(_square(f, u), _square(f, lower), base, "upper")
+    # Singular corner: the first p with m @ P_p^-1 = U @ L, trying base and
     # then S_n in lexicographic order.  The factorization with a unipotent
     # upper factor does not always exist; when no p passes the rank test of
     # _ul_split's lemma, that proves infeasibility exactly.
     if n > ULP_SEARCH_LIMIT:
         raise ResourceGuard(f"unipotent-upper search needs {n}! permutation trials")
-    split = _ul_split(m.permute_cols(base.p.inverse()))
+    split = _ul_split(m.permute_cols(base.inverse()))
     if split is not None:
-        return UlpFactors(split[0], split[1], base.p, "upper")
+        return UlpFactors(split[0], split[1], base, "upper")
     splits = _column_set_test(m)
     for img in itertools.permutations(range(1, n + 1)):
-        if img != base.p.images and splits(img):
+        if img != base.images and splits(img):
             p = Permutation(img)
             split = _ul_split(m.permute_cols(p.inverse()))
             if split is None:
@@ -313,13 +319,30 @@ def ulp_decompose(m: Matrix, normalization: Normalization = "lower") -> UlpFacto
 
 
 def _validate_ulp(m: Matrix, factors: UlpFactors):
-    if not factors.u.is_upper_triangular():
+    u, l, n = factors.u, factors.l, m.nrows
+    if not u.is_upper_triangular():
         raise ContractViolation("u factor is not upper triangular")
-    if not factors.l.is_lower_triangular():
+    if not l.is_lower_triangular():
         raise ContractViolation("l factor is not lower triangular")
-    one = m.field.one()
-    named = factors.u if factors.normalization == "upper" else factors.l
-    if any(named.at(i, i) != one for i in range(m.nrows)):
+    named = u if factors.normalization == "upper" else l
+    # a field element is 1 iff its numerator equals its denominator (1 for an int)
+    if any(x.numerator != x.denominator for x in named.entries[:: n + 1]):
         raise ContractViolation("normalized factor is not unipotent")
-    if factors.recompose() != m:
-        raise ContractViolation("ULP recomposition failed")
+    # (u @ l @ P_p)'s column j is (u @ l)'s column p(j)
+    cols = [l.entries[w - 1 :: n] for w in factors.p.images]
+    _check_product(_rows(u), cols, m, "ULP recomposition failed")
+
+
+def _check_product(rows, cols, target: Matrix, message: str):
+    """Raise ContractViolation(message) unless the product of these rows and
+    columns is target, by integer dot products: mod p over F_p; over Q, each
+    row and column over its common denominator, against target's entries
+    cross-multiplied.  No Fraction is built or compared."""
+    p, cols = target.field.p, int_rows(cols, target.field.p)
+    if p:
+        ok = tuple(sum(map(mul, r, c)) % p for r in rows for c, _ in cols) == target.entries
+    else:
+        ok = all(sum(map(mul, r, c)) * y.denominator == y.numerator * dr * dc
+                 for (r, dr), t in zip(int_rows(rows, p), _rows(target)) for (c, dc), y in zip(cols, t))
+    if not ok:
+        raise ContractViolation(message)

@@ -10,11 +10,12 @@ row-echelon basis, so two subspaces are equal as sets iff their bases
 compare equal entry by entry.  There are no tolerances anywhere; all
 comparisons are exact.
 
-Every elimination (``rref``, ``inverse``, ``kernel``, ``solve_exact`` and
-all subspace operations) runs on one integer-shape path: rows enter it
-through ``_int_shape`` (over Q, ``clear_denominators`` scales each row to
-integers), ``_rref_prim`` reduces them, and Fractions are built only where
-a public ``Matrix`` or ``Subspace.basis`` is returned.
+Every elimination (``rref``, ``inverse``, ``kernel``, all subspace
+operations and decomp's factorization sweeps) runs on one integer-shape
+path: rows enter it through ``_int_shape`` or ``_kernel.int_rows`` (over
+Q, ``clear_denominators`` scales each row to integers), ``_rref_prim`` or
+``_kernel.peel`` reduces them, and Fractions are built only where a public
+``Matrix`` or ``Subspace.basis`` is returned.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from ._kernel import (
     rref_fp,
     rref_q_int,
 )
-from .errors import InvalidInput, NotInvertible, ResourceGuard, SingularSystem
+from .errors import InvalidInput, NotInvertible, ResourceGuard
 
 __all__ = [
     "FieldSpec",
@@ -43,7 +44,6 @@ __all__ = [
     "rref",
     "inverse",
     "kernel",
-    "solve_lower_triangular",
     "subspace_from_rows",
     "subspace_intersect",
     "subspace_sum",
@@ -222,20 +222,12 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_upper_triangular(self) -> bool:
-        zero = self.field.zero()
-        return all(
-            self.entries[i * self.ncols + j] == zero
-            for i in range(self.nrows)
-            for j in range(min(i, self.ncols))
-        )
+        e, c = self.entries, self.ncols
+        return not any(e[i * c + j] for i in range(self.nrows) for j in range(min(i, c)))
 
     def is_lower_triangular(self) -> bool:
-        zero = self.field.zero()
-        return all(
-            self.entries[i * self.ncols + j] == zero
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        e, c = self.entries, self.ncols
+        return not any(e[i * c + j] for i in range(self.nrows) for j in range(i + 1, c))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -340,35 +332,6 @@ def _kernel_rows(field: FieldSpec, rows: list, width: int) -> list:
             v[c] = -row[f] * (scale // row[c])
         basis.append(v if field.p is None else [x % field.p for x in v])
     return basis
-
-
-def solve_lower_triangular(lower: Matrix, rhs: Matrix) -> Matrix:
-    """Solve lower @ x = rhs by forward substitution.
-
-    ``lower`` must be square lower triangular; a zero diagonal entry raises
-    SingularSystem.  ``rhs`` is a column matrix; the unique solution column
-    is returned.
-    """
-    if not lower.is_square:
-        raise InvalidInput("coefficient matrix must be square")
-    if not lower.is_lower_triangular():
-        raise InvalidInput("coefficient matrix must be lower triangular")
-    n = lower.nrows
-    if rhs.nrows != n or rhs.ncols != 1:
-        raise InvalidInput("right-hand side must be an n x 1 column")
-    lower._check_same_field(rhs)
-    f = lower.field
-    zero = f.zero()
-    for i in range(n):
-        if lower.at(i, i) == zero:
-            raise SingularSystem(f"zero diagonal entry at position {i}")
-    x = []
-    for i in range(n):
-        acc = rhs.at(i, 0)
-        for k in range(i):
-            acc = f.sub(acc, f.mul(lower.at(i, k), x[k]))
-        x.append(f.div(acc, lower.at(i, i)))
-    return Matrix(f, n, 1, tuple(x))
 
 
 # ---------------------------------------------------------------------------
@@ -635,22 +598,3 @@ class SpanAccumulator:
 
     def equals(self, s: Subspace) -> bool:
         return len(self._prim) == s.dim and tuple(self._prim) == s.prim_rows()
-
-
-def solve_exact(a: Matrix, b: Sequence):
-    """Any exact solution x of a @ x = b, or None if inconsistent.
-
-    Free variables are set to zero, so the result is deterministic.
-    """
-    f = a.field
-    bb = [f.coerce(x) for x in b]
-    if len(bb) != a.nrows:
-        raise InvalidInput("right-hand side length mismatch")
-    aug = [list(a.row(i)) + [bb[i]] for i in range(a.nrows)]
-    rows, pivots = _reduced(f, aug, a.ncols + 1)
-    if a.ncols in pivots:
-        return None
-    x = [f.zero()] * a.ncols
-    for row, c in zip(rows, pivots):
-        x[c] = row[a.ncols]
-    return x

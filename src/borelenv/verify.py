@@ -371,12 +371,6 @@ def _subword_set(w: Permutation) -> set[tuple[int, ...]]:
     return found
 
 
-def _subword_leq(u: Permutation, w: Permutation) -> bool:
-    """u <= w iff some subword of a fixed reduced word of w is a reduced
-    word of u."""
-    return u.images in _subword_set(w)
-
-
 def bruhat_order_exhaustive(max_n: int = 4) -> CriterionResult:
     name = "bruhat-order"
     result = CriterionResult(name, True, {"pairs": 0})

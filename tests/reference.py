@@ -281,7 +281,7 @@ def naive_witness_coefficients(u, i, j):
     Forward substitution on the peeling system of size i - j: for
     r = 1..i-j, sum_{c <= r} u[j+c, j+r] x_c = -u[j, j+r].
     """
-    from borelenv.linalg import Matrix, solve_lower_triangular
+    from borelenv.linalg import Matrix
 
     f = u.field
     size = i - j
@@ -346,24 +346,171 @@ def fiber_tangent_sum(h):
     return total == tangent_gtilde(fh).space, tuple(ledger), gl
 
 
+def solve_lower_triangular(lower, rhs):
+    """Solve lower @ x = rhs by forward substitution.
+
+    ``lower`` must be square lower triangular; a zero diagonal entry raises
+    SingularSystem.  ``rhs`` is a column matrix; the unique solution column
+    is returned.
+    """
+    from borelenv.errors import InvalidInput, SingularSystem
+    from borelenv.linalg import Matrix
+
+    if not lower.is_square:
+        raise InvalidInput("coefficient matrix must be square")
+    if not lower.is_lower_triangular():
+        raise InvalidInput("coefficient matrix must be lower triangular")
+    n = lower.nrows
+    if rhs.nrows != n or rhs.ncols != 1:
+        raise InvalidInput("right-hand side must be an n x 1 column")
+    lower._check_same_field(rhs)
+    f = lower.field
+    zero = f.zero()
+    for i in range(n):
+        if lower.at(i, i) == zero:
+            raise SingularSystem(f"zero diagonal entry at position {i}")
+    x = []
+    for i in range(n):
+        acc = rhs.at(i, 0)
+        for k in range(i):
+            acc = f.sub(acc, f.mul(lower.at(i, k), x[k]))
+        x.append(f.div(acc, lower.at(i, i)))
+    return Matrix(f, n, 1, tuple(x))
+
+
+def solve_exact(a, b):
+    """Any exact solution x of a @ x = b, or None if inconsistent.
+
+    Free variables are set to zero, so the result is deterministic.
+    """
+    from borelenv.errors import InvalidInput
+    from borelenv.linalg import _reduced
+
+    f = a.field
+    bb = [f.coerce(x) for x in b]
+    if len(bb) != a.nrows:
+        raise InvalidInput("right-hand side length mismatch")
+    aug = [list(a.row(i)) + [bb[i]] for i in range(a.nrows)]
+    rows, pivots = _reduced(f, aug, a.ncols + 1)
+    if a.ncols in pivots:
+        return None
+    x = [f.zero()] * a.ncols
+    for row, c in zip(rows, pivots):
+        x[c] = row[a.ncols]
+    return x
+
+
+def naive_ulp_lower(m):
+    """Unipotent-lower ULP; always exists.  The FieldSpec row sweep that
+    decomp._ulp_lower ran before it moved to integer shape, kept verbatim.
+
+    Rows are processed bottom-up.  Row i of m is peeled against the rows
+    already built; the residue is supported on the columns not yet claimed,
+    and its deepest nonzero column (or the deepest free column when the
+    residue vanishes) becomes this row's claim.  The claims define the
+    permutation; the scaled residues assemble into the unipotent lower
+    factor.
+    """
+    from borelenv.decomp import UlpFactors, _square
+    from borelenv.weyl import Permutation
+
+    f = m.field
+    n = m.nrows
+    zero, one = f.zero(), f.one()
+    x_rows: list[list] = [None] * n  # type: ignore[list-item]
+    claimed: list[int] = [0] * n  # claimed[k] = column claimed at stage k
+    free = set(range(n))
+    u = [[zero] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        v = list(m.row(i))
+        for k in range(n - 1, i, -1):
+            coef = v[claimed[k]]
+            u[i][k] = coef
+            if coef != zero:
+                xk = x_rows[k]
+                v = [f.sub(a, f.mul(coef, b)) for a, b in zip(v, xk)]
+        support = [c for c in range(n) if v[c] != zero]
+        if support:
+            j = max(support)
+            u[i][i] = v[j]
+            inv = f.inv(v[j])
+            x_rows[i] = [f.mul(inv, a) for a in v]
+        else:
+            j = max(free)
+            u[i][i] = zero
+            x_rows[i] = [one if c == j else zero for c in range(n)]
+        claimed[i] = j
+        free.discard(j)
+    images = [0] * n
+    for k in range(n):
+        images[claimed[k]] = k + 1
+    p = Permutation(tuple(images))
+    lower = [[x_rows[k][claimed[c]] for c in range(n)] for k in range(n)]
+    return UlpFactors(_square(f, u), _square(f, lower), p, "lower")
+
+
+def naive_ul_split(b):
+    """b = U @ L with U unipotent upper, L lower; None when impossible.  The
+    FieldSpec sweep that decomp._ul_split ran before it moved to integer
+    shape, kept verbatim: one solve_exact per row.
+
+    Rows of L are forced bottom-up: L_n = B_n, and each earlier row must
+    reduce, modulo the rows below it, to something supported on its leading
+    columns.  Lemma: the split exists iff, for every row i, b[i, >i] lies in
+    the row span of b[i+1:, >i], i.e. rank(b[i:, >i]) = rank(b[i+1:, >i]).
+    Proof: b[i+1:] = U' @ L[i+1:] with U' unipotent, so b[i+1:, >i] and
+    L[i+1:, >i] have one row span S; b[i, >i] = sum_{k>i} U[i, k] L[k, >i]
+    lies in S; conversely b[i, >i] in S gives t with b[i, >i] =
+    t @ L[i+1:, >i], and L[i] = b[i] - t @ L[i+1:] is zero past i.  So
+    this single pass succeeds exactly when every row passes.
+    """
+    from borelenv.decomp import _square
+    from borelenv.errors import ContractViolation
+    from borelenv.linalg import Matrix
+
+    f = b.field
+    n = b.nrows
+    zero, one = f.zero(), f.one()
+    l_rows: list[list] = [None] * n  # type: ignore[list-item]
+    u = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for i in range(n - 1, -1, -1):
+        tail = n - 1 - i
+        v = list(b.row(i))
+        if tail:
+            # coefficients t with sum_k t_k L_k matching v on columns > i
+            cols = range(i + 1, n)
+            a = Matrix(f, tail, tail, tuple(l_rows[k][c] for c in cols for k in range(i + 1, n)))
+            t = solve_exact(a, [v[c] for c in cols])
+            if t is None:
+                return None
+            for idx, k in enumerate(range(i + 1, n)):
+                u[i][k] = t[idx]
+                if t[idx] != zero:
+                    v = [f.sub(x, f.mul(t[idx], y)) for x, y in zip(v, l_rows[k])]
+        if any(v[c] != zero for c in range(i + 1, n)):
+            raise ContractViolation("residual row escaped its lower support")
+        l_rows[i] = v
+    return _square(f, u), _square(f, l_rows)
+
+
 def naive_ulp_upper(m):
     """The unipotent-upper ULP of square m by the complete permutation search.
 
     The direct branch moves the diagonal of the unipotent-lower factor into
-    l.  Otherwise _ul_split is run on m @ P_p^-1 for base.p, then for every
+    l.  Otherwise naive_ul_split is run on m @ P_p^-1 for base.p, then for every
     p of S_n in lexicographic order, and the first split wins; exhausting
     S_n proves UlpInfeasible.  n! eliminations on an infeasible input.
     """
     import itertools
 
-    from borelenv.decomp import UlpFactors, _square, _ul_split, _ulp_lower
+    from borelenv.decomp import UlpFactors, _square
     from borelenv.errors import UlpInfeasible
     from borelenv.weyl import Permutation
 
     f = m.field
     n = m.nrows
     zero = f.zero()
-    base = _ulp_lower(m)
+    base = naive_ulp_lower(m)
     diag = [base.u.at(i, i) for i in range(n)]
     if all(d != zero for d in diag):
         u = _square(f, [[f.div(base.u.at(i, k), diag[k]) for k in range(n)] for i in range(n)])
@@ -377,7 +524,7 @@ def naive_ulp_upper(m):
         if p.images in seen:
             continue
         seen.add(p.images)
-        split = _ul_split(m.permute_cols(p.inverse()))
+        split = naive_ul_split(m.permute_cols(p.inverse()))
         if split is not None:
             u, lower = split
             return UlpFactors(u, lower, p, "upper")

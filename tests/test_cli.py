@@ -1,5 +1,6 @@
 """CLI and JSON wire-format tests: round trips, exit codes, determinism."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -181,6 +182,28 @@ class TestCliDecomp:
         out = json.loads(capsys.readouterr().out)
         assert code == 1
         assert out["infeasible"] is True
+
+    # rational entries, so the sweeps carry row denominators; the stdout
+    # bytes of each command, pinned by sha256 (the CI smoke test runs the
+    # same four commands)
+    HALVES = [["1/2", 1, 0], [3, "2/3", 1], [0, 1, "5/7"]]
+    THIRDS = [["1/2", 1, "1/3"], [1, 2, "2/3"], ["3/4", "3/2", 1]]
+
+    @pytest.mark.parametrize("rows, args, digest", [
+        (HALVES, ["--kind", "ulp", "--normalize", "lower"],
+         "a13d6068884eb209d45687e7fde351bf3b7cfacaf0df20019913422247f3606b"),
+        (HALVES, ["--kind", "ulp", "--normalize", "upper"],
+         "fa97c6fe175dfc58aa62357bb141e99c2713b659d7ff183d6402564449140672"),
+        (HALVES, ["--kind", "bruhat"],
+         "687890a248f5230d769f9072d1adad5ec96a793f8e08a78c906e668096ec7550"),
+        (THIRDS, ["--kind", "ulp", "--normalize", "upper"],
+         "540771d2a8147532f081ea16fccf813b853a673bb2f6df78ac38b4acf8356f2c"),
+    ])
+    def test_rational_input_bytes(self, tmp_path, capsys, rows, args, digest):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": rows}))
+        assert main(["decomp", "--matrix", str(path), "--field", "q", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_output_entry_past_digit_limit_exits_two(self, tmp_path, capsys, int_str_digit_limit):
         # 2,200-digit entries parse, but the U factor holds a ~4,400-digit numerator

@@ -1,7 +1,9 @@
 """Factorization tests: Bruhat cells and ULP with both normalizations."""
 
+import dataclasses
 import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +11,7 @@ import borelenv.decomp as decomp
 from borelenv import jsonio
 from borelenv.decomp import bruhat_cell, bruhat_decompose, ulp_decompose
 from borelenv.envelope import envelope_certificate, verify_certificate
-from borelenv.errors import InvalidInput, NotInvertible, UlpInfeasible
+from borelenv.errors import ContractViolation, InvalidInput, NotInvertible, UlpInfeasible
 from borelenv.linalg import FieldSpec, Matrix
 from borelenv.rng import (
     SplitMix64,
@@ -21,7 +23,13 @@ from borelenv.rng import (
 )
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
 
-from reference import naive_bruhat_cell, naive_bruhat_decompose, naive_ulp_upper
+from reference import (
+    naive_bruhat_cell,
+    naive_bruhat_decompose,
+    naive_ul_split,
+    naive_ulp_lower,
+    naive_ulp_upper,
+)
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -39,6 +47,21 @@ SINGULAR_ROWS = [
     [[1, 2, 3], [0, 1, 1], [1, 2, 3]],
     [[1, 1, 1, 1], [1, 2, 3, 4], [2, 3, 4, 5], [0, 0, 1, 1]],
 ]
+
+
+
+
+def _entry_types(*matrices):
+    """Assert every entry is a field element of its matrix's field: a
+    Fraction over Q, an int in [0, p) over F_p; returns the type list."""
+    types = []
+    for m in matrices:
+        p = m.field.p
+        for x in m.entries:
+            assert type(x) is (Fraction if p is None else int)
+            assert p is None or 0 <= x < p
+            types.append(type(x))
+    return types
 
 
 class TestBruhat:
@@ -158,8 +181,9 @@ class TestBruhatDecomposeOracle:
                 if field.p is None and k % 2:  # non-integer entries
                     rows = [[x / (1 + rng.below(9)) for x in r] for r in g.rows_list()]
                     g = Matrix.from_rows(field, rows)
-                want = naive_bruhat_decompose(g)
-                assert _factors_repr(bruhat_decompose(g)) == _factors_repr(want)
+                got, want = bruhat_decompose(g), naive_bruhat_decompose(g)
+                assert _factors_repr(got) == _factors_repr(want)
+                assert _entry_types(got.u1, got.u2) == _entry_types(want.u1, want.u2)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_upper_permutation_upper(self, field):
@@ -170,9 +194,10 @@ class TestBruhatDecomposeOracle:
                 w = group[rng.below(len(group))]
                 g = random_upper_invertible(rng, field, n) @ perm_matrix(w, field)
                 g = g @ random_upper_invertible(rng, field, n)
-                f = bruhat_decompose(g)
+                f, want = bruhat_decompose(g), naive_bruhat_decompose(g)
                 assert f.s == w
-                assert _factors_repr(f) == _factors_repr(naive_bruhat_decompose(g))
+                assert _factors_repr(f) == _factors_repr(want)
+                assert _entry_types(f.u1, f.u2) == _entry_types(want.u1, want.u2)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_singular_rejected_by_both(self, field):
@@ -211,6 +236,53 @@ class TestPinnedBruhatFactors:
                 g = random_invertible(derive_stream(2025, k), field, n)
                 factors = jsonio.bruhat_to_json(bruhat_decompose(g))
                 digest.update(jsonio.dumps_canonical(factors).encode())
+        assert digest.hexdigest() == self.PINS[name]
+
+
+def _corner_input(rng, field, n):
+    """b @ ([[1, 1], [0, 0]] (+) I_{n-2}) @ P_w, b upper invertible: no
+    unipotent-upper ULP, since b keeps U @ L @ P_p in its shape."""
+    group = enumerate_group(n)
+    w = group[rng.below(len(group))]
+    b = random_upper_invertible(rng, field, n)
+    return b @ _split_corner(field, n) @ perm_matrix(w, field)
+
+
+class TestPinnedUlpFactors:
+    """The JSON bytes of both ULP normalizations, pinned by sha256, with the
+    infeasible marker where the unipotent-upper ULP does not exist.  For
+    each n = 1..6: a seeded invertible, two singular, a dense and (n >= 2)
+    an infeasible input; over Q the odd ones take non-integer entries."""
+
+    PINS = {
+        "F2": "2efbf43305af378cc38c3dce609077d5a4c90b4cab1b159d1929e78aa5ef5812",
+        "F101": "750f26d242451606bbfc14bca2c6888736b5897558077e4dbf9b7d26c31f9d35",
+        "Q": "689367e61ea7f15f258c3c26fe0e6689736524f9fb8d004a1a786c940231fa09",
+    }
+    KINDS = (random_invertible, random_singular, random_singular, random_matrix, _corner_input)
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_factor_bytes(self, name):
+        field = {"Q": Q, "F2": F2, "F101": F101}[name]
+        digest = hashlib.sha256()
+        infeasible = 0
+        for n in range(1, 7):
+            for k, make in enumerate(self.KINDS):
+                if make is _corner_input and n == 1:
+                    continue
+                rng = derive_stream(2026, len(self.KINDS) * n + k)
+                m = make(rng, field, n)
+                if field.p is None and k % 2:  # non-integer entries
+                    rows = [[x / (1 + rng.below(9)) for x in r] for r in m.rows_list()]
+                    m = Matrix.from_rows(field, rows)
+                for normalization in ("lower", "upper"):
+                    try:
+                        obj = jsonio.ulp_to_json(ulp_decompose(m, normalization))
+                    except UlpInfeasible:
+                        obj = {"kind": "ulp", "normalization": normalization, "infeasible": True}
+                        infeasible += 1
+                    digest.update(jsonio.dumps_canonical(obj).encode())
+        assert infeasible >= 5
         assert digest.hexdigest() == self.PINS[name]
 
 
@@ -353,7 +425,10 @@ class TestUlpUpperOracle:
     @staticmethod
     def _assert_matches(m):
         got = _upper_or_none(m, lambda x: ulp_decompose(x, "upper"))
-        assert got == _upper_or_none(m, naive_ulp_upper)
+        want = _upper_or_none(m, naive_ulp_upper)
+        assert got == want
+        if got is not None:
+            assert _entry_types(*got[:2]) == _entry_types(*want[:2])
         return got is None
 
     def test_f2_exhaustive_up_to_3x3(self):
@@ -387,9 +462,24 @@ class TestUlpUpperOracle:
 
             return wrapper
 
-        # in decomp only the rank test calls _rref_prim
-        monkeypatch.setattr(decomp, "_ul_split", counted("split", decomp._ul_split))
-        monkeypatch.setattr(decomp, "_rref_prim", counted("rank", decomp._rref_prim))
+        # the rank tests are the _rref_prim calls made outside _ul_split,
+        # which reads its own solutions off _rref_prim
+        inside = []
+        real_split, real_rank = decomp._ul_split, decomp._rref_prim
+
+        def split(*args):
+            inside.append(True)
+            try:
+                return real_split(*args)
+            finally:
+                inside.pop()
+
+        def rank(*args):
+            calls["rank"] += not inside
+            return real_rank(*args)
+
+        monkeypatch.setattr(decomp, "_ul_split", counted("split", split))
+        monkeypatch.setattr(decomp, "_rref_prim", rank)
         rng = SplitMix64(67)
         cases = [_split_corner(field, n) for field in (F2, Q) for n in range(2, 8)]
         cases += [random_singular(rng, field, 1 + k % 6) for field in (F2, F3, Q) for k in range(30)]
@@ -400,6 +490,113 @@ class TestUlpUpperOracle:
             assert calls["split"] <= 2
             assert calls["rank"] <= 2**m.nrows - 2
         assert infeasible > len(cases) // 10
+
+
+class TestUlpSweepOracle:
+    """_ulp_lower and _ul_split against the FieldSpec sweeps they replaced
+    (reference.naive_ulp_lower and naive_ul_split): the same factors, entry
+    by entry and type by type."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        if want is None:
+            assert got is None
+            return
+        assert got is not None
+        got_m = (got.u, got.l) if isinstance(got, decomp.UlpFactors) else got
+        want_m = (want.u, want.l) if isinstance(want, decomp.UlpFactors) else want
+        assert got == want
+        assert _entry_types(*got_m) == _entry_types(*want_m)
+
+    def _check(self, m, others=()):
+        base = decomp._ulp_lower(m)
+        self._assert_same(base, naive_ulp_lower(m))
+        for w in (base.p, *others):
+            b = m.permute_cols(w.inverse())
+            self._assert_same(decomp._ul_split(b), naive_ul_split(b))
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, F101, Q], ids=str)
+    def test_seeded_invertible_singular_zero(self, field):
+        rng = SplitMix64(601)
+        for n in range(1, 7):
+            group = enumerate_group(n)
+            self._check(Matrix.zeros(field, n, n), [group[-1]])
+            for k in range(12):
+                make = random_invertible if k % 3 == 0 else random_singular
+                m = make(rng, field, n)
+                if field.p is None and k % 2:  # non-integer entries
+                    rows = [[x / (1 + rng.below(9)) for x in r] for r in m.rows_list()]
+                    m = Matrix.from_rows(field, rows)
+                self._check(m, [group[rng.below(len(group))]])
+
+    def test_f2_3x3_exhaustive(self):
+        group = enumerate_group(3)
+        for ents in itertools.product(range(2), repeat=9):
+            self._check(Matrix(F2, 3, 3, ents), group)
+
+
+def _bump(m, i, j):
+    """m with entry (i, j) raised by one."""
+    ents = list(m.entries)
+    ents[i * m.ncols + j] += 1
+    return Matrix(m.field, m.nrows, m.ncols, tuple(ents))
+
+
+class TestSelfChecksLive:
+    """One wrong entry in a sweep's result trips the self-check meant for
+    it, over Q and over F_p."""
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=str)
+    @pytest.mark.parametrize("normalization, factor, at, message", [
+        ("lower", "u", (2, 0), "u factor is not upper triangular"),
+        ("upper", "l", (0, 2), "l factor is not lower triangular"),
+        ("lower", "l", (1, 1), "not unipotent"),
+        ("upper", "u", (1, 1), "not unipotent"),
+        ("lower", "u", (0, 2), "ULP recomposition failed"),
+        ("upper", "l", (2, 0), "ULP recomposition failed"),
+    ])
+    def test_ulp(self, monkeypatch, field, normalization, factor, at, message):
+        g = random_invertible(SplitMix64(71), field, 3)
+        ulp_decompose(g, normalization)
+        sweep = "_ulp_lower" if normalization == "lower" else "_ulp_upper"
+        real = getattr(decomp, sweep)
+
+        def corrupted(m):
+            f = real(m)
+            return dataclasses.replace(f, **{factor: _bump(getattr(f, factor), *at)})
+
+        monkeypatch.setattr(decomp, sweep, corrupted)
+        with pytest.raises(ContractViolation, match=message):
+            ulp_decompose(g, normalization)
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=str)
+    def test_ulp_singular_search(self, monkeypatch, field):
+        # the split found by the rank walk goes through the same checks
+        m = Matrix.from_rows(field, [[1, 1, 1], [1, 1, 2], [1, 1, 2]])
+        real = decomp._ul_split
+
+        def corrupted(b):
+            split = real(b)
+            return split and (_bump(split[0], 0, 2), split[1])
+
+        monkeypatch.setattr(decomp, "_ul_split", corrupted)
+        with pytest.raises(ContractViolation, match="ULP recomposition failed"):
+            ulp_decompose(m, "upper")
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=str)
+    @pytest.mark.parametrize("factor", ["u1", "u2"])
+    def test_bruhat(self, monkeypatch, field, factor):
+        g = random_invertible(SplitMix64(73), field, 3)
+        bruhat_decompose(g)
+        real = decomp.BruhatFactors
+
+        def corrupted(u1, s, u2):
+            f = real(u1, s, u2)
+            return dataclasses.replace(f, **{factor: _bump(getattr(f, factor), 0, 2)})
+
+        monkeypatch.setattr(decomp, "BruhatFactors", corrupted)
+        with pytest.raises(ContractViolation, match="Bruhat recomposition failed"):
+            bruhat_decompose(g)
 
 
 class TestUnreducedFpEntries:

