@@ -18,6 +18,7 @@ witness route needs only a small translate of the identity-plus-
 transpositions subset of S_n; the brute-force route
 (:func:`envelope_bruteforce`) sums the intersections directly, each as a
 small kernel in the algebra's own coordinates, and serves as the oracle.
+borel(g) is built from its two flags in echelon form (:class:`BorelConjugate`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Sequence
 
-from ._kernel import clear_denominators
+from ._kernel import _clear, clear_denominators, unit_row
 from .decomp import ulp_decompose
 from .errors import ContractViolation, InvalidInput, ResourceGuard
 from .linalg import (
@@ -81,6 +82,22 @@ def _flat(n: int, i: int, j: int) -> int:
     return (i - 1) * n + (j - 1)
 
 
+def _lead(v) -> int:
+    return v.index(next(filter(None, v)))  # the first nonzero value first occurs at the lead
+
+
+def _flag_echelon(p: int | None, vecs: list) -> list:
+    """Independent integer-shape vecs, each reduced by the earlier ones until
+    its lead is new (over F_p then scaled to 1): keeps every span(vecs[:k])."""
+    by_lead = {}
+    for v in vecs:
+        while (lead := _lead(v)) in by_lead:
+            row = by_lead[lead]
+            v = _clear(v, row, lead) if p is None else [(x - v[lead] * y) % p for x, y in zip(v, row)]
+        by_lead[lead] = unit_row(v, 1, lead, p)[0]
+    return list(by_lead.values())
+
+
 class BorelConjugate:
     """The Borel subalgebra g^-1 @ uppers @ g for a fixed invertible g.
 
@@ -88,6 +105,11 @@ class BorelConjugate:
     the brute-force oracle, both certificate routes and the caller then use
     one ``algebra``.  The defining matrix is validated eagerly; the subspace
     is computed lazily, once, and its dimension is checked there.
+
+    borel(g) is spanned by c_a ⊗ r_b, a <= b (c_a column a of g^-1, r_b row
+    b of g), and fixed by the flags span(c_1..c_a), span(r_b..r_n).  Their
+    echelon forms keep the flags, hence the span and its RREF, and give the
+    products distinct leads: sorted, they reach the RREF in echelon form.
     """
 
     def __init__(self, g: Matrix):
@@ -99,13 +121,11 @@ class BorelConjugate:
 
     @cached_property
     def algebra(self) -> Subspace:
-        # Row (a, b) is the outer product of column a of g^-1 and row b of g;
-        # rescaling a generator keeps the span, so each factor is made integral.
         n, f = self.n, self.g.field
-        cols = _int_shape(f, [self.g_inv.col(a) for a in range(n)])
-        rows = _int_shape(f, [self.g.row(b) for b in range(n)])
+        cols = _flag_echelon(f.p, _int_shape(f, [self.g_inv.col(a) for a in range(n)]))
+        rows = _flag_echelon(f.p, _int_shape(f, [self.g.row(b) for b in reversed(range(n))]))[::-1]
         gens = [[x * y for x in cols[a - 1] for y in rows[b - 1]] for a, b in upper_pairs(n)]
-        prim, rank, pivots = _rref_prim(f, gens, n * n)
+        prim, rank, pivots = _rref_prim(f, sorted(gens, key=_lead), n * n)
         if rank != n * (n + 1) // 2:
             raise ContractViolation("conjugated Borel has wrong dimension")
         return Subspace._from_prim(n * n, f, prim, pivots)
@@ -318,6 +338,19 @@ def _certificate_greedy(target: BorelConjugate, ws: Sequence[Permutation]) -> En
     return EnvelopeCertificate(target, tuple(entries), spans, tuple(ws))
 
 
+def _unipotent_inverse(u: Matrix) -> Matrix:
+    """u^-1 for a unipotent upper triangular u by back-substitution, in int or Fraction arithmetic."""
+    n, e = u.nrows, u.entries
+    if any(x.numerator != x.denominator for x in e[:: n + 1]):
+        raise ContractViolation("conjugated lower factor is not unipotent")
+    inv = [[int(c == r) for c in range(n)] for r in range(n)]
+    for i in range(n - 2, -1, -1):
+        for k in range(i + 1, n):
+            if e[i * n + k]:
+                inv[i][k:] = [x - e[i * n + k] * y for x, y in zip(inv[i][k:], inv[k][k:])]
+    return Matrix(u.field, n, n, tuple(x for r in inv for x in r))
+
+
 def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     """The witness route: entry (i, j) is P_q^-1 u2^-1 a u2 P_q, tagged s∘q,
     for the (i, j) witness a of u2, (1, x) read off row j of u2^-1.  right,
@@ -327,33 +360,31 @@ def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     (the escape claim conjugated by P_q) is a zero-pattern test on each
     vector, and the integer vectors must span borel(g) (one ``_span_int``).
     """
-    g = target.g
-    n, f = target.n, g.field
-    factors = ulp_decompose(g, "lower")
-    w0 = longest_element(n)
+    n, f = target.n, target.g.field
+    factors = ulp_decompose(target.g, "lower")
     # P_w0 @ l @ P_w0 reverses the row-major entries of l
     u2 = Matrix(f, n, n, factors.l.entries[::-1])
     if not u2.is_upper_triangular():
         raise ContractViolation("conjugated lower factor is not upper triangular")
-    q = compose(w0, factors.p)
-    u2_inv = inverse(u2)
+    q = compose(longest_element(n), factors.p)
+    u2_inv = _unipotent_inverse(u2)
     # right = u2 @ P_q, and its inverse is P_q^-1 @ u2^-1
     right, d = _int_rows(u2.permute_cols(q))
     left = u2_inv.permute_rows(q.inverse())
     cols = [clear_denominators(left.col(i)) for i in range(n)]
     coefs = [clear_denominators(u2_inv.row(j))[0] for j in range(n)]
-    entries, vecs = [], []
+    entries, vecs, zero = [], [], Fraction(0)
     for i, j in lower_pairs(n):
         (col, e), coef = cols[i - 1], coefs[j - 1]
         rowv = _witness_row(coef[j - 1 : i], right[j - 1 : i], f.p)
         vec = [a * b for a in col for b in rowv]
-        tag = compose(Permutation.transposition(n, i, j), q)
+        tag = Permutation(tuple(j if x == i else i if x == j else x for x in q.images))  # s∘q
         coords = _coordinate_support(borel_translate(tag, f))
         if any(x and c not in coords for c, x in enumerate(vec)):
             raise ContractViolation(f"witness ({i}, {j}) escaped its translate")
         den = e * coef[j - 1] * d  # the entry is vec / den
         if f.p is None:
-            entries.append((tuple(Fraction(x, den) for x in vec), tag))
+            entries.append((tuple(Fraction(x, den) if x else zero for x in vec), tag))
         else:
             scale = pow(den, f.p - 2, f.p)
             entries.append((tuple(x * scale % f.p for x in vec), tag))

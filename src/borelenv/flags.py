@@ -14,6 +14,8 @@ g^-1 @ b0 @ g); the bridge identity is
     stabilizer_algebra(flag_from_matrix(inverse(g))) == borel_from_g(g).algebra
 
 and both directions are kept deliberately, each in its home module.
+``stabilizer_algebra`` stays solved from the stability conditions, so that
+criterion 7's bridge compares two independent constructions.
 
 Tangent spaces are coordinatized concretely.  The tangent space of the
 flag variety at any point is identified with the strictly lower triangular

@@ -37,6 +37,7 @@ from borelenv.weyl import (
 from reference import (
     naive_borel_algebra,
     naive_certificate_devissage,
+    naive_inverse,
     naive_subspace_intersect,
     naive_witness_coefficients,
 )
@@ -151,6 +152,122 @@ class TestAlgebraMatchesNaive:
         field = FieldSpec.prime(2**61 - 1)
         for n in range(1, 5):
             self._assert_matches(random_invertible(rng, field, n))
+
+
+def _lead(row):
+    return next(c for c, x in enumerate(row) if x)
+
+
+class TestAlgebraStructuredFlags:
+    """The flag-echelon build of borel(g) on flags already in special
+    position, against naive_borel_algebra; the generators must reach the
+    RREF with pairwise distinct leads, sorted."""
+
+    FIELDS = (F2, F3, F101, Q)
+
+    @staticmethod
+    def _assert_matches(g, monkeypatch):
+        seen = []
+        real = envelope._rref_prim
+
+        def recording(field, rows, width):
+            seen.append([_lead(r) for r in rows])
+            return real(field, rows, width)
+
+        monkeypatch.setattr(envelope, "_rref_prim", recording)
+        algebra = envelope.BorelConjugate(g).algebra
+        monkeypatch.undo()
+        rows, rank, _ = naive_borel_algebra(g)
+        n = g.nrows
+        assert algebra.dim == rank == n * (n + 1) // 2
+        assert list(algebra.rows()) == rows
+        (leads,) = seen
+        assert len(leads) == rank and all(a < b for a, b in zip(leads, leads[1:]))
+
+    @staticmethod
+    def _lower(u):
+        # P_w0 @ u @ P_w0 reverses the row-major entries
+        return Matrix(u.field, u.nrows, u.ncols, u.entries[::-1])
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_permutation_matrices_s4(self, field, monkeypatch):
+        for w in enumerate_group(4):
+            self._assert_matches(perm_matrix(w, field), monkeypatch)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_triangular(self, field, monkeypatch):
+        rng = SplitMix64(307)
+        for n in range(1, 7):
+            for _ in range(2):
+                u = random_upper_invertible(rng, field, n)
+                self._assert_matches(u, monkeypatch)
+                self._assert_matches(self._lower(u), monkeypatch)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_bruhat_products(self, field, monkeypatch):
+        rng = SplitMix64(311)
+        for n in range(1, 7):
+            ws = enumerate_group(n)
+            for _ in range(3):
+                w = ws[rng.below(len(ws))]
+                b1, b2 = (random_upper_invertible(rng, field, n) for _ in range(2))
+                self._assert_matches(b1 @ perm_matrix(w, field) @ b2, monkeypatch)
+
+    @pytest.mark.parametrize("p", [None, 2, 101])
+    def test_flag_echelon_keeps_every_prefix_span(self, p):
+        field = Q if p is None else FieldSpec.prime(p)
+        rng = SplitMix64(313)
+        for n in range(1, 7):
+            g = random_invertible(rng, field, n)
+            vecs = envelope._int_shape(field, g.rows_list())
+            out = envelope._flag_echelon(p, vecs)
+            assert sorted(_lead(v) for v in out) == list(range(n))
+            assert p is None or all(v[_lead(v)] == 1 for v in out)
+            for k in range(1, n + 1):
+                want = subspace_from_rows(n, g.rows_list()[:k], field)
+                assert subspace_from_rows(n, out[:k], field) == want
+
+
+class TestUnipotentInverse:
+    """The back-substitution inverse of a unipotent upper triangular u
+    against naive Gauss-Jordan, and the restricted route's unipotency check."""
+
+    @pytest.mark.parametrize("p", [None, 2, 101, 2**31 - 1])
+    def test_matches_naive_inverse(self, p):
+        field = Q if p is None else FieldSpec.prime(p)
+        rng = SplitMix64(317 + (p or 0))
+        for n in range(1, 9):
+            for _ in range(3):
+                rows = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    rows[i][i] = 1
+                    for j in range(i + 1, n):
+                        if p is None:
+                            rows[i][j] = Fraction(rng.randint(-9, 9), 1 + rng.below(7))
+                        else:
+                            rows[i][j] = rng.below(p)
+                u = Matrix.from_rows(field, rows)
+                got = envelope._unipotent_inverse(u)
+                assert got.rows_list() == naive_inverse(u.rows_list(), p)
+                assert got == inverse(u)
+
+    def test_non_unipotent_factor_raises(self, monkeypatch):
+        from dataclasses import replace
+
+        real = envelope.ulp_decompose
+
+        def doubled_diagonal(m, normalization="lower"):
+            factors = real(m, normalization)
+            n, ents = m.nrows, list(factors.l.entries)
+            ents[n + 1] *= 2  # l[2, 2]: still lower triangular, no longer unipotent
+            return replace(factors, l=Matrix(m.field, n, n, tuple(ents)))
+
+        monkeypatch.setattr(envelope, "ulp_decompose", doubled_diagonal)
+        g = random_invertible(SplitMix64(331), Q, 3)
+        cert = None
+        with pytest.raises(ContractViolation, match="unipotent"):
+            cert = envelope_certificate(g, restricted=True)
+        assert cert is None
 
 
 class TestBorelFromGShared:
