@@ -18,7 +18,8 @@ witness route needs only a small translate of the identity-plus-
 transpositions subset of S_n; the brute-force route
 (:func:`envelope_bruteforce`) sums the intersections directly, each as a
 small kernel in the algebra's own coordinates, and serves as the oracle.
-borel(g) is built from its two flags in echelon form (:class:`BorelConjugate`).
+borel(g) is built from g's row flag alone, with no inverse: the column flag
+of g^-1 is read off that flag's echelon form (:class:`BorelConjugate`).
 """
 
 from __future__ import annotations
@@ -26,21 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
-from ._kernel import _clear, clear_denominators, unit_row
+from ._kernel import _clear, _primitive, clear_denominators, unit_row
 from .decomp import ulp_decompose
-from .errors import ContractViolation, InvalidInput, ResourceGuard
-from .linalg import (
-    FieldSpec,
-    Matrix,
-    SpanAccumulator,
-    Subspace,
-    inverse,
-    subspace_intersect,
-)
-from .linalg import _coordinate_kernel, _coordinate_subspace, _coordinate_support, _int_shape, _rref_prim, _span_int
+from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
+from .linalg import FieldSpec, Matrix, SpanAccumulator, Subspace, inverse, subspace_intersect
+from .linalg import _coordinate_kernel, _coordinate_subspace, _coordinate_support, _int_shape, _rank, _rref_prim, _span_int
 from .weyl import (
     Permutation,
     compose,
@@ -107,9 +101,14 @@ class BorelConjugate:
     is computed lazily, once, and its dimension is checked there.
 
     borel(g) is spanned by c_a ⊗ r_b, a <= b (c_a column a of g^-1, r_b row
-    b of g), and fixed by the flags span(c_1..c_a), span(r_b..r_n).  Their
-    echelon forms keep the flags, hence the span and its RREF, and give the
-    products distinct leads: sorted, they reach the RREF in echelon form.
+    b of g), and fixed by the flags span(c_1..c_a), span(r_b..r_n).  g^-1 is
+    not formed.  The rows in echelon form from the bottom, r'_b, keep the row
+    flag (a row vanishes iff g is singular); sorted by lead they make an
+    upper triangular E, and column lead(r'_a) of E^-1 is orthogonal to every
+    r'_b, b != a, so lies in ker(r_{a+1}..r_n) = span(c_1..c_a) but not in
+    span(c_1..c_{a-1}).  Echelon forms of both flags keep the span, hence
+    its RREF, and give the products distinct leads: sorted, they reach the
+    RREF in echelon form.
     """
 
     def __init__(self, g: Matrix):
@@ -117,18 +116,38 @@ class BorelConjugate:
             raise InvalidInput("conjugating matrix must be square")
         self.g = g
         self.n = g.nrows
-        self.g_inv = inverse(g)  # raises NotInvertible for singular input
+        try:  # a row reduced to zero has no lead
+            self._rows = _flag_echelon(g.field.p, _int_shape(g.field, g.rows_list()[::-1]))[::-1]
+        except StopIteration:
+            raise NotInvertible(f"matrix of rank {_rank(g)} < {g.nrows}") from None
 
     @cached_property
     def algebra(self) -> Subspace:
-        n, f = self.n, self.g.field
-        cols = _flag_echelon(f.p, _int_shape(f, [self.g_inv.col(a) for a in range(n)]))
-        rows = _flag_echelon(f.p, _int_shape(f, [self.g.row(b) for b in reversed(range(n))]))[::-1]
+        n, f, rows = self.n, self.g.field, self._rows
+        e = {_lead(r): r for r in rows}  # keys in flag order
+        cols = _flag_echelon(f.p, [_inverse_col(e, c, f.p) for c in e])
         gens = [[x * y for x in cols[a - 1] for y in rows[b - 1]] for a, b in upper_pairs(n)]
         prim, rank, pivots = _rref_prim(f, sorted(gens, key=_lead), n * n)
         if rank != n * (n + 1) // 2:
             raise ContractViolation("conjugated Borel has wrong dimension")
         return Subspace._from_prim(n * n, f, prim, pivots)
+
+
+def _inverse_col(e: dict, c: int, p: int | None):
+    """Column c of E^-1 up to a nonzero factor, E upper triangular with row
+    e[i] at lead i, by back-substitution that divides by nothing: over F_p
+    the leads are 1, over Q each step rescales; primitive over Q."""
+    x = [0] * len(e)
+    x[c] = 1
+    for i in range(c - 1, -1, -1):
+        s = sum(e[i][k] * x[k] for k in range(i + 1, c + 1))
+        if p is not None:
+            x[i] = -s % p
+        elif s:
+            g = gcd(e[i][i], s)
+            x = [y * (e[i][i] // g) for y in x]
+            x[i] = -s // g
+    return x if p is not None else _primitive(x, c)
 
 
 @lru_cache(maxsize=8)

@@ -37,9 +37,9 @@ from functools import cached_property, lru_cache
 
 from .decomp import bruhat_cell
 from .envelope import _intersection_sum, borel_translate
-from .errors import ContractViolation, InvalidInput, ResourceGuard
+from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
 from .linalg import FieldSpec, Matrix, Subspace, inverse, subspace_from_rows, subspace_intersect
-from .linalg import _kernel_rows, _span_int
+from .linalg import _kernel_rows, _rank, _span_int
 from .weyl import Permutation, enumerate_group
 
 __all__ = [
@@ -63,7 +63,8 @@ def chart_dim(n: int) -> int:
 
 
 class Flag:
-    """A complete flag, held as an adapted basis plus canonical steps."""
+    """A complete flag, held as an adapted basis plus canonical steps; the
+    basis is checked by rank and inverted only when first asked."""
 
     def __init__(self, adapted_basis: Matrix):
         if not adapted_basis.is_square:
@@ -71,7 +72,12 @@ class Flag:
         self.adapted_basis = adapted_basis
         self.n = adapted_basis.nrows
         self.field = adapted_basis.field
-        self._inverse = inverse(adapted_basis)  # raises NotInvertible when degenerate
+        if (rank := _rank(adapted_basis)) < self.n:
+            raise NotInvertible(f"matrix of rank {rank} < {self.n}")
+
+    @cached_property
+    def _inverse(self) -> Matrix:
+        return inverse(self.adapted_basis)
 
     @cached_property
     def steps(self) -> tuple[Subspace, ...]:

@@ -16,7 +16,9 @@ pair that regenerates it.  ``_fail`` is the one place a criterion is marked fail
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from . import jsonio
 from .decomp import bruhat_cell, bruhat_decompose, ulp_decompose
@@ -125,17 +127,13 @@ def _fail(result: CriterionResult, failure: dict) -> CriterionResult:
     return result
 
 
-def gl2_elements(field: FieldSpec):
-    """Every invertible 2x2 matrix over a (small) prime field."""
+@lru_cache(maxsize=4)
+def gl2_elements(field: FieldSpec) -> tuple[Matrix, ...]:
+    """Every invertible 2x2 matrix over a (small) prime field, built once per
+    field (the last four are kept); errors are raised again on every call."""
     p = field.p
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p != 0:
-                        out.append(Matrix.from_rows(field, [[a, b], [c, d]]))
-    return out
+    quads = itertools.product(range(p), repeat=4)
+    return tuple(Matrix(field, 2, 2, q) for q in quads if (q[0] * q[3] - q[1] * q[2]) % p)
 
 
 def _drive(name, trial, fields, ns, samples, seed, *, cycled=False, prelude=None, tallies=()):

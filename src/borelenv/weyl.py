@@ -128,11 +128,12 @@ def perm_matrix(w: Permutation, field: FieldSpec) -> Matrix:
     return Matrix(field, n, n, tuple(ents))
 
 
+@lru_cache(maxsize=16)
 def transposition_set(n: int) -> tuple[Permutation, ...]:
     """The identity together with all transpositions, (n^2-n+2)/2 elements.
 
     Order is deterministic: identity first, then transpositions (i, j) with
-    i > j sorted lexicographically by (j, i).
+    i > j sorted lexicographically by (j, i).  Built once per n (16 kept).
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")

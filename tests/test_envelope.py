@@ -24,6 +24,7 @@ from borelenv.flags import flag_from_matrix, stabilizer_algebra
 from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows, subspace_sum, subspace_intersect
 from borelenv.linalg import _coordinate_kernel
 from borelenv.rng import SplitMix64, derive_stream, random_invertible, random_upper_invertible
+from borelenv.verify import gl2_elements
 from borelenv.weyl import (
     Permutation,
     compose,
@@ -152,6 +153,67 @@ class TestAlgebraMatchesNaive:
         field = FieldSpec.prime(2**61 - 1)
         for n in range(1, 5):
             self._assert_matches(random_invertible(rng, field, n))
+
+    # upper and lower triangular g: TestAlgebraStructuredFlags.test_triangular
+    def test_all_of_gl2(self):
+        gs = gl2_elements(F2) + gl2_elements(F3)
+        assert len(gs) == 54
+        for g in gs:
+            self._assert_matches(g)
+
+    @pytest.mark.parametrize("field", (F2, F3, Q), ids=str)
+    def test_every_permutation_matrix_to_n4(self, field):
+        for n in range(1, 5):
+            for w in enumerate_group(n):
+                self._assert_matches(perm_matrix(w, field))
+
+    @pytest.mark.parametrize("field", (F2, F3, Q), ids=str)
+    def test_bruhat_products_n4_n5(self, field):
+        # b1 @ P_w @ b2 keeps every row dense, so the row echelon and the
+        # back-substitution of each inverse column run their full length
+        rng = SplitMix64(239)
+        for n in (4, 5):
+            ws = enumerate_group(n)
+            for w in (ws[0], ws[-1], *(ws[rng.below(len(ws))] for _ in range(4))):
+                b1, b2 = (random_upper_invertible(rng, field, n) for _ in range(2))
+                self._assert_matches(b1 @ perm_matrix(w, field) @ b2)
+
+
+class TestSingularInput:
+    """Singular matrices whose dependence shows only once rows are reduced:
+    the row echelon of borel(g) and the rank check of a flag reject them
+    when they are built, with the rank in the message, and no other error
+    escapes."""
+
+    CASES = [
+        (Q, [[1, 2], [2, 4]], 1),
+        (F5, [[1, 2], [6, 7]], 1),  # equal rows mod 5
+        (Q, [[0, 0], [3, 1]], 1),  # zero top row
+        (F3, [[2, 1], [0, 0]], 1),  # zero bottom row
+        (Q, [[1, 3, 5], [1, 0, 2], [0, 3, 3]], 2),  # r1 = r2 + r3
+        (F2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]], 2),  # r1 = r2 + r3
+        (F101, [[0, 0, 0], [0, 0, 0], [0, 0, 0]], 0),
+    ]
+
+    @pytest.mark.parametrize("field, rows, rank", CASES, ids=lambda c: str(c) if isinstance(c, FieldSpec) else None)
+    def test_rejected_when_built(self, field, rows, rank):
+        g = Matrix.from_rows(field, rows)
+        message = f"^matrix of rank {rank} < {g.nrows}$"
+        for build in (borel_from_g, envelope.BorelConjugate, flag_from_matrix):
+            with pytest.raises(NotInvertible, match=message):
+                build(g)
+        with pytest.raises(NotInvertible, match=message):
+            inverse(g)
+
+    def test_every_singular_2x2_over_f3(self):
+        for ents in itertools.product(range(3), repeat=4):
+            g = Matrix(F3, 2, 2, ents)
+            if (ents[0] * ents[3] - ents[1] * ents[2]) % 3:
+                continue
+            rank = 1 if any(ents) else 0
+            for build in (borel_from_g, flag_from_matrix):
+                with pytest.raises(NotInvertible, match=f"rank {rank} < 2"):
+                    build(g)
 
 
 def _lead(row):

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import sys
 import threading
 from types import SimpleNamespace
 
 import pytest
 
-from borelenv import envelope, flags, jsonio, verify
+from borelenv import envelope, flags, jsonio, linalg, verify
 from borelenv.cli import main
 from borelenv.errors import InvalidInput, UlpInfeasible
 from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows
@@ -92,6 +93,25 @@ class TestGL2:
     def test_counts(self):
         assert len(gl2_elements(F2)) == 6
         assert len(gl2_elements(F3)) == 48
+
+
+class TestInverseCalls:
+    def test_one_inverse_per_tangent_cover_check(self, monkeypatch):
+        # the bridge inverts h once; neither flag(h) nor borel(h^-1) inverts
+        real, calls = linalg.inverse, []
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "borelenv" or name.startswith("borelenv."):
+                for key, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, key, counting)
+        result = tangent_cover((F2, F5, Q), [2, 3], 2, seed=1)
+        assert result.passed and result.counts["checked"] == 54 + 3 * 4
+        assert len(calls) == result.counts["checked"]
 
 
 class TestSuites:
