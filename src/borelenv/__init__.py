@@ -28,7 +28,6 @@ from .errors import (
     InvalidInput,
     NotInvertible,
     ResourceGuard,
-    SingularSystem,
     UlpInfeasible,
 )
 from .flags import (
@@ -52,7 +51,6 @@ from .linalg import (
     rref,
     subspace_from_rows,
     subspace_intersect,
-    subspace_sum,
 )
 from .weyl import (
     Permutation,

@@ -7,7 +7,8 @@ row-major flattening.  The conjugation convention here is
 
 so ``borel_from_g(identity)`` is the upper triangular algebra and
 ``borel_from_g(P_w0)`` the lower triangular one.  (The flag module uses
-the opposite stabilizer convention g @ b0 @ g^-1; the two meet through
+the opposite stabilizer convention g @ b0 @ g^-1 and builds it with the
+same :func:`_borel_span`, as a transpose; the two meet through
 ``stabilizer_algebra(flag_from_matrix(inverse(g))) == borel_from_g(g)``.)
 
 The central fact made executable here: every Borel subalgebra equals the
@@ -122,15 +123,26 @@ class BorelConjugate:
             raise NotInvertible(f"matrix of rank {_rank(g)} < {g.nrows}") from None
 
     @cached_property
+    def _cols(self) -> list:
+        """The column flag of g^-1 in echelon form, read off ``_rows``."""
+        p = self.g.field.p
+        e = {_lead(r): r for r in self._rows}  # keys in flag order
+        return _flag_echelon(p, [_inverse_col(e, c, p) for c in e])
+
+    @cached_property
     def algebra(self) -> Subspace:
-        n, f, rows = self.n, self.g.field, self._rows
-        e = {_lead(r): r for r in rows}  # keys in flag order
-        cols = _flag_echelon(f.p, [_inverse_col(e, c, f.p) for c in e])
-        gens = [[x * y for x in cols[a - 1] for y in rows[b - 1]] for a, b in upper_pairs(n)]
-        prim, rank, pivots = _rref_prim(f, sorted(gens, key=_lead), n * n)
-        if rank != n * (n + 1) // 2:
-            raise ContractViolation("conjugated Borel has wrong dimension")
-        return Subspace._from_prim(n * n, f, prim, pivots)
+        return _borel_span(self.g.field, self._cols, self._rows)
+
+
+def _borel_span(f: FieldSpec, left: list, right: list) -> Subspace:
+    """span(left[a] ⊗ right[b] : a <= b) for two echelon flags in integer
+    shape (see :class:`BorelConjugate`), checked to have dimension n(n+1)/2."""
+    n = len(left)
+    gens = [[x * y for x in left[a - 1] for y in right[b - 1]] for a, b in upper_pairs(n)]
+    prim, rank, pivots = _rref_prim(f, sorted(gens, key=_lead), n * n)
+    if rank != n * (n + 1) // 2:
+        raise ContractViolation("conjugated Borel has wrong dimension")
+    return Subspace._from_prim(n * n, f, prim, pivots)
 
 
 def _inverse_col(e: dict, c: int, p: int | None):

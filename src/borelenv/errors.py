@@ -13,10 +13,6 @@ class NotInvertible(BorelenvError):
     """A square matrix required to be invertible is singular."""
 
 
-class SingularSystem(BorelenvError):
-    """A triangular system has a zero diagonal entry and cannot be solved."""
-
-
 class ResourceGuard(BorelenvError):
     """An operation was asked for a size beyond its hard enumeration guard."""
 

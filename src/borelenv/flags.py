@@ -13,9 +13,12 @@ g^-1 @ b0 @ g); the bridge identity is
 
     stabilizer_algebra(flag_from_matrix(inverse(g))) == borel_from_g(g).algebra
 
-and both directions are kept deliberately, each in its home module.
-``stabilizer_algebra`` stays solved from the stability conditions, so that
-criterion 7's bridge compares two independent constructions.
+and both directions are kept deliberately, each in its home module.  Both
+algebras come from one builder: stab(flag(h)) is the transpose of
+borel(P_w0 @ h^T), read from h's columns.  So criterion 7's bridge,
+stab(flag(h)) == borel(inverse(h)), checks that ``linalg.inverse`` agrees
+with the builder's back-substitution, read from h's columns on one side
+and from inverse(h)'s rows on the other.
 
 Tangent spaces are coordinatized concretely.  The tangent space of the
 flag variety at any point is identified with the strictly lower triangular
@@ -26,8 +29,9 @@ is then stab(F) ⊕ chart inside k^(n^2) ⊕ k^(n(n-1)/2), and the fiber
 square over 0 has tangent chart ⊕ (stab ∩ stab) ⊕ chart.  The coordinate
 flag of w has stabilizer borel(P_w^-1), so the tangent sum is the envelope
 sum of stab(F_h) over S_n, run by the loop of :mod:`borelenv.envelope` in
-stab(F_h)'s own coordinates (one small kernel per w); the n! fiber
-tangents through ``tangent_fiber`` and ``dpi2`` are its test oracle.
+stab(F_h)'s own coordinates (one small kernel per w).  The n! fiber
+tangents through ``tangent_fiber`` and ``dpi2`` are its test oracle; the
+builder's is the stability conditions, solved as one kernel in the tests.
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .decomp import bruhat_cell
-from .envelope import _intersection_sum, borel_translate
+from .envelope import BorelConjugate, _borel_span, _intersection_sum, borel_translate
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
-from .linalg import FieldSpec, Matrix, Subspace, inverse, subspace_from_rows, subspace_intersect
-from .linalg import _kernel_rows, _rank, _span_int
+from .linalg import FieldSpec, Matrix, Subspace, _rank, inverse, subspace_from_rows, subspace_intersect
 from .weyl import Permutation, enumerate_group
 
 __all__ = [
@@ -109,22 +112,18 @@ def flag_from_matrix(g: Matrix) -> Flag:
 def stabilizer_algebra(f: Flag) -> Subspace:
     """{M in gl_n : M F_i ⊆ F_i for all i}, as a subspace of k^(n^2).
 
-    Solved directly from the linear stability conditions (the conjugation
-    formula g @ b0 @ g^-1 is kept as an independent oracle in the tests).
+    For the adapted basis h this is h @ b0 @ h^-1, the transpose of
+    borel(P_w0 @ h^T), whose rows are h's columns in reverse order.  As
+    (c ⊗ r)^T = r ⊗ c, it is spanned by r_b ⊗ c_a, a <= b, for the echelon
+    flags (c, r) of that borel; both lists reversed, the pairs again run
+    a <= b, so the builder of ``BorelConjugate.algebra`` serves unchanged.
     Cached with a small bound: the tangent cover asks once per flag, so
     hits come from callers that repeat a flag, and the bound keeps a long
     run from holding the flag of every h it has seen.
     """
-    n, fld = f.n, f.field
-    constraints = []
-    for step in f.steps[:-1]:  # F_n imposes nothing
-        annihilator = _kernel_rows(fld, step.prim_rows(), n)
-        for v in step.prim_rows():
-            for z in annihilator:
-                # (M v) . z = 0  <=>  sum_{r,c} z_r v_c M[r][c] = 0, and
-                # rescaling v or z keeps it, so integer shapes serve
-                constraints.append([zr * vc for zr in z for vc in v])
-    return _span_int(fld, _kernel_rows(fld, constraints, n * n), n * n)
+    h, n = f.adapted_basis, f.n
+    b = BorelConjugate(Matrix(f.field, n, n, tuple(x for j in range(n - 1, -1, -1) for x in h.col(j))))
+    return _borel_span(f.field, b._rows[::-1], b._cols[::-1])
 
 
 def relative_position(f1: Flag, f2: Flag) -> Permutation:

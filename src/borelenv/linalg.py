@@ -46,7 +46,6 @@ __all__ = [
     "kernel",
     "subspace_from_rows",
     "subspace_intersect",
-    "subspace_sum",
 ]
 
 
@@ -542,19 +541,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         if not any(row[:width]):
             out.append(row[width:])
     return _span_int(f, out, width)
-
-
-def subspace_sum(parts: Sequence[Subspace]) -> Subspace:
-    """Canonical span of the union of the given subspaces' bases."""
-    parts = list(parts)
-    if not parts:
-        raise InvalidInput("subspace_sum of an empty sequence (ambient unknown)")
-    first = parts[0]
-    rows = []
-    for s in parts:
-        _check_compatible(first, s)
-        rows.extend(list(r) for r in s.prim_rows())
-    return _span_int(first.field, rows, first.ambient_dim)
 
 
 class SpanAccumulator:

@@ -1,0 +1,25 @@
+import signal
+
+import pytest
+
+# The slowest test takes about 6 s; a hang fails by name at this bound
+# instead of running to the CI job's time limit.
+TEST_SECONDS = 120
+
+
+@pytest.fixture(autouse=True)
+def _time_bound(request):
+    if not hasattr(signal, "SIGALRM"):  # no alarm signal on Windows
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{request.node.nodeid} ran past {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

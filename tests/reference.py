@@ -322,16 +322,43 @@ def naive_borel_algebra(g):
     return red[:rank], rank, pivots
 
 
+def naive_subspace_sum(parts):
+    """Canonical span of the union of the given subspaces' bases (at least
+    one part, all in one ambient space over one field)."""
+    from borelenv.linalg import subspace_from_rows
+
+    first = parts[0]
+    return subspace_from_rows(first.ambient_dim, [r for s in parts for r in s.rows()], field=first.field)
+
+
+def naive_stabilizer_algebra(f):
+    """{M in gl_n : M F_i ⊆ F_i for all i}, solved from the stability
+    conditions: for each step F_i but the last, every basis vector v of F_i
+    and z of its annihilator give (M v) . z = 0, one linear condition on the
+    n^2 entries of M; the stabilizer is the kernel of all of them.
+    """
+    from borelenv.linalg import Matrix, kernel
+
+    n, field = f.n, f.field
+    conditions = []
+    for step in f.steps[:-1]:  # F_n imposes nothing
+        annihilator = kernel(step.basis).rows()
+        for v in step.rows():
+            for z in annihilator:
+                conditions.extend(field.mul(zr, vc) for zr in z for vc in v)
+    return kernel(Matrix(field, len(conditions) // (n * n), n * n, tuple(conditions)))
+
+
 def fiber_tangent_sum(h):
     """(holds, ledger, gl_n block) of the tangent cover, the long way round.
 
     For every w in S_n: the coordinate flag of w as a Flag, the fiber
     tangent space at (flag(w), flag(h)) and its dpi2 projection.  The
-    projections are summed in one subspace_sum, and the gl_n block is read
-    off the rows of that sum.  Only public API is used.
+    projections are summed in one naive_subspace_sum, and the gl_n block is
+    read off the rows of that sum.  Only public API is used.
     """
     from borelenv.flags import chart_dim, dpi2, flag_from_matrix, tangent_fiber, tangent_gtilde
-    from borelenv.linalg import subspace_from_rows, subspace_sum
+    from borelenv.linalg import subspace_from_rows
     from borelenv.weyl import enumerate_group, perm_matrix
 
     n, field = h.nrows, h.field
@@ -341,9 +368,13 @@ def fiber_tangent_sum(h):
         fiber = tangent_fiber(flag_from_matrix(perm_matrix(w, field)), fh)
         ledger.append((w, fiber.space.dim - 2 * chart_dim(n)))
         parts.append(dpi2(fiber))
-    total = subspace_sum(parts)
+    total = naive_subspace_sum(parts)
     gl = subspace_from_rows(n * n, [list(r)[: n * n] for r in total.rows()], field=field)
     return total == tangent_gtilde(fh).space, tuple(ledger), gl
+
+
+class SingularSystem(Exception):
+    """A triangular system has a zero diagonal entry and cannot be solved."""
 
 
 def solve_lower_triangular(lower, rhs):
@@ -353,7 +384,7 @@ def solve_lower_triangular(lower, rhs):
     SingularSystem.  ``rhs`` is a column matrix; the unique solution column
     is returned.
     """
-    from borelenv.errors import InvalidInput, SingularSystem
+    from borelenv.errors import InvalidInput
     from borelenv.linalg import Matrix
 
     if not lower.is_square:

@@ -21,7 +21,7 @@ from borelenv.envelope import (
 )
 from borelenv.errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
 from borelenv.flags import flag_from_matrix, stabilizer_algebra
-from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows, subspace_sum, subspace_intersect
+from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows, subspace_intersect
 from borelenv.linalg import _coordinate_kernel
 from borelenv.rng import SplitMix64, derive_stream, random_invertible, random_upper_invertible
 from borelenv.verify import gl2_elements
@@ -40,6 +40,7 @@ from reference import (
     naive_certificate_devissage,
     naive_inverse,
     naive_subspace_intersect,
+    naive_subspace_sum,
     naive_witness_coefficients,
 )
 
@@ -726,7 +727,7 @@ class TestBruteforce:
                 g = random_invertible(rng, field, n)
                 target = borel_from_g(g).algebra
                 group = list(enumerate_group(n))
-                full = subspace_sum(
+                full = naive_subspace_sum(
                     [subspace_intersect(target, borel_translate(w, field)) for w in group]
                 )
                 shuffled = list(group)
@@ -752,7 +753,7 @@ class TestBruteforce:
                     rots[1:] + [longest_element(n)],
                 ]
                 for ws in filter(None, subsets):  # at n = 2 all of S_2 is rotations
-                    expected = subspace_sum(
+                    expected = naive_subspace_sum(
                         [subspace_intersect(target, borel_translate(w, field)) for w in ws]
                     )
                     assert envelope_bruteforce(g, ws) == expected
@@ -810,7 +811,7 @@ class TestIntersectionSum:
                 for algebra in (a for g in gs for a in self._algebras(g)):
                     group = enumerate_group(n)
                     terms = [subspace_intersect(algebra, borel_translate(w, field)) for w in group]
-                    assert envelope._intersection_sum(algebra, group) == subspace_sum(terms)
+                    assert envelope._intersection_sum(algebra, group) == naive_subspace_sum(terms)
 
     def test_tail_after_the_rotations(self, monkeypatch):
         calls = []
@@ -881,7 +882,7 @@ class TestGl2SpecValues:
     def test_sum_of_the_two_intersections_recovers_uppers(self):
         b0 = borel_translate(Permutation.identity(2), Q)
         diag = subspace_intersect(b0, borel_translate(longest_element(2), Q))
-        assert subspace_sum([b0, diag]) == b0
+        assert naive_subspace_sum([b0, diag]) == b0
         assert b0.dim == 3
 
 

@@ -18,7 +18,6 @@ from borelenv.linalg import (
     Matrix,
     inverse,
     subspace_from_rows,
-    subspace_sum,
 )
 from borelenv.rng import SplitMix64
 from borelenv.weyl import Permutation, enumerate_group, longest_element, transposition_set
@@ -41,7 +40,6 @@ CASES = [
     ("Matrix.at out of range", InvalidInput, "out of range", lambda: I2.at(2, 0)),
     ("inverse non-square", InvalidInput, "non-square", lambda: inverse(WIDE)),
     ("ulp normalization", InvalidInput, "normalization", lambda: ulp_decompose(I2, "middle")),
-    ("subspace_sum empty", InvalidInput, "empty", lambda: subspace_sum([])),
     ("solve_exact wrong length", InvalidInput, "length", lambda: solve_exact(I2, [1, 2, 3])),
     (
         "Subspace.contains wrong length",

@@ -23,9 +23,9 @@ from borelenv.flags import (
 )
 from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subspace_intersect
 from borelenv.rng import SplitMix64, random_invertible, random_matrix, random_upper_invertible
-from borelenv.verify import tangent_cover
+from borelenv.verify import gl2_elements, tangent_cover
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
-from reference import fiber_tangent_sum, naive_relative_position
+from reference import fiber_tangent_sum, naive_relative_position, naive_stabilizer_algebra
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -104,6 +104,19 @@ class TestStabilizer:
                 n = 2 + rng.below(3)
                 g = random_invertible(rng, field, n)
                 assert stabilizer_algebra(flag_from_matrix(g)) == conjugated_uppers(g)
+
+    def test_matches_stability_solve(self):
+        # the echelon builder against the stability conditions solved as a
+        # kernel: every flag of GL_2(F_2) and GL_2(F_3), and 40 seeded h per
+        # field for n = 1..6, canonical integer rows and pivots alike
+        hs = [g for field in (F2, F3) for g in gl2_elements(field)]
+        rng = SplitMix64(113)
+        for field in (F2, F3, F5, F101, Q):
+            hs += [random_invertible(rng, field, n) for n in range(1, 7) for _ in range(40)]
+        for h in hs:
+            f = flag_from_matrix(h)
+            got, want = stabilizer_algebra(f), naive_stabilizer_algebra(f)
+            assert (got.prim_rows(), got._pivots) == (want.prim_rows(), want._pivots)
 
     def test_cache_is_bounded(self):
         assert 0 < stabilizer_algebra.cache_info().maxsize <= 128

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelenv._kernel import clear_denominators, reduce_row_q, rref_fp, rref_q_int
-from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard, SingularSystem
+from borelenv._kernel import _clear, clear_denominators, reduce_row_q, rref_fp, rref_q_int
+from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard
 from borelenv.linalg import (
     PRIMALITY_LIMIT,
     FieldSpec,
@@ -19,7 +19,6 @@ from borelenv.linalg import (
     rref,
     subspace_from_rows,
     subspace_intersect,
-    subspace_sum,
     _coordinate_subspace,
     _coordinate_support,
     _int_shape,
@@ -36,7 +35,9 @@ from reference import (
     naive_rref_fp,
     naive_rref_q,
     naive_subspace_intersect,
+    naive_subspace_sum,
     rank_by_minors,
+    SingularSystem,
     solve_exact,
     solve_lower_triangular,
 )
@@ -523,6 +524,29 @@ class TestRrefQIntOracle:
         self._check([[-3, 6, 9], [-2, -4, 5], [0, 0, -7]], 3, probes=[[1, 0, 0]])
         self._check([[0, -6, 4, 2], [0, 0, 0, -5], [0, 3, -2, 9]], 4, probes=[[0, 3, -2, 0], [1, 0, 0, 0]])
 
+    def test_clear_returns_the_primitive_cleared_row(self):
+        # the row rule itself: rref_q_int makes its rows primitive again at
+        # the end, so a _clear that only lets entries grow changes no RREF
+        rng = SplitMix64(419)
+        cases = [([2, 4], [1, 0], 0), ([6, 9, 3], [4, 6, 2], 1), ([5, 10], [1, 2], 0)]
+        for _ in range(200):
+            width = 1 + rng.below(5)
+            v, row = ([rng.randint(-12, 12) for _ in range(width)] for _ in range(2))
+            c = rng.below(width)
+            v[c], row[c] = v[c] or 6, row[c] or -4
+            cases.append((v, row, c))
+        for v, row, c in cases:
+            out = _clear(v, row, c)
+            plain = [row[c] * x - v[c] * y for x, y in zip(v, row)]
+            assert out[c] == 0
+            if not any(plain):
+                assert not any(out)
+                continue
+            k = next(i for i, x in enumerate(plain) if x)
+            scale = Fraction(out[k], plain[k])
+            assert scale and out == [scale * x for x in plain]
+            assert math.gcd(*out) == 1
+
     @staticmethod
     def _entry(rng, bits):
         """A signed integer of at most ``bits`` bits, 64 drawn at a time."""
@@ -632,7 +656,7 @@ class TestSubspace:
                 )
                 a, b = mk(), mk()
                 inter = subspace_intersect(a, b)
-                total = subspace_sum([a, b])
+                total = naive_subspace_sum([a, b])
                 assert a.dim + b.dim == inter.dim + total.dim
 
     def test_intersect_idempotent(self):
@@ -643,11 +667,11 @@ class TestSubspace:
         e1 = subspace_from_rows(2, [[1, 0]], field=Q)
         e2 = subspace_from_rows(2, [[0, 1]], field=Q)
         assert subspace_intersect(e1, e2).dim == 0
-        assert subspace_sum([e1, e2]).dim == 2
+        assert naive_subspace_sum([e1, e2]).dim == 2
 
     def test_sum_of_single(self):
         s = subspace_from_rows(3, [[1, 1, 1]], field=F2)
-        assert subspace_sum([s]) == s
+        assert naive_subspace_sum([s]) == s
 
     def test_contains(self):
         s = subspace_from_rows(3, [[1, 0, 2], [0, 1, 1]], field=Q)
@@ -847,4 +871,4 @@ class TestSpanAccumulator:
                 acc = SpanAccumulator(n, field)
                 for s in parts:
                     acc.add_rows(s.prim_rows())
-                assert acc.to_subspace() == subspace_sum(parts)
+                assert acc.to_subspace() == naive_subspace_sum(parts)
