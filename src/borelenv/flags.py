@@ -2,9 +2,9 @@
 variety of (matrix, flag) pairs.
 
 A complete flag in k^n is the chain of spans of the leading columns of an
-invertible matrix; flags compare equal exactly when all their canonical
-step subspaces do, so the adapted basis is a representative, not an
-identity.
+invertible matrix.  Its identity is one canonical column-echelon basis,
+built once per flag: flags compare and hash by it, so the adapted basis is
+a representative and a cache lookup costs one tuple hash.
 
 Stabilizer convention: ``stabilizer_algebra(flag_from_matrix(g))`` equals
 g @ b0 @ g^-1 for b0 the upper triangular algebra.  This is the opposite
@@ -40,9 +40,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .decomp import bruhat_cell
-from .envelope import BorelConjugate, _borel_span, _intersection_sum, borel_translate
+from ._kernel import _clear, _primitive, unit_row
+from .envelope import BorelConjugate, _borel_span, _intersection_sum, _lead, borel_translate
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
-from .linalg import FieldSpec, Matrix, Subspace, _rank, inverse, subspace_from_rows, subspace_intersect
+from .linalg import FieldSpec, Matrix, Subspace, _int_shape, _rank, inverse, subspace_from_rows, subspace_intersect
 from .weyl import Permutation, enumerate_group
 
 __all__ = [
@@ -66,38 +67,40 @@ def chart_dim(n: int) -> int:
 
 
 class Flag:
-    """A complete flag, held as an adapted basis plus canonical steps; the
-    basis is checked by rank and inverted only when first asked."""
+    """A complete flag: an adapted basis, inverted only when first asked,
+    and the key it compares and hashes by, the canonical column echelon:
+    column j reduced at the leads of columns 1..j-1 in order, then lead 1
+    over F_p, primitive with a positive lead over Q.  F_j has one line
+    vanishing at those leads, so the key depends on the flag alone."""
 
     def __init__(self, adapted_basis: Matrix):
         if not adapted_basis.is_square:
             raise InvalidInput("adapted basis must be square")
-        self.adapted_basis = adapted_basis
-        self.n = adapted_basis.nrows
-        self.field = adapted_basis.field
-        if (rank := _rank(adapted_basis)) < self.n:
-            raise NotInvertible(f"matrix of rank {rank} < {self.n}")
+        self.adapted_basis = h = adapted_basis
+        self.n = n = h.nrows
+        self.field = h.field
+        p, key = h.field.p, []
+        for v in _int_shape(h.field, [h.col(j) for j in range(n)]):
+            for lead, c in key:
+                if v[lead]:
+                    v = _clear(v, c, lead) if p is None else [(x - v[lead] * y) % p for x, y in zip(v, c)]
+            if not any(v):
+                raise NotInvertible(f"matrix of rank {_rank(h)} < {n}")
+            lead = _lead(v)
+            key.append((lead, _primitive(v, lead) if p is None else tuple(unit_row(v, 1, lead, p)[0])))
+        self._key = tuple(c for _, c in key)
 
     @cached_property
     def _inverse(self) -> Matrix:
         return inverse(self.adapted_basis)
 
-    @cached_property
-    def steps(self) -> tuple[Subspace, ...]:
-        """F_1 ⊂ ... ⊂ F_n, F_i the span of the first i columns."""
-        cols = [self.adapted_basis.col(j) for j in range(self.n)]
-        return tuple(
-            subspace_from_rows(self.n, cols[:i], field=self.field)
-            for i in range(1, self.n + 1)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Flag):
             return NotImplemented
-        return self.n == other.n and self.field == other.field and self.steps == other.steps
+        return self.field == other.field and self._key == other._key
 
     def __hash__(self):
-        return hash((self.n, self.field, self.steps))
+        return hash((self.field, self._key))
 
     def __repr__(self):
         return f"Flag(n={self.n}, field={self.field})"

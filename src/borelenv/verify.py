@@ -6,12 +6,14 @@ draws its inputs from ``derive_stream(seed, k)`` and nothing else.  The
 trials run in order on the calling thread; ``--threads`` is accepted and
 ignored.
 
-The sampled criteria share one driver, ``_drive``: each suite supplies only
-its check of one trial, and the driver builds the jobs, runs a prelude check
-first over all of GL_2(F_2) and GL_2(F_3) where the suite has one, counts
-the trials in job order and stops at the first failure.  It records a
-replayable dump: the offending input as matrix JSON plus the (seed, offset)
-pair that regenerates it.  ``_fail`` is the one place a criterion is marked failed.
+The sampled criteria share one driver, ``_drive``: each supplies only its
+check of one input, and one pass makes each input once (all of GL_2(F_2)
+and GL_2(F_3) first where wanted), hands it to every criterion still
+passing, counts in job order and stops each at its first failure; c1 and
+c3 share a pass, so each g is drawn and borel(g) built once for both.  A
+failure records a replayable dump: the offending input as matrix JSON plus
+the (seed, offset) pair that regenerates it.  ``_fail`` is the one place a
+criterion is marked failed.
 """
 
 from __future__ import annotations
@@ -136,24 +138,23 @@ def gl2_elements(field: FieldSpec) -> tuple[Matrix, ...]:
     return tuple(Matrix(field, 2, 2, q) for q in quads if (q[0] * q[3] - q[1] * q[2]) % p)
 
 
-def _drive(name, trial, fields, ns, samples, seed, *, cycled=False, prelude=None, tallies=()):
-    """Run one sampled criterion up to its first failing trial.
+def _drive(criteria, draw, fields, ns, samples, seed, *, cycled=False, prelude=False):
+    """Run sampled criteria over one job list, each up to its first failure.
 
-    The jobs are every (field, n, k) with k < samples, or with ``cycled``
-    the samples count per field and trial k takes size ``ns[k % len(ns)]``.
-    Trial k runs ``trial(derive_stream(seed, k), field, n, k)``.  A
-    ``prelude`` checks one matrix; it first runs over every element of
-    GL_2(F_2) and GL_2(F_3), ``gl2_elements(field)[idx]`` at offset
-    ``-1 - idx``.
-
-    Trial and prelude return None or a failure ``(input, command, detail)``.
-    A trial of a criterion with ``tallies`` returns ``(failure, counts)``
-    instead; the named counts add up in job order, the failing trial
-    included.
+    ``criteria`` lists (name, check, tallies) triples.  The jobs are every
+    (field, n, k) with k < samples, or with ``cycled`` the samples count per
+    field and trial k takes size ``ns[k % len(ns)]``.  Trial k's input is
+    ``draw(derive_stream(seed, k), field, n, k)``; with ``prelude`` every
+    element of GL_2(F_2) and GL_2(F_3) comes first, ``gl2_elements(field)[idx]``
+    at offset ``-1 - idx``.  Each input is made once and handed, in order,
+    to every criterion that has not failed yet, so each sees the inputs it
+    would see alone.  A check returns None or a failure ``(input, command,
+    detail)``, or with tallies ``(failure, counts)``, the named counts adding
+    up in job order, the failing trial included.
     """
-    result = CriterionResult(name, True, dict.fromkeys(("checked", *tallies), 0))
+    results = [CriterionResult(name, True, dict.fromkeys(("checked", *tallies), 0)) for name, _, tallies in criteria]
     jobs = []
-    if prelude is not None:
+    if prelude:
         for field in (FieldSpec.prime(2), FieldSpec.prime(3)):
             jobs += [(field, 2, -1 - idx, g) for idx, g in enumerate(gl2_elements(field))]
     ns = list(ns)
@@ -162,34 +163,42 @@ def _drive(name, trial, fields, ns, samples, seed, *, cycled=False, prelude=None
     else:
         jobs += [(field, n, k, None) for field in fields for n in ns for k in range(samples)]
 
-    for field, n, k, g in jobs:
-        out = prelude(g) if g is not None else trial(derive_stream(seed, k), field, n, k)
-        fail, counts = out if tallies else (out, {})
-        result.counts["checked"] += 1
-        for key, value in counts.items():
-            result.counts[key] += value
-        if fail:
-            _fail(result, _dump(name, field, n, seed, k, *fail))
+    live = list(zip(criteria, results))
+    for field, n, k, x in jobs:
+        if x is None:
+            x = draw(derive_stream(seed, k), field, n, k)
+        for (name, check, tallies), result in live:
+            out = check(x)
+            fail, counts = out if tallies else (out, {})
+            result.counts["checked"] += 1
+            for key, value in counts.items():
+                result.counts[key] += value
+            if fail:
+                _fail(result, _dump(name, field, n, seed, k, *fail))
+        if not (live := [(c, r) for c, r in live if r.passed]):
             break
-    return result
+    return results
 
 
-def _invertible_trial(check):
-    """The trial that runs ``check`` on a random invertible n x n matrix."""
-    return lambda rng, field, n, k: check(random_invertible(rng, field, n))
+def _invertible(rng, field, n, k):
+    return random_invertible(rng, field, n)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 1: the envelope identity, by brute force
 
 
-def envelope_identity(fields, ns, samples: int, seed: int) -> CriterionResult:
-    def check(g: Matrix):
-        if envelope_bruteforce(g, enumerate_group(g.nrows)) != borel_from_g(g).algebra:
-            return g, "borelenv envelope --matrix INPUT", "brute-force envelope != borel(g)"
-        return None
+def _identity_check(g: Matrix):
+    if envelope_bruteforce(g, enumerate_group(g.nrows)) != borel_from_g(g).algebra:
+        return g, "borelenv envelope --matrix INPUT", "brute-force envelope != borel(g)"
+    return None
 
-    return _drive("envelope-identity", _invertible_trial(check), fields, ns, samples, seed, prelude=check)
+
+_IDENTITY = ("envelope-identity", _identity_check, ())
+
+
+def envelope_identity(fields, ns, samples: int, seed: int) -> CriterionResult:
+    return _drive([_IDENTITY], _invertible, fields, ns, samples, seed, prelude=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +213,8 @@ def _lower_triangular_space(field: FieldSpec, n: int) -> Subspace:
 def witness_construction(fields, ns, samples: int, seed: int) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
 
-    def trial(rng, field: FieldSpec, n: int, k: int):
-        u = random_upper_invertible(rng, field, n)
+    def check(u: Matrix):
+        field, n = u.field, u.nrows
         wits = witness_basis(u)
         if len(wits) != n * (n + 1) // 2:
             return u, "", "wrong witness count"
@@ -238,29 +247,34 @@ def witness_construction(fields, ns, samples: int, seed: int) -> CriterionResult
                     return u, "", "change of basis not unitriangular"
         return None
 
-    return _drive("witness-basis", trial, fields, ns, samples, seed, cycled=True)
+    return _drive([("witness-basis", check, ())], lambda rng, field, n, k: random_upper_invertible(rng, field, n),
+                  fields, ns, samples, seed, cycled=True)[0]
 
 
 # ---------------------------------------------------------------------------
 # Criterion 3: the restricted translate suffices
 
 
-def restricted_envelope(fields, ns, samples: int, seed: int) -> CriterionResult:
-    def check(g: Matrix):
-        n = g.nrows
-        cert = envelope_certificate(g, restricted=True)
-        if not cert.spans:
-            return g, "borelenv envelope --restricted --matrix INPUT", "restricted certificate does not span"
-        if not verify_certificate(cert):
-            return g, "", "certificate failed self-verification"
-        allowed = {w.images for w in cert.witness_set}
-        if len(allowed) != (n * n - n + 2) // 2:
-            return g, "", "translate has the wrong size"
-        if any(w.images not in allowed for _, w in cert.entries):
-            return g, "", "tag outside the computed translate"
-        return None
+def _restricted_check(g: Matrix):
+    n = g.nrows
+    cert = envelope_certificate(g, restricted=True)
+    if not cert.spans:
+        return g, "borelenv envelope --restricted --matrix INPUT", "restricted certificate does not span"
+    if not verify_certificate(cert):
+        return g, "", "certificate failed self-verification"
+    allowed = {w.images for w in cert.witness_set}
+    if len(allowed) != (n * n - n + 2) // 2:
+        return g, "", "translate has the wrong size"
+    if any(w.images not in allowed for _, w in cert.entries):
+        return g, "", "tag outside the computed translate"
+    return None
 
-    return _drive("restricted-envelope", _invertible_trial(check), fields, ns, samples, seed, prelude=check)
+
+_RESTRICTED = ("restricted-envelope", _restricted_check, ())
+
+
+def restricted_envelope(fields, ns, samples: int, seed: int) -> CriterionResult:
+    return _drive([_RESTRICTED], _invertible, fields, ns, samples, seed, prelude=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +284,12 @@ def restricted_envelope(fields, ns, samples: int, seed: int) -> CriterionResult:
 def ulp_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
 
-    def trial(rng, field: FieldSpec, n: int, k: int):
-        kind = k % 3
-        if kind == 0:
-            m = random_invertible(rng, field, n)
-        elif kind == 1:
-            m = random_singular(rng, field, n)
-        else:
-            m = Matrix.zeros(field, n, n) if k % 6 == 2 else random_singular(rng, field, n)
+    def draw(rng, field: FieldSpec, n: int, k: int):
+        if k % 6 == 2:
+            return Matrix.zeros(field, n, n)
+        return random_singular(rng, field, n) if k % 3 else random_invertible(rng, field, n)
+
+    def check(m: Matrix):
         outcomes = {"upper_checked": 0, "upper_infeasible": 0}
         for normalization in ("lower", "upper"):
             try:
@@ -286,7 +298,7 @@ def ulp_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
                 if normalization == "lower":
                     return (m, "borelenv decomp --kind ulp --matrix INPUT",
                             "unipotent-lower reported infeasible"), outcomes
-                if _rank(m) == n:
+                if _rank(m) == m.nrows:
                     return (m, "", "infeasible on an invertible input"), outcomes
                 outcomes["upper_infeasible"] += 1
                 continue
@@ -299,8 +311,8 @@ def ulp_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
                 outcomes["upper_checked"] += 1
         return None, outcomes
 
-    return _drive("ulp-roundtrip", trial, fields, ns, samples, seed, cycled=True,
-                  tallies=("upper_checked", "upper_infeasible"))
+    criterion = ("ulp-roundtrip", check, ("upper_checked", "upper_infeasible"))
+    return _drive([criterion], draw, fields, ns, samples, seed, cycled=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +323,12 @@ def bruhat_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
     cmd = "borelenv decomp --kind bruhat --matrix INPUT"
 
-    def trial(rng, field: FieldSpec, n: int, k: int):
+    def draw(rng, field: FieldSpec, n: int, k: int):
         g = random_invertible(rng, field, n)
+        return g, random_upper_invertible(rng, field, n), random_upper_invertible(rng, field, n)
+
+    def check(drawn):
+        g, b1, b2 = drawn
         factors = bruhat_decompose(g)
         if factors.recompose() != g:
             return g, cmd, "recomposition mismatch"
@@ -320,13 +336,11 @@ def bruhat_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
             return g, cmd, "factor not upper triangular"
         if factors.s != bruhat_cell(g):
             return g, cmd, "cell label disagrees with corner ranks"
-        b1 = random_upper_invertible(rng, field, n)
-        b2 = random_upper_invertible(rng, field, n)
         if bruhat_decompose(b1 @ g @ b2).s != factors.s:
             return g, cmd, "cell label not a two-sided invariant"
         return None
 
-    return _drive("bruhat-roundtrip", trial, fields, ns, samples, seed, cycled=True)
+    return _drive([("bruhat-roundtrip", check, ())], draw, fields, ns, samples, seed, cycled=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +429,7 @@ def tangent_cover(fields, ns, samples: int, seed: int) -> CriterionResult:
             return h, cmd, "bridge to envelope oracle fails"
         return None
 
-    return _drive("tangent-cover", _invertible_trial(check), fields, ns, samples, seed, prelude=check)
+    return _drive([("tangent-cover", check, ())], _invertible, fields, ns, samples, seed, prelude=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +477,10 @@ def _suite_decomp(config: RunConfig, ns) -> list[CriterionResult]:
 def _suite_envelope(config: RunConfig, ns) -> list[CriterionResult]:
     if config.mode == "restricted":
         return [restricted_envelope(config.fields, ns, config.trials, config.seed)]
-    return [
-        envelope_identity(config.fields, ns, config.trials, config.seed),
-        witness_construction(config.fields, ns, config.trials, config.seed),
-        restricted_envelope(config.fields, ns, config.trials, config.seed),
-        intersection_dimension(max_n=4),
-    ]
+    # c1 and c3 check each g in one pass: g is drawn once, and c3's
+    # borel_from_g(g) finds the entry c1 has just made
+    c1, c3 = _drive([_IDENTITY, _RESTRICTED], _invertible, config.fields, ns, config.trials, config.seed, prelude=True)
+    return [c1, witness_construction(config.fields, ns, config.trials, config.seed), c3, intersection_dimension(max_n=4)]
 
 
 def _suite_flag(config: RunConfig, ns) -> list[CriterionResult]:

@@ -222,6 +222,16 @@ def naive_bruhat_cell(g):
     return Permutation(tuple(images))
 
 
+def flag_steps(f):
+    """F_1 ⊂ ... ⊂ F_n, F_i the canonical span of the first i columns of
+    the flag's adapted basis: one RREF per step."""
+    from borelenv.linalg import subspace_from_rows
+
+    h = f.adapted_basis
+    cols = [h.col(j) for j in range(f.n)]
+    return tuple(subspace_from_rows(f.n, cols[:i], field=f.field) for i in range(1, f.n + 1))
+
+
 def naive_relative_position(f1, f2):
     """The relative position of two flags from all n^2 intersection ranks.
 
@@ -236,11 +246,12 @@ def naive_relative_position(f1, f2):
     if f1.n != f2.n or f1.field != f2.field:
         raise InvalidInput("flags live in different spaces")
     n = f1.n
+    steps1, steps2 = flag_steps(f1), flag_steps(f2)
     r = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
-        rows_i = [list(v) for v in f1.steps[i - 1].rows()]
+        rows_i = [list(v) for v in steps1[i - 1].rows()]
         for j in range(1, n + 1):
-            stacked = rows_i + [list(v) for v in f2.steps[j - 1].rows()]
+            stacked = rows_i + [list(v) for v in steps2[j - 1].rows()]
             r[i][j] = i + j - rref(Matrix.from_rows(f1.field, stacked)).rank
     images = []
     for j in range(1, n + 1):
@@ -341,7 +352,7 @@ def naive_stabilizer_algebra(f):
 
     n, field = f.n, f.field
     conditions = []
-    for step in f.steps[:-1]:  # F_n imposes nothing
+    for step in flag_steps(f)[:-1]:  # F_n imposes nothing
         annihilator = kernel(step.basis).rows()
         for v in step.rows():
             for z in annihilator:

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from borelenv import envelope, flags
+from borelenv import envelope, flags, linalg
 from borelenv.envelope import borel_from_g, envelope_bruteforce
 from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard
 from borelenv.flags import (
@@ -25,7 +25,7 @@ from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subs
 from borelenv.rng import SplitMix64, random_invertible, random_matrix, random_upper_invertible
 from borelenv.verify import gl2_elements, tangent_cover
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
-from reference import fiber_tangent_sum, naive_relative_position, naive_stabilizer_algebra
+from reference import fiber_tangent_sum, flag_steps, naive_relative_position, naive_stabilizer_algebra
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -59,13 +59,15 @@ def conjugated_uppers(g):
 
 class TestFlag:
     def test_coset_invariance(self):
+        # equal flags hash equal: the stabilizer cache finds g @ u under g
         rng = SplitMix64(101)
-        for field in (Q, F3):
-            for _ in range(10):
-                n = 2 + rng.below(3)
-                g = random_invertible(rng, field, n)
-                u = random_upper_invertible(rng, field, n)
-                assert flag_from_matrix(g) == flag_from_matrix(g @ u)
+        for field in (F2, F3, F5, F101, Q):
+            for n in range(1, 6):
+                for _ in range(6):
+                    g = random_invertible(rng, field, n)
+                    u = random_upper_invertible(rng, field, n)
+                    f1, f2 = flag_from_matrix(g), flag_from_matrix(g @ u)
+                    assert f1 == f2 and hash(f1) == hash(f2)
 
     def test_distinct_flags_differ(self):
         assert standard_flag(Q, 3) != anti_flag(Q, 3)
@@ -74,15 +76,80 @@ class TestFlag:
         rng = SplitMix64(103)
         g = random_invertible(rng, F5, 4)
         f = flag_from_matrix(g)
-        for i, step in enumerate(f.steps, start=1):
+        steps = flag_steps(f)
+        for i, step in enumerate(steps, start=1):
             assert step.dim == i
             if i > 1:
-                for v in f.steps[i - 2].rows():
+                for v in steps[i - 2].rows():
                     assert step.contains(v)
 
     def test_singular_rejected(self):
         with pytest.raises(NotInvertible):
             flag_from_matrix(Matrix.zeros(Q, 2, 2))
+
+
+class TestFlagKey:
+    """A flag compares and hashes by its canonical column echelon: one pass
+    over the adapted basis, the same verdicts as comparing every step."""
+
+    FIELDS = (F2, F3, F5, F101, Q)
+
+    @staticmethod
+    def _pairs(field, seed):
+        # random flags, and flags that share a prefix of steps with them:
+        # h @ P_w agrees with h up to the first step w moves
+        rng = SplitMix64(seed)
+        for n in range(1, 6):
+            for _ in range(6):
+                h = random_invertible(rng, field, n)
+                w = enumerate_group(n)[rng.below(len(enumerate_group(n)))]
+                yield h, random_invertible(rng, field, n)
+                yield h, h @ perm_matrix(w, field)
+                yield h, h @ random_upper_invertible(rng, field, n) @ perm_matrix(w, field)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_equality_agrees_with_the_steps(self, field):
+        verdicts = set()
+        for h1, h2 in self._pairs(field, 167):
+            f1, f2 = Flag(h1), Flag(h2)
+            same = flag_steps(f1) == flag_steps(f2)
+            assert (f1 == f2) == same
+            assert (f1 != f2) == (not same)
+            if same:
+                assert hash(f1) == hash(f2)
+            verdicts.add(same)
+        assert verdicts == {True, False}
+
+    def test_flags_of_different_fields_or_sizes_differ(self):
+        assert Flag(Matrix.identity(F2, 2)) != Flag(Matrix.identity(F3, 2))
+        assert Flag(Matrix.identity(Q, 2)) != Flag(Matrix.identity(Q, 3))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_stabilizer_of_the_same_flag_is_a_cache_hit(self, field):
+        rng = SplitMix64(173)
+        for n in range(1, 6):
+            h = random_invertible(rng, field, n)
+            stab = stabilizer_algebra(Flag(h))
+            before = stabilizer_algebra.cache_info()
+            assert stabilizer_algebra(Flag(h @ random_upper_invertible(rng, field, n))) is stab
+            after = stabilizer_algebra.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_key_and_hash_build_no_step_subspace(self, monkeypatch):
+        real = linalg.subspace_from_rows
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("subspace_from_rows called")
+
+        for mod in (linalg, flags, envelope):
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, forbidden)
+        rng = SplitMix64(179)
+        for field in self.FIELDS:
+            for n in range(1, 6):
+                h = random_invertible(rng, field, n)
+                assert hash(Flag(h)) == hash(Flag(h @ random_upper_invertible(rng, field, n)))
 
 
 class TestStabilizer:

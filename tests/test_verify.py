@@ -176,6 +176,87 @@ class TestSuites:
         assert names == ["restricted-envelope"]
 
 
+class TestSharedEnvelopePass:
+    """In full mode the envelope suite checks c1 and c3 in one pass over the
+    drawn g: each criterion gets the results it gets alone."""
+
+    @staticmethod
+    def _envelope_criteria(config):
+        report = run_suites(config, suites=("envelope",))
+        return {c["criterion"]: c for c in report["suites"][0]["criteria"]}
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(31, 3, (F2, F3), (2, 5), "full"),
+        RunConfig(32, 3, (F5, Q), (2, 5), "full"),
+        RunConfig(33, 4, (F2, F3, F5, Q), (2, 4), "restricted"),
+    ], ids=["f2-f3", "f5-q", "restricted"])
+    def test_matches_separate_runs(self, config):
+        got = self._envelope_criteria(config)
+        ns = list(range(config.n_range[0], config.n_range[1] + 1))
+        args = (config.fields, ns, config.trials, config.seed)
+        want = [restricted_envelope(*args)]
+        if config.mode == "full":
+            want.append(envelope_identity(*args))
+        assert len(got) == (1 if config.mode == "restricted" else 4)
+        for result in want:
+            assert result.passed
+            assert got[result.name] == result.to_json()
+
+    def test_first_failure_stops_only_its_criterion(self, monkeypatch):
+        target = gl2_elements(F3)[7]
+        calls = []
+        real = verify.envelope_bruteforce
+
+        def oracle(g, weyl_set):
+            calls.append(g)
+            out = real(g, weyl_set)
+            return None if g == target else out
+
+        monkeypatch.setattr(verify, "envelope_bruteforce", oracle)
+        config = RunConfig(1, 3, (F2, F5, Q), (2, 3), "full")
+        got = self._envelope_criteria(config)
+        c1, c3 = got["envelope-identity"], got["restricted-envelope"]
+        assert not c1["pass"] and c1["counts"] == {"checked": 6 + 8}
+        assert c1["failures"][0]["offset"] == -8
+        assert len(calls) == 6 + 8  # the oracle ran on nothing after its failure
+        assert c3 == restricted_envelope((F2, F5, Q), [2, 3], 3, seed=1).to_json()
+        assert c3["pass"] and c3["counts"] == {"checked": 54 + 3 * 2 * 3}
+
+    def test_restricted_failure_leaves_the_identity_running(self, monkeypatch):
+        target = random_invertible(derive_stream(1, 1), F5, 3)
+        real = verify.verify_certificate
+        monkeypatch.setattr(verify, "verify_certificate",
+                            lambda cert: cert.target.g != target and real(cert))
+        config = RunConfig(1, 3, (F2, F5, Q), (2, 3), "full")
+        got = self._envelope_criteria(config)
+        c1, c3 = got["envelope-identity"], got["restricted-envelope"]
+        # 54 prelude inputs, F_2 x (n = 2, 3) x 3 trials, F_5: n = 2 x 3, then n = 3, k = 0, 1
+        assert c3["counts"] == {"checked": 54 + 6 + 3 + 2}
+        [dump] = c3["failures"]
+        assert (dump["offset"], dump["n"], dump["detail"]) == (1, 3, "certificate failed self-verification")
+        assert jsonio.matrix_from_json(dump["input"]) == target
+        assert c1 == envelope_identity((F2, F5, Q), [2, 3], 3, seed=1).to_json()
+        assert c1["pass"] and c1["counts"] == {"checked": 54 + 3 * 2 * 3}
+
+    def test_each_g_is_drawn_once_and_built_once(self, monkeypatch):
+        draws, builds = [], []
+        real_draw, real_init = verify.random_invertible, envelope.BorelConjugate.__init__
+
+        def init(self, g):
+            builds.append(g)
+            real_init(self, g)
+
+        monkeypatch.setattr(verify, "random_invertible", lambda *args: draws.append(args) or real_draw(*args))
+        monkeypatch.setattr(envelope.BorelConjugate, "__init__", init)
+        envelope.borel_from_g.cache_clear()
+        config = RunConfig(3, 2, (F5, Q), (3, 4), "full")
+        got = self._envelope_criteria(config)
+        assert all(c["pass"] for c in got.values())
+        assert len(draws) == 2 * 2 * 2  # (field, n, k): no g drawn twice
+        prelude = [g for field in (F2, F3) for g in gl2_elements(field)]
+        assert len(builds) == len(set(builds)) == len(prelude) + len(draws)
+
+
 class TestReplayDumps:
     def test_failure_dump_replays_through_cli(self, tmp_path, capsys):
         # force a failing trial by corrupting the oracle comparison: run the
