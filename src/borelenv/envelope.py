@@ -16,11 +16,14 @@ span of its intersections with the coordinate Borels borel(P_w), w in S_n,
 and a certificate for that span can be produced constructively by peeling
 witness matrices out of triangular data (:func:`devissage_witness`).  The
 witness route needs only a small translate of the identity-plus-
-transpositions subset of S_n; the brute-force route
-(:func:`envelope_bruteforce`) sums the intersections directly, each as a
-small kernel in the algebra's own coordinates, and serves as the oracle.
-borel(g) is built from g's row flag alone, with no inverse: the column flag
-of g^-1 is read off that flag's echelon form (:class:`BorelConjugate`).
+transpositions subset of S_n and reads its certificate off the ULP sweep
+of g; the brute-force route (:func:`envelope_bruteforce`) sums the
+intersections directly, each as a small kernel in the algebra's own
+coordinates, and serves as the oracle.  Inside the module a coordinate
+Borel is its field-free index set (:func:`_translate_coords`), and
+:func:`borel_translate` builds the subspace for public callers.  borel(g)
+is built from g's row flag alone, with no inverse: the column flag of
+g^-1 is read off that flag's echelon form (:class:`BorelConjugate`).
 """
 
 from __future__ import annotations
@@ -28,21 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from ._kernel import _clear, _primitive, clear_denominators, unit_row
-from .decomp import ulp_decompose
+from ._kernel import _clear, _primitive, clear_denominators, peel, unit_row
+from .decomp import _ulp_sweep
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
 from .linalg import FieldSpec, Matrix, SpanAccumulator, Subspace, inverse, subspace_intersect
-from .linalg import _coordinate_kernel, _coordinate_subspace, _coordinate_support, _int_shape, _rank, _rref_prim, _span_int
-from .weyl import (
-    Permutation,
-    compose,
-    enumerate_group,
-    longest_element,
-    transposition_set,
-)
+from .linalg import _coordinate_kernel, _coordinate_subspace, _int_shape, _intersect_with_coordinates, _rank, _rref_prim, _span_int
+from .weyl import Permutation, compose, enumerate_group, transposition_set
 
 __all__ = [
     "BorelConjugate",
@@ -62,19 +59,9 @@ FULL_GROUP_LIMIT = 6
 RESTRICTED_LIMIT = 12
 
 
-def upper_pairs(n: int) -> list[tuple[int, int]]:
-    """1-based (row, col) pairs with row <= col, in lexicographic order."""
-    return [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
-
-
 def lower_pairs(n: int) -> list[tuple[int, int]]:
     """1-based (row, col) pairs with row >= col, in lexicographic order."""
     return [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
-
-
-def _flat(n: int, i: int, j: int) -> int:
-    """Row-major coordinate of the (i, j) entry, 1-based in, 0-based out."""
-    return (i - 1) * n + (j - 1)
 
 
 def _lead(v) -> int:
@@ -138,7 +125,7 @@ def _borel_span(f: FieldSpec, left: list, right: list) -> Subspace:
     """span(left[a] ⊗ right[b] : a <= b) for two echelon flags in integer
     shape (see :class:`BorelConjugate`), checked to have dimension n(n+1)/2."""
     n = len(left)
-    gens = [[x * y for x in left[a - 1] for y in right[b - 1]] for a, b in upper_pairs(n)]
+    gens = [[x * y for x in left[a] for y in right[b]] for a in range(n) for b in range(a, n)]
     prim, rank, pivots = _rref_prim(f, sorted(gens, key=_lead), n * n)
     if rank != n * (n + 1) // 2:
         raise ContractViolation("conjugated Borel has wrong dimension")
@@ -173,13 +160,19 @@ def borel_from_g(g: Matrix) -> BorelConjugate:
     return BorelConjugate(g)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=1024)
+def _translate_coords(images: tuple) -> frozenset[int]:
+    """The support of borel(P_w), images = w.images: the row-major entries
+    (r, c), 0-based, with w(r) <= w(c), for every field.  The internal
+    callers read it here; 1,024 are kept, so all of S_1..S_6 fit."""
+    n = len(images)
+    return frozenset(r * n + c for r, a in enumerate(images) for c, b in enumerate(images) if a <= b)
+
+
+@lru_cache(maxsize=4096)
 def borel_translate(w: Permutation, field: FieldSpec) -> Subspace:
-    """borel(P_w): the coordinate subspace on entries (w^-1(a), w^-1(b)), a <= b."""
-    n = w.n
-    winv = w.inverse()
-    coords = [_flat(n, winv(a), winv(b)) for a, b in upper_pairs(n)]
-    return _coordinate_subspace(n * n, field, coords)
+    """borel(P_w): the coordinate subspace on the entries (r, c) with w(r) <= w(c)."""
+    return _coordinate_subspace(w.n * w.n, field, _translate_coords(w.images))
 
 
 def borel_intersection_dim(w1: Permutation, w2: Permutation, field: FieldSpec | None = None) -> int:
@@ -231,12 +224,6 @@ def _witness_coefficients(u_inv: Matrix, i: int, j: int) -> tuple:
     return tuple(f.mul(y, d) for y in row[1:])
 
 
-def _int_rows(m: Matrix) -> tuple[list, int]:
-    """m's rows as integers over one common denominator d: m = rows / d."""
-    ints, d = clear_denominators(m.entries)
-    return [ints[k : k + m.ncols] for k in range(0, len(ints), m.ncols)], d
-
-
 def _witness_row(coefs, rows, p) -> list[int]:
     """sum_t coefs[t] * rows[t], reduced over F_p.  a is rank one, so
     left @ a @ right is left's column i times (1, x) @ rows j..i of right;
@@ -249,14 +236,24 @@ def _witness_row(coefs, rows, p) -> list[int]:
     return out if p is None else [x % p for x in out]
 
 
+def _escapes(tag: tuple, col, row) -> bool:
+    """Whether col ⊗ row leaves borel(P_w), tag = w.images: it holds entry
+    (r, c) iff w(r) <= w(c), so the product stays inside iff the largest
+    w(r) on col's support is at most the smallest w(c) on row's.  Over F_p
+    both factors must be reduced.  An all-zero factor counts as escaped."""
+    top = max((t for t, x in zip(tag, col) if x), default=len(tag) + 1)
+    return top > min((t for t, x in zip(tag, row) if x), default=0)
+
+
 def devissage_witness(u: Matrix, i: int, j: int, _u_inv: Matrix | None = None) -> DevissageWitness:
     """The (i, j) witness for u, 1-based, i >= j.
 
     The coefficients x solve the lower triangular peeling system of size
     i - j built from u; they are read off u^-1 (:func:`_witness_coefficients`).
     The witness matrix is e^{i,j} + sum_l x_l e^{i,j+l}.  Membership in
-    borel(P_s @ u^-1) is not assumed: it is checked here by one conjugation,
-    and a failure raises ContractViolation (a bug, not bad input).
+    borel(P_s @ u^-1) is not assumed: it is checked here by an index test
+    on the factors of the rank-one conjugate, and a failure raises
+    ContractViolation (a bug, not bad input).
     """
     _require_upper_invertible(u)
     n = u.nrows
@@ -266,17 +263,13 @@ def devissage_witness(u: Matrix, i: int, j: int, _u_inv: Matrix | None = None) -
     u_inv = _u_inv if _u_inv is not None else inverse(u)
     x = _witness_coefficients(u_inv, i, j)
     ents = [f.zero()] * (n * n)
-    ents[_flat(n, i, j) : _flat(n, i, i) + 1] = (f.one(),) + x
+    ents[(i - 1) * n + j - 1 : (i - 1) * n + i] = (f.one(),) + x  # row i, columns j..i
     a = Matrix(f, n, n, tuple(ents))
     s = Permutation.transposition(n, i, j)
-    col = u_inv.col(i - 1)
-    rowv = _witness_row(clear_denominators((f.one(),) + x)[0], _int_rows(u)[0][j - 1 : i], f.p)
-    # conjugating by P_s permutes indices; check upper-triangularity of the
-    # permuted outer product col x rowv without building it
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            if s(r) > s(c) and col[r - 1] and rowv[c - 1]:
-                raise ContractViolation(f"witness ({i}, {j}) escaped its Borel")
+    ints = clear_denominators(u.entries[(j - 1) * n : i * n])[0]  # rows j..i over one denominator
+    rowv = _witness_row(clear_denominators((f.one(),) + x)[0], [ints[k : k + n] for k in range(0, len(ints), n)], f.p)
+    if _escapes(s.images, u_inv.col(i - 1), rowv):
+        raise ContractViolation(f"witness ({i}, {j}) escaped its Borel")
     return DevissageWitness(i, j, x, a, s)
 
 
@@ -316,12 +309,13 @@ def verify_certificate(cert: EnvelopeCertificate) -> bool:
     """Recheck every claim in the certificate from scratch.
 
     Each vector is coerced once (a non-scalar entry raises InvalidInput).
-    Translate membership is a zero pattern, borel(P_w) being a coordinate
-    subspace; algebra membership follows when the span is the algebra, and
-    only otherwise is each vector reduced against it.  ``spans`` must agree
-    with that comparison.  Failures return False, so forged certificates
-    are rejected, not crashed on.  The CLI and the restricted suite run this
-    recheck; it shares only ``_span_int`` with the certificate routes.
+    Translate membership is a zero pattern on borel(P_w)'s index set;
+    algebra membership follows when the span is the algebra, and only
+    otherwise is each vector reduced against it.  ``spans`` must agree with
+    that comparison.  Failures return False, so forged certificates are
+    rejected, not crashed on.  The CLI and the restricted suite run this
+    recheck; it shares only ``_span_int`` and ``_translate_coords`` with
+    the certificate routes.
     """
     target = cert.target
     n, f = target.n, target.g.field
@@ -330,7 +324,7 @@ def verify_certificate(cert: EnvelopeCertificate) -> bool:
         if len(vec) != n * n or w.n != n:
             return False
         v = [f.coerce(x) for x in vec]
-        coords = _coordinate_support(borel_translate(w, f))
+        coords = _translate_coords(w.images)
         if any(x and c not in coords for c, x in enumerate(v)):
             return False
         rows.append(v)
@@ -338,16 +332,6 @@ def verify_certificate(cert: EnvelopeCertificate) -> bool:
     if span != algebra and not all(algebra.contains(v) for v in rows):
         return False
     return cert.spans == (span == algebra)
-
-
-def _dedup(ws: Sequence[Permutation]) -> list[Permutation]:
-    seen = set()
-    out = []
-    for w in ws:
-        if w.images not in seen:
-            seen.add(w.images)
-            out.append(w)
-    return out
 
 
 def _certificate_greedy(target: BorelConjugate, ws: Sequence[Permutation]) -> EnvelopeCertificate:
@@ -361,7 +345,7 @@ def _certificate_greedy(target: BorelConjugate, ws: Sequence[Permutation]) -> En
         # the rows lie in the algebra, so once it is spanned none is accepted
         if acc.dim == algebra.dim:
             break
-        inter = subspace_intersect(algebra, borel_translate(w, f))
+        inter = _intersect_with_coordinates(algebra, _translate_coords(w.images))
         for prim, row in zip(inter.prim_rows(), inter.rows()):
             if acc.add_rows([prim]):
                 entries.append((tuple(row), w))
@@ -369,59 +353,75 @@ def _certificate_greedy(target: BorelConjugate, ws: Sequence[Permutation]) -> En
     return EnvelopeCertificate(target, tuple(entries), spans, tuple(ws))
 
 
-def _unipotent_inverse(u: Matrix) -> Matrix:
-    """u^-1 for a unipotent upper triangular u by back-substitution, in int or Fraction arithmetic."""
-    n, e = u.nrows, u.entries
-    if any(x.numerator != x.denominator for x in e[:: n + 1]):
-        raise ContractViolation("conjugated lower factor is not unipotent")
-    inv = [[int(c == r) for c in range(n)] for r in range(n)]
-    for i in range(n - 2, -1, -1):
-        for k in range(i + 1, n):
-            if e[i * n + k]:
-                inv[i][k:] = [x - e[i * n + k] * y for x, y in zip(inv[i][k:], inv[k][k:])]
-    return Matrix(u.field, n, n, tuple(x for r in inv for x in r))
+def _unipotent_inverse(rows: list, p: int | None) -> list:
+    """u^-1 for a unipotent upper triangular u given by integer rows (v, d),
+    row a of u being v/d, by back-substitution through ``peel``: the rows of
+    u^-1 as pairs (w, e), w/e.  u's shape is checked, not assumed."""
+    n = len(rows)
+    if any(any(v[:a]) or v[a] != d for a, (v, d) in enumerate(rows)):
+        raise ContractViolation("conjugated lower factor is not unipotent upper triangular")
+    inv = [None] * n
+    for a in range(n - 1, -1, -1):
+        (v, d), w, e = rows[a], [int(c == a) for c in range(n)], 1
+        for k in range(a + 1, n):
+            if v[k]:  # w/e - (v[k]/d) * inv[k]
+                x, xe = inv[k]
+                w, e = peel(w, e, x, xe * d, v[k] * e, p)
+        inv[a] = (w, e)
+    return inv
+
+
+def _column(rows: list, i: int) -> tuple[list, int]:
+    """Column i of integer rows (x, e), x/e each, over its least common denominator."""
+    d = lcm(*(e // gcd(x[i], e) for x, e in rows))
+    return [x[i] * d // e for x, e in rows], d
 
 
 def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     """The witness route: entry (i, j) is P_q^-1 u2^-1 a u2 P_q, tagged s∘q,
-    for the (i, j) witness a of u2, (1, x) read off row j of u2^-1.  right,
-    the rows of u2^-1 and left's columns are cleared to integers once, so
-    each entry is an integer outer product over one denominator; Fractions
-    are built only for the returned vectors.  Membership in borel(P_{s∘q})
-    (the escape claim conjugated by P_q) is a zero-pattern test on each
-    vector, and the integer vectors must span borel(g) (one ``_span_int``).
+    for the (i, j) witness a of u2 = P_w0 @ l @ P_w0, (1, x) read off row j
+    of u2^-1, where g = u @ l @ P_p is the unipotent-lower ULP and q = w0∘p.
+
+    All of it is read off the ULP sweep, with no factor built: row k of
+    l @ P_p is the peel row units[k], so right = u2 @ P_q = P_w0 @ l @ P_p
+    is those rows bottom-up, and q sends the column row k claimed to n - k.
+    u2 and u2^-1 stay integer rows; each entry is the outer product of a
+    column of left = P_q^-1 @ u2^-1 and a row factor, over one denominator.
+    Membership in borel(P_{s∘q}) is an index test on the two factors, and
+    the vectors must span borel(g) (one ``_span_int``), so a public caller
+    never gets an unchecked ``spans=True``.
     """
-    n, f = target.n, target.g.field
-    factors = ulp_decompose(target.g, "lower")
-    # P_w0 @ l @ P_w0 reverses the row-major entries of l
-    u2 = Matrix(f, n, n, factors.l.entries[::-1])
-    if not u2.is_upper_triangular():
-        raise ContractViolation("conjugated lower factor is not upper triangular")
-    q = compose(longest_element(n), factors.p)
-    u2_inv = _unipotent_inverse(u2)
-    # right = u2 @ P_q, and its inverse is P_q^-1 @ u2^-1
-    right, d = _int_rows(u2.permute_cols(q))
-    left = u2_inv.permute_rows(q.inverse())
-    cols = [clear_denominators(left.col(i)) for i in range(n)]
-    coefs = [clear_denominators(u2_inv.row(j))[0] for j in range(n)]
+    n, f, p = target.n, target.g.field, target.g.field.p
+    _, claimed, _, units, _ = _ulp_sweep(target.g)
+    lp = []  # l @ P_p's rows bottom-up, (x, e) for x/e; over Q x is a residue of any content
+    for x, _, e in units[::-1]:
+        g = gcd(e, *x)
+        lp.append(([y // g for y in x], e // g))
+    # u2[a][b] = l[n-1-a][n-1-b], and l's row k is units[k] on the claimed columns
+    inv = _unipotent_inverse([([x[c] for c in claimed[::-1]], e) for x, e in lp], p)
+    d = lcm(*(e for _, e in lp))
+    right = [[y * (d // e) for y in x] for x, e in lp]
+    qimg = [n - claimed.index(c) for c in range(n)]
+    left = [inv[t - 1] for t in qimg]  # left's row r is row q(r) of u2^-1
+    cols = [_column(left, i) for i in range(n)]
     entries, vecs, zero = [], [], Fraction(0)
     for i, j in lower_pairs(n):
-        (col, e), coef = cols[i - 1], coefs[j - 1]
-        rowv = _witness_row(coef[j - 1 : i], right[j - 1 : i], f.p)
-        vec = [a * b for a in col for b in rowv]
-        tag = Permutation(tuple(j if x == i else i if x == j else x for x in q.images))  # s∘q
-        coords = _coordinate_support(borel_translate(tag, f))
-        if any(x and c not in coords for c, x in enumerate(vec)):
+        (col, e), (coef, _) = cols[i - 1], inv[j - 1]
+        rowv = _witness_row(coef[j - 1 : i], right[j - 1 : i], p)
+        img = tuple(j if x == i else i if x == j else x for x in qimg)  # s∘q
+        if _escapes(img, col, rowv):
             raise ContractViolation(f"witness ({i}, {j}) escaped its translate")
+        vec = [a * b for a in col for b in rowv]
         den = e * coef[j - 1] * d  # the entry is vec / den
-        if f.p is None:
-            entries.append((tuple(Fraction(x, den) if x else zero for x in vec), tag))
+        if p is None:
+            entries.append((tuple(Fraction(x, den) if x else zero for x in vec), Permutation(img)))
         else:
-            scale = pow(den, f.p - 2, f.p)
-            entries.append((tuple(x * scale % f.p for x in vec), tag))
+            scale = pow(den, p - 2, p)
+            entries.append((tuple(x * scale % p for x in vec), Permutation(img)))
         vecs.append(vec)
     if _span_int(f, vecs, n * n) != target.algebra:
         raise ContractViolation("devissage certificate does not span borel(g)")
+    q = Permutation(tuple(qimg))
     translate = tuple(compose(t, q) for t in transposition_set(n))
     return EnvelopeCertificate(target, tuple(entries), True, translate)
 
@@ -454,7 +454,7 @@ def envelope_certificate(
             raise ResourceGuard(f"full-group certificates guarded at n <= {FULL_GROUP_LIMIT}")
         ws = list(enumerate_group(target.n))
     else:
-        ws = _dedup(weyl_set)
+        ws = list(dict.fromkeys(weyl_set))  # first of each repeat, in order
     return _certificate_greedy(target, ws)
 
 
@@ -494,7 +494,7 @@ def _intersection_sum(algebra: Subspace, ws: Sequence[Permutation]) -> Subspace:
     f, width = algebra.field, algebra.ambient_dim
     acc = SpanAccumulator(algebra.dim, f)
     for w in _rotations_first(ws, isqrt(width)):
-        acc.add_rows(_coordinate_kernel(algebra, _coordinate_support(borel_translate(w, f))))
+        acc.add_rows(_coordinate_kernel(algebra, _translate_coords(w.images)))
         if acc.dim == algebra.dim:
             return algebra
     prim, lams = algebra.prim_rows(), acc.to_subspace().prim_rows()
@@ -514,7 +514,7 @@ def envelope_bruteforce(g: Matrix, weyl_set: Sequence[Permutation]) -> Subspace:
     n = target.n
     if n > FULL_GROUP_LIMIT:
         raise ResourceGuard(f"envelope_bruteforce guarded at n <= {FULL_GROUP_LIMIT}")
-    ws = _dedup(weyl_set)
+    ws = list(dict.fromkeys(weyl_set))
     if any(w.n != n for w in ws):
         raise InvalidInput("weyl_set size does not match the matrix")
     return _intersection_sum(target.algebra, ws)

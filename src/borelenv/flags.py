@@ -41,9 +41,9 @@ from functools import cached_property, lru_cache
 
 from .decomp import bruhat_cell
 from ._kernel import _clear, _primitive, unit_row
-from .envelope import BorelConjugate, _borel_span, _intersection_sum, _lead, borel_translate
+from .envelope import BorelConjugate, _borel_span, _intersection_sum, _lead, _translate_coords
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
-from .linalg import FieldSpec, Matrix, Subspace, _int_shape, _rank, inverse, subspace_from_rows, subspace_intersect
+from .linalg import FieldSpec, Matrix, Subspace, _int_shape, _intersect_with_coordinates, _rank, inverse, subspace_from_rows, subspace_intersect
 from .weyl import Permutation, enumerate_group
 
 __all__ = [
@@ -261,7 +261,7 @@ def tangent_sum_check(h: Matrix):
     """
     holds, stab, _ = _tangent_sum(h)
     ledger = tuple(
-        (w, subspace_intersect(stab, borel_translate(w.inverse(), h.field)).dim)
+        (w, _intersect_with_coordinates(stab, _translate_coords(w.inverse().images)).dim)
         for w in enumerate_group(h.nrows)
     )
     return holds, ledger

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from borelenv import envelope, jsonio
+from borelenv._kernel import int_rows, ratio
 from borelenv.envelope import (
     RESTRICTED_LIMIT,
     EnvelopeCertificate,
@@ -22,7 +23,7 @@ from borelenv.envelope import (
 from borelenv.errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
 from borelenv.flags import flag_from_matrix, stabilizer_algebra
 from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows, subspace_intersect
-from borelenv.linalg import _coordinate_kernel
+from borelenv.linalg import _coordinate_kernel, _coordinate_support
 from borelenv.rng import SplitMix64, derive_stream, random_invertible, random_upper_invertible
 from borelenv.verify import gl2_elements
 from borelenv.weyl import (
@@ -310,22 +311,30 @@ class TestUnipotentInverse:
                         else:
                             rows[i][j] = rng.below(p)
                 u = Matrix.from_rows(field, rows)
-                got = envelope._unipotent_inverse(u)
+                inv = envelope._unipotent_inverse(int_rows(u.rows_list(), p), p)
+                got = Matrix.from_rows(field, [[ratio(x, e, p) for x in w] for w, e in inv])
                 assert got.rows_list() == naive_inverse(u.rows_list(), p)
                 assert got == inverse(u)
 
+    @pytest.mark.parametrize("rows", [
+        [([1, 0], 1), ([1, 1], 1)],  # an entry below the diagonal
+        [([2, 1], 1), ([0, 1], 1)],  # a diagonal entry 2
+        [([1, 1], 2), ([0, 1], 1)],  # a diagonal entry 1/2
+    ])
+    def test_shape_is_checked(self, rows):
+        with pytest.raises(ContractViolation, match="not unipotent upper triangular"):
+            envelope._unipotent_inverse(rows, None)
+
     def test_non_unipotent_factor_raises(self, monkeypatch):
-        from dataclasses import replace
+        real = envelope._ulp_sweep
 
-        real = envelope.ulp_decompose
+        def doubled_diagonal(m):
+            perm, claimed, res, units, coefs = real(m)
+            x, r, e = units[1]
+            units[1] = (x, r, 2 * e)  # l[2, 2] = 1/2: still lower triangular, no longer unipotent
+            return perm, claimed, res, units, coefs
 
-        def doubled_diagonal(m, normalization="lower"):
-            factors = real(m, normalization)
-            n, ents = m.nrows, list(factors.l.entries)
-            ents[n + 1] *= 2  # l[2, 2]: still lower triangular, no longer unipotent
-            return replace(factors, l=Matrix(m.field, n, n, tuple(ents)))
-
-        monkeypatch.setattr(envelope, "ulp_decompose", doubled_diagonal)
+        monkeypatch.setattr(envelope, "_ulp_sweep", doubled_diagonal)
         g = random_invertible(SplitMix64(331), Q, 3)
         cert = None
         with pytest.raises(ContractViolation, match="unipotent"):
@@ -390,6 +399,50 @@ class TestBorelTranslate:
         for field in (Q, F2):
             for w in enumerate_group(3):
                 assert borel_translate(w, field) == borel_from_g(perm_matrix(w, field)).algebra
+
+    def test_caches_are_bounded(self):
+        assert 0 < borel_translate.cache_info().maxsize <= 4096
+        assert 0 < envelope._translate_coords.cache_info().maxsize <= 4096
+
+
+class TestTranslateIndexSets:
+    """The field-free index set of borel(P_w) and the restricted route's
+    escape test on it."""
+
+    def test_index_set_is_the_translate_support(self):
+        for n in range(1, 6):
+            for w in enumerate_group(n):
+                for field in (F2, F3, F5, F101, Q):
+                    assert envelope._translate_coords(w.images) == _coordinate_support(borel_translate(w, field))
+
+    def test_escape_test_matches_the_support_test(self):
+        # col ⊗ row escapes borel(P_w) iff some nonzero product sits off its index set
+        rng = SplitMix64(337)
+        for n in range(1, 7):
+            group = enumerate_group(n)
+            for _ in range(200):
+                w = group[rng.below(len(group))]
+                col = [rng.below(3) * rng.below(5) for _ in range(n)]
+                row = [rng.below(3) * rng.below(5) for _ in range(n)]
+                if not any(col) or not any(row):
+                    continue
+                coords = envelope._translate_coords(w.images)
+                want = any(x * y and r * n + c not in coords for r, x in enumerate(col) for c, y in enumerate(row))
+                assert envelope._escapes(w.images, col, row) == want
+
+    def test_all_zero_factor_escapes(self):
+        w = Permutation.identity(3)
+        assert envelope._escapes(w.images, [0, 0, 0], [1, 1, 1])
+        assert envelope._escapes(w.images, [1, 0, 0], [0, 0, 0])
+
+    def test_all_zero_factor_raises_contract_violation(self, monkeypatch):
+        # a vanished row factor is a bug in the route: ContractViolation, not ValueError
+        real = envelope._witness_row
+        monkeypatch.setattr(envelope, "_witness_row", lambda coefs, rows, p: [0] * len(real(coefs, rows, p)))
+        for field in (Q, F5):
+            g = random_invertible(SplitMix64(347), field, 3)
+            with pytest.raises(ContractViolation, match="escaped"):
+                envelope_certificate(g, restricted=True)
 
 
 class TestIntersectionDim:
@@ -641,13 +694,13 @@ class TestCertificates:
 
     def test_greedy_stops_once_spanned(self, monkeypatch):
         calls = []
-        real = envelope.subspace_intersect
+        real = envelope._intersect_with_coordinates
 
-        def counting(a, b):
+        def counting(a, coords):
             calls.append(1)
-            return real(a, b)
+            return real(a, coords)
 
-        monkeypatch.setattr(envelope, "subspace_intersect", counting)
+        monkeypatch.setattr(envelope, "_intersect_with_coordinates", counting)
         g = random_invertible(SplitMix64(269), Q, 4)
         cert = envelope_certificate(g)
         assert cert.spans and verify_certificate(cert)
@@ -661,12 +714,22 @@ class TestCertificates:
             envelope_certificate(Matrix.identity(Q, 3), ws)
 
     def test_witness_route_checks_every_membership(self, monkeypatch):
-        # a translate that does not hold the witnesses must stop the route
-        real = envelope.borel_translate
-        monkeypatch.setattr(envelope, "borel_translate", lambda w, f: real(Permutation.identity(w.n), f))
+        # a translate that does not hold the witnesses must stop the route:
+        # test every entry against the identity's
+        real = envelope._escapes
+        monkeypatch.setattr(envelope, "_escapes", lambda tag, col, row: real(tuple(range(1, len(tag) + 1)), col, row))
         g = random_invertible(SplitMix64(239), Q, 3)
         with pytest.raises(ContractViolation):
             envelope_certificate(g, restricted=True)
+
+    def test_witness_route_checks_its_span(self, monkeypatch):
+        # one witness repeated in place of the last leaves the span short
+        real = envelope.lower_pairs
+        monkeypatch.setattr(envelope, "lower_pairs", lambda n: real(n)[:-1] + real(n)[-2:-1])
+        for field in (Q, F5):
+            g = random_invertible(SplitMix64(353), field, 3)
+            with pytest.raises(ContractViolation, match="does not span"):
+                envelope_certificate(g, restricted=True)
 
     def test_full_group_guard(self):
         with pytest.raises(ResourceGuard):
@@ -933,6 +996,15 @@ class TestRestrictedRouteOracle:
                 assert repr(got.entries) == repr(want.entries)
                 assert got.spans == want.spans is True
                 assert repr(got.witness_set) == repr(want.witness_set)
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=str)
+    def test_matches_fraction_route_on_gl2_prelude(self, field):
+        # the verify suites' GL_2 prelude: every element of GL_2(F_2) and GL_2(F_3)
+        for g in gl2_elements(field):
+            got, want = envelope_certificate(g, restricted=True), naive_certificate_devissage(g)
+            assert repr(got.entries) == repr(want.entries)
+            assert got.spans == want.spans is True
+            assert repr(got.witness_set) == repr(want.witness_set)
 
 
 class TestTranslateExactness:

@@ -422,12 +422,12 @@ class TestTangentSum:
         real = envelope._coordinate_kernel
         monkeypatch.setattr(envelope, "_coordinate_kernel",
                             lambda s, coords: terms.append(s.ambient_dim) or real(s, coords))
-        for module in (envelope, flags):
-            def spied(a, b, _real=module.subspace_intersect):
+        for module, name in itertools.product((envelope, flags), ("subspace_intersect", "_intersect_with_coordinates")):
+            def spied(a, b, _real=getattr(module, name)):
                 intersections.append(a.ambient_dim)
                 return _real(a, b)
 
-            monkeypatch.setattr(module, "subspace_intersect", spied)
+            monkeypatch.setattr(module, name, spied)
         result = tangent_cover((Q,), (4,), 1, 157)
         assert result.passed and result.counts == {"checked": 54 + 1}
         assert 0 < terms.count(16) <= 4  # the 54 GL_2 prelude inputs have ambient 4
