@@ -476,9 +476,14 @@ def _rotations_first(ws: Sequence[Permutation], n: int) -> list[Permutation]:
     return [first[k] for k in sorted(first)] + rest
 
 
-def _intersection_sum(algebra: Subspace, ws: Sequence[Permutation]) -> Subspace:
+@lru_cache(maxsize=8)
+def _intersection_sum(algebra: Subspace, ws: tuple[Permutation, ...]) -> Subspace:
     """Sum of algebra ∩ borel(P_w) over ws, stopping once it is all of
     ``algebra``: every later term lies in it and cannot grow the sum.
+    Memoized on (algebra, ws), a canonical Subspace by its prim rows: the
+    sum is the Borel's, not g's, and verify's GL_2 prelude holds 7 Borels
+    in 54 elements.  Eight are kept, so a criterion sums each once, and
+    the sampled sums that end its pass evict them before the next run.
 
     It is taken in the algebra's coordinates: B its canonical rows, each
     term is λ·B for the λ rows of one small kernel (``_coordinate_kernel``)
@@ -507,14 +512,14 @@ def envelope_bruteforce(g: Matrix, weyl_set: Sequence[Permutation]) -> Subspace:
 
     The independent oracle: no witness machinery, just the intersections,
     each the λ-kernel of one small system in borel(g)'s own coordinates,
-    summed by :func:`_intersection_sum`, the loop the tangent cover of
-    :mod:`borelenv.flags` also runs.
+    summed by the memoized :func:`_intersection_sum`: one sum per algebra
+    for every caller, the tangent cover of :mod:`borelenv.flags` too.
     """
     target = borel_from_g(g)
     n = target.n
     if n > FULL_GROUP_LIMIT:
         raise ResourceGuard(f"envelope_bruteforce guarded at n <= {FULL_GROUP_LIMIT}")
-    ws = list(dict.fromkeys(weyl_set))
+    ws = tuple(dict.fromkeys(weyl_set))
     if any(w.n != n for w in ws):
         raise InvalidInput("weyl_set size does not match the matrix")
     return _intersection_sum(target.algebra, ws)

@@ -28,8 +28,8 @@ row > col.  The tangent space of the incidence variety at a point (0, F)
 is then stab(F) ⊕ chart inside k^(n^2) ⊕ k^(n(n-1)/2), and the fiber
 square over 0 has tangent chart ⊕ (stab ∩ stab) ⊕ chart.  The coordinate
 flag of w has stabilizer borel(P_w^-1), so the tangent sum is the envelope
-sum of stab(F_h) over S_n, run by the loop of :mod:`borelenv.envelope` in
-stab(F_h)'s own coordinates (one small kernel per w).  The n! fiber
+sum of stab(F_h) over S_n, the memoized loop of :mod:`borelenv.envelope`
+(one small kernel per w), shared with borel(h^-1)'s oracle.  The n! fiber
 tangents through ``tangent_fiber`` and ``dpi2`` are its test oracle; the
 builder's is the stability conditions, solved as one kernel in the tests.
 """
@@ -232,12 +232,12 @@ def _tangent_sum(h: Matrix):
     with the stabilizers of all coordinate flags.
 
     The coordinate flag of w has stabilizer borel(P_w^-1), and {w^-1} is
-    all of S_n, so gl is :func:`envelope._intersection_sum` of stab over
-    S_n, one kernel on stab's canonical rows per w until the sum has rank
-    dim(stab), which returns stab itself.  The tangent space at (0, flag(h))
-    and the sum of the projected fiber tangents both carry the full chart
-    block, so the sum covers it exactly when gl == stab.  The fiber route
-    through ``tangent_fiber`` and ``dpi2`` is the test oracle.
+    all of S_n, so gl is the memoized :func:`envelope._intersection_sum`
+    of stab over S_n, the one sum borel(h^-1)'s brute-force envelope also
+    reads: a kernel on stab's rows per w until the sum has rank dim(stab),
+    which returns stab itself.  The tangent space at (0, flag(h)) and the
+    projected fiber tangents' sum both carry the full chart block, so the
+    sum covers it exactly when gl == stab (the fiber route is the oracle).
     """
     if not h.is_square:
         raise InvalidInput("square matrix required")

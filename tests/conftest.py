@@ -2,6 +2,8 @@ import signal
 
 import pytest
 
+from borelenv import envelope
+
 # The slowest test takes about 6 s; a hang fails by name at this bound
 # instead of running to the CI job's time limit.
 TEST_SECONDS = 120
@@ -23,3 +25,13 @@ def _time_bound(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_intersection_sums():
+    # the memo's key is (algebra, Weyl set), blind to monkeypatching: a sum
+    # left by an earlier test would skip a later test's patched kernel, and
+    # a sum made by a patched kernel must not reach a later test
+    envelope._intersection_sum.cache_clear()
+    yield
+    envelope._intersection_sum.cache_clear()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from borelenv import envelope, jsonio
+from borelenv import envelope, flags, jsonio
 from borelenv._kernel import int_rows, ratio
 from borelenv.envelope import (
     RESTRICTED_LIMIT,
@@ -884,6 +884,36 @@ class TestIntersectionSum:
         algebra = borel_from_g(self.TAIL_F2).algebra
         assert envelope._intersection_sum(algebra, enumerate_group(4)) == algebra
         assert len(calls) > 4  # the four rotations, then the caller's order
+
+    def test_memo_keys_the_weyl_set(self):
+        # the four rotations alone fall short of this algebra, before and
+        # after the full group has filled it: a memo keyed by the algebra
+        # alone would hand one sum to both
+        algebra = borel_from_g(self.TAIL_F2).algebra
+        rotations = tuple(w for w in enumerate_group(4) if w.images in envelope._rotations(4))
+        short = envelope._intersection_sum(algebra, rotations)
+        assert len(rotations) == 4 and short != algebra
+        assert envelope._intersection_sum(algebra, enumerate_group(4)) == algebra
+        assert envelope._intersection_sum(algebra, rotations) == short
+
+    def test_tangent_sum_reuses_the_oracle_sum(self, monkeypatch):
+        # stab(flag(h)) = borel(h^-1): the tangent cover of h reads the sum
+        # the brute-force envelope of h^-1 has just made, with no kernel
+        calls = []
+        real = envelope._coordinate_kernel
+        monkeypatch.setattr(envelope, "_coordinate_kernel", lambda s, c: calls.append(1) or real(s, c))
+        rng = SplitMix64(233)
+        for field in (F2, F3, F101, Q):
+            for n in (2, 3, 4):
+                hs = [random_invertible(rng, field, n) for _ in range(2)]
+                if (field, n) == (F2, 4):
+                    hs.append(inverse(self.TAIL_F2))  # a sum that is not full after n terms
+                for h in hs:
+                    oracle = envelope_bruteforce(inverse(h), enumerate_group(n))
+                    calls.clear()
+                    holds, stab, gl = flags._tangent_sum(h)
+                    assert not calls
+                    assert holds and gl == oracle == stab
 
 
 class TestCoordinateKernelOracle:

@@ -257,6 +257,37 @@ class TestSharedEnvelopePass:
         assert len(builds) == len(set(builds)) == len(prelude) + len(draws)
 
 
+class TestIntersectionSumMemo:
+    """``envelope._intersection_sum`` keeps its last 8 sums: the GL_2 prelude
+    holds 7 Borels in 54 elements, and a run's last sums evict them."""
+
+    def test_prelude_sums_once_per_borel(self, monkeypatch):
+        algebras = []
+        real = envelope._coordinate_kernel
+        monkeypatch.setattr(envelope, "_coordinate_kernel", lambda s, coords: algebras.append(s) or real(s, coords))
+        before = envelope._intersection_sum.cache_info()
+        result = envelope_identity((F5,), [3], 1, 11)
+        after = envelope._intersection_sum.cache_info()
+        assert result.passed and result.counts == {"checked": 54 + 1}
+        prelude = [s for s in algebras if s.ambient_dim == 4]
+        # 3 Borels over F_2 and 4 over F_3, each summed once: at most the
+        # two terms of S_2 per sum
+        assert len(set(prelude)) == 7 and len(prelude) <= 2 * 7
+        assert (after.misses - before.misses, after.hits - before.hits) == (7 + 1, 54 - 7)
+
+    def test_no_sum_outlives_a_run(self):
+        # the config of `borelenv verify --trials 1`: c1 and c7 make 17 sums
+        # each, 7 for the prelude and 10 for their 12 samples (the n = 2
+        # samples over F_2 and F_3 find a prelude Borel), and a second run
+        # finds nothing the first left behind
+        def computed(seed):
+            before = envelope._intersection_sum.cache_info().misses
+            assert run_suites(RunConfig(seed, 1, (F2, F3, F5, Q), (2, 4), "full"))["pass"]
+            return envelope._intersection_sum.cache_info().misses - before
+
+        assert [computed(7), computed(8)] == [34, 34]
+
+
 class TestReplayDumps:
     def test_failure_dump_replays_through_cli(self, tmp_path, capsys):
         # force a failing trial by corrupting the oracle comparison: run the
