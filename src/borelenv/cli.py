@@ -185,8 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="2..4", help="size range lo..hi")
     p.add_argument("--suite", default="all", help="comma list of all|weyl|decomp|envelope|flag")
     p.add_argument("--mode", choices=("full", "restricted"), default="full")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: trials run in order on one thread")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -34,10 +34,10 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from ._kernel import _clear, _primitive, clear_denominators, peel, unit_row
+from ._kernel import _clear, _primitive, int_rows, peel, ratio, unit_row
 from .decomp import _ulp_sweep
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
-from .linalg import FieldSpec, Matrix, SpanAccumulator, Subspace, inverse, subspace_intersect
+from .linalg import FieldSpec, Matrix, SpanAccumulator, Subspace, subspace_intersect
 from .linalg import _coordinate_kernel, _coordinate_subspace, _int_shape, _intersect_with_coordinates, _rank, _rref_prim, _span_int
 from .weyl import Permutation, compose, enumerate_group, transposition_set
 
@@ -203,27 +203,6 @@ class DevissageWitness:
     s: Permutation
 
 
-def _require_upper_invertible(u: Matrix):
-    if not u.is_square:
-        raise InvalidInput("u must be square")
-    if not u.is_upper_triangular():
-        raise InvalidInput("u must be upper triangular")
-    zero = u.field.zero()
-    if any(u.at(t, t) == zero for t in range(u.nrows)):
-        raise InvalidInput("u must have a nonzero diagonal")
-
-
-def _witness_coefficients(u_inv: Matrix, i: int, j: int) -> tuple:
-    """x for the (i, j) witness of an upper triangular u, read off u^-1:
-    (1, x) @ u[j..i, j..i] must vanish past its first entry, so (1, x) is
-    row j of that block's inverse, which is the same block of u^-1, over
-    its diagonal entry."""
-    f = u_inv.field
-    row = u_inv.row(j - 1)[j - 1 : i]
-    d = f.inv(row[0])
-    return tuple(f.mul(y, d) for y in row[1:])
-
-
 def _witness_row(coefs, rows, p) -> list[int]:
     """sum_t coefs[t] * rows[t], reduced over F_p.  a is rank one, so
     left @ a @ right is left's column i times (1, x) @ rows j..i of right;
@@ -245,44 +224,47 @@ def _escapes(tag: tuple, col, row) -> bool:
     return top > min((t for t, x in zip(tag, row) if x), default=0)
 
 
-def devissage_witness(u: Matrix, i: int, j: int, _u_inv: Matrix | None = None) -> DevissageWitness:
-    """The (i, j) witness for u, 1-based, i >= j.
-
-    The coefficients x solve the lower triangular peeling system of size
-    i - j built from u; they are read off u^-1 (:func:`_witness_coefficients`).
-    The witness matrix is e^{i,j} + sum_l x_l e^{i,j+l}.  Membership in
-    borel(P_s @ u^-1) is not assumed: it is checked here by an index test
-    on the factors of the rank-one conjugate, and a failure raises
-    ContractViolation (a bug, not bad input).
-    """
-    _require_upper_invertible(u)
+def devissage_witness(u: Matrix, i: int, j: int) -> DevissageWitness:
+    """The (i, j) witness for u, 1-based, i >= j: entry (i, j) of
+    :func:`witness_basis`, whose peel checks every witness."""
     n = u.nrows
     if not (1 <= j <= i <= n):
         raise InvalidInput(f"need 1 <= j <= i <= n, got (i, j) = ({i}, {j})")
-    f = u.field
-    u_inv = _u_inv if _u_inv is not None else inverse(u)
-    x = _witness_coefficients(u_inv, i, j)
-    ents = [f.zero()] * (n * n)
-    ents[(i - 1) * n + j - 1 : (i - 1) * n + i] = (f.one(),) + x  # row i, columns j..i
-    a = Matrix(f, n, n, tuple(ents))
-    s = Permutation.transposition(n, i, j)
-    ints = clear_denominators(u.entries[(j - 1) * n : i * n])[0]  # rows j..i over one denominator
-    rowv = _witness_row(clear_denominators((f.one(),) + x)[0], [ints[k : k + n] for k in range(0, len(ints), n)], f.p)
-    if _escapes(s.images, u_inv.col(i - 1), rowv):
-        raise ContractViolation(f"witness ({i}, {j}) escaped its Borel")
-    return DevissageWitness(i, j, x, a, s)
+    return witness_basis(u)[i * (i - 1) // 2 + j - 1]
 
 
 def witness_basis(u: Matrix) -> tuple[DevissageWitness, ...]:
-    """All n(n+1)/2 witnesses for u, ordered lexicographically by (i, j),
-    each escape-checked by :func:`devissage_witness` with one shared u^-1.
+    """All n(n+1)/2 witnesses for u, ordered lexicographically by (i, j).
+
+    Witness (i, j) is e^{i,j} + sum_l x_l e^{i,j+l}, (1, x) row j of u^-1 on
+    columns j..i over its first entry.  They are peeled from the unipotent
+    u' = u @ D^-1, D = diag(u), by the restricted route's :func:`_peel` with
+    q the identity: row j of u'^-1 is u[j, j] times row j of u^-1, so x is
+    the same, and borel(P_s @ D @ u^-1) = borel(P_s @ u^-1), as P_s D P_s^-1
+    is diagonal.  So each witness is checked to lie in borel(P_s @ u^-1).
 
     Their matrices form a basis of the lower triangular algebra, and the
     change of basis from the elementary matrices is unipotent triangular.
     """
-    _require_upper_invertible(u)
-    u_inv = inverse(u)
-    return tuple(devissage_witness(u, i, j, _u_inv=u_inv) for i, j in lower_pairs(u.nrows))
+    if not u.is_square:
+        raise InvalidInput("u must be square")
+    if not u.is_upper_triangular():
+        raise InvalidInput("u must be upper triangular")
+    n, f, p = u.nrows, u.field, u.field.p
+    if any(u.at(t, t) == f.zero() for t in range(n)):
+        raise InvalidInput("u must have a nonzero diagonal")
+    # column c of u' is x/e, column c of u over its diagonal entry
+    cols = [unit_row(v, d, c, p) for c, (v, d) in enumerate(int_rows([u.col(c) for c in range(n)], p))]
+    d = lcm(*(e for _, _, e in cols))
+    right = [[x[a] * (d // e) for x, _, e in cols] for a in range(n)]  # u' = right / d
+    inv = _unipotent_inverse([(r, d) for r in right], p)
+    zero, one, wits = f.zero(), f.one(), []
+    for (i, j), img, _, coefs, _ in _peel(inv, right, range(1, n + 1), p):
+        x = tuple(ratio(c, coefs[0], p) for c in coefs[1:])
+        ents = [zero] * (n * n)
+        ents[(i - 1) * n + j - 1 : (i - 1) * n + i] = (one,) + x  # row i, columns j..i
+        wits.append(DevissageWitness(i, j, x, Matrix(f, n, n, tuple(ents)), Permutation(img)))
+    return tuple(wits)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +359,24 @@ def _column(rows: list, i: int) -> tuple[list, int]:
     return [x[i] * d // e for x, e in rows], d
 
 
+def _peel(inv: list, right: list, qimg, p: int | None):
+    """The witnesses a of a unipotent upper triangular u2, each conjugated to
+    left @ a @ right = col ⊗ row, left = P_q^-1 @ u2^-1 and right = u2 @ P_q:
+    yields (i, j), s∘q's images, left's column i over its denominator, row
+    j of u2^-1 on columns j..i (a's (1, x), scaled) and the row factor, in
+    lexicographic (i, j) order, each after :func:`_escapes` has passed it.
+    inv is u2^-1 as rows (w, e), right u2 @ P_q over one denominator."""
+    left = [inv[t - 1] for t in qimg]  # left's row r is row q(r) of u2^-1
+    cols = [_column(left, i) for i in range(len(inv))]
+    for i, j in lower_pairs(len(inv)):
+        coefs = inv[j - 1][0][j - 1 : i]
+        rowv = _witness_row(coefs, right[j - 1 : i], p)
+        img = tuple(j if x == i else i if x == j else x for x in qimg)  # s∘q
+        if _escapes(img, cols[i - 1][0], rowv):
+            raise ContractViolation(f"witness ({i}, {j}) escaped its translate")
+        yield (i, j), img, cols[i - 1], coefs, rowv
+
+
 def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     """The witness route: entry (i, j) is P_q^-1 u2^-1 a u2 P_q, tagged s∘q,
     for the (i, j) witness a of u2 = P_w0 @ l @ P_w0, (1, x) read off row j
@@ -402,17 +402,10 @@ def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     d = lcm(*(e for _, e in lp))
     right = [[y * (d // e) for y in x] for x, e in lp]
     qimg = [n - claimed.index(c) for c in range(n)]
-    left = [inv[t - 1] for t in qimg]  # left's row r is row q(r) of u2^-1
-    cols = [_column(left, i) for i in range(n)]
     entries, vecs, zero = [], [], Fraction(0)
-    for i, j in lower_pairs(n):
-        (col, e), (coef, _) = cols[i - 1], inv[j - 1]
-        rowv = _witness_row(coef[j - 1 : i], right[j - 1 : i], p)
-        img = tuple(j if x == i else i if x == j else x for x in qimg)  # s∘q
-        if _escapes(img, col, rowv):
-            raise ContractViolation(f"witness ({i}, {j}) escaped its translate")
+    for _, img, (col, e), coefs, rowv in _peel(inv, right, qimg, p):
         vec = [a * b for a in col for b in rowv]
-        den = e * coef[j - 1] * d  # the entry is vec / den
+        den = e * coefs[0] * d  # the entry is vec / den
         if p is None:
             entries.append((tuple(Fraction(x, den) if x else zero for x in vec), Permutation(img)))
         else:

@@ -3,8 +3,7 @@
 Every suite is a pure function of its plan (fields, sizes, sample counts,
 seed), so a fixed RunConfig produces a byte-identical report.  Trial k
 draws its inputs from ``derive_stream(seed, k)`` and nothing else.  The
-trials run in order on the calling thread; ``--threads`` is accepted and
-ignored.
+trials run in order on the calling thread.
 
 The sampled criteria share one driver, ``_drive``: each supplies only its
 check of one input, and one pass makes each input once (all of GL_2(F_2)
@@ -509,7 +508,8 @@ def run_suites(config: RunConfig, suites=("all",), threads: int = 1) -> dict:
     """Run the chosen suites and return the canonical report.
 
     Unknown suites, and suites that ``config.n_range`` leaves no size, raise
-    InvalidInput before any suite runs.  ``threads`` is accepted and ignored.
+    InvalidInput before any suite runs.  ``threads`` is ignored: the trials
+run on the calling thread.
     """
     unknown = sorted(set(suites) - {"all", *SUITE_NAMES})
     if unknown or not suites:

@@ -642,14 +642,14 @@ def naive_certificate_devissage(g):
     """The restricted (witness-route) certificate of g, built with Fractions.
 
     Entry (i, j) is P_q^-1 u2^-1 a u2 P_q, tagged s∘q, for the (i, j)
-    witness a of u2 (x from _witness_coefficients).  Every row factor is a
+    witness a of u2, x by forward substitution (naive_witness_coefficients),
+    so no witness code is shared with the package.  Every row factor is a
     sum of FieldSpec products, every vector a FieldSpec outer product, and
     the entries are checked by one span that coerces them again.
     """
     from borelenv.decomp import ulp_decompose
     from borelenv.envelope import (
         EnvelopeCertificate,
-        _witness_coefficients,
         borel_from_g,
         lower_pairs,
     )
@@ -671,7 +671,7 @@ def naive_certificate_devissage(g):
     right, left = u2.permute_cols(q), u2_inv.permute_rows(q.inverse())
     entries = []
     for i, j in lower_pairs(n):
-        col, rowv = _naive_conjugate_witness(left, right, i, j, _witness_coefficients(u2_inv, i, j))
+        col, rowv = _naive_conjugate_witness(left, right, i, j, naive_witness_coefficients(u2, i, j))
         vec = tuple(f.mul(a, b) for a in col for b in rowv)
         entries.append((vec, compose(Permutation.transposition(n, i, j), q)))
     span = _naive_checked_span(target, entries)

@@ -273,15 +273,6 @@ class TestCliVerify:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_thread_count_does_not_change_report(self, capsys):
-        base = ["verify", "--seed", "7", "--trials", "3", "--fields", "fp:2,fp:5",
-                "--n", "2..3", "--suite", "decomp,flag"]
-        assert main(base + ["--threads", "1"]) == 0
-        one = capsys.readouterr().out
-        assert main(base + ["--threads", "4"]) == 0
-        four = capsys.readouterr().out
-        assert one == four
-
     @pytest.mark.parametrize("args, message", [
         pytest.param(["--suite", "foo"], "unknown suite", id="unknown-suite"),
         pytest.param(["--trials", "0", "--suite", "envelope"], "trials must be at least 1",

@@ -510,20 +510,27 @@ class TestDevissage:
                         assert conj.is_upper_triangular()
 
     def test_wrong_coefficients_escape(self, monkeypatch):
-        # x is the unique solution, so a shifted one must fail the escape check
-        real = envelope._witness_coefficients
+        # x is the unique solution, so an inverse off by 1 in entry (1, 2)
+        # must fail the shared peel's escape check, on both routes
+        real = envelope._unipotent_inverse
 
-        def shifted(u_inv, i, j):
-            f = u_inv.field
-            return tuple(f.add(y, f.one()) for y in real(u_inv, i, j))
+        def shifted(rows, p):
+            inv = real(rows, p)
+            w, e = inv[0]
+            w = [*w[:1], w[1] + e if p is None else (w[1] + 1) % p, *w[2:]]
+            inv[0] = (w, e)
+            return inv
 
-        monkeypatch.setattr(envelope, "_witness_coefficients", shifted)
+        monkeypatch.setattr(envelope, "_unipotent_inverse", shifted)
         rng = SplitMix64(241)
         for field in (Q, F5):
             u = random_upper_invertible(rng, field, 3)
             for i, j in ((2, 1), (3, 1), (3, 2)):
-                with pytest.raises(ContractViolation):
+                with pytest.raises(ContractViolation, match="escaped"):
                     devissage_witness(u, i, j)
+            g = random_invertible(rng, field, 3)
+            with pytest.raises(ContractViolation, match="escaped"):
+                envelope_certificate(g, restricted=True)
 
     def test_coefficients_match_triangular_solve(self):
         # x read off u^-1 against forward substitution on the peeling system;
@@ -592,6 +599,51 @@ class TestWitnessBasis:
                 if val != 0:
                     other = (wit.i, wit.j + off)
                     assert other in index and index[other] > t
+
+
+def _pinned_witness_inputs():
+    """Seeded upper triangular u, three for each n = 1..6 over Q, F_2, F_3,
+    F_5, F_101 and F_{2^31-1}, and over Q one more with non-integer entries
+    and a diagonal of any sign."""
+    rng = SplitMix64(2026)
+    for field in (Q, F2, F3, F5, F101, FieldSpec.prime(2**31 - 1)):
+        for n in range(1, 7):
+            for _ in range(3):
+                yield random_upper_invertible(rng, field, n)
+            if field == Q:
+                diag = [rng.randint(1, 9) * (1 - 2 * rng.below(2)) for _ in range(n)]
+                ents = [
+                    Fraction(diag[r] if r == c else rng.randint(-9, 9) if r < c else 0, 1 + rng.below(7))
+                    for r in range(n)
+                    for c in range(n)
+                ]
+                yield Matrix(Q, n, n, tuple(ents))
+
+
+class TestPinnedWitnesses:
+    """The witnesses' bytes, repr((i, j, x, a, s)), pinned by sha256 over
+    :func:`_pinned_witness_inputs`: the whole basis, and each (i, j) alone,
+    which must give the same bytes in the same order."""
+
+    PIN = "676d4164445ee948fe36b15749a0814f834ee81dddfda79f917a991de9bedd21"
+
+    @staticmethod
+    def _update(digest, w):
+        digest.update(repr((w.i, w.j, w.x, w.a, w.s)).encode())
+
+    def test_witness_basis_bytes(self):
+        digest = hashlib.sha256()
+        for u in _pinned_witness_inputs():
+            for w in witness_basis(u):
+                self._update(digest, w)
+        assert digest.hexdigest() == self.PIN
+
+    def test_devissage_witness_bytes(self):
+        digest = hashlib.sha256()
+        for u in _pinned_witness_inputs():
+            for i, j in envelope.lower_pairs(u.nrows):
+                self._update(digest, devissage_witness(u, i, j))
+        assert digest.hexdigest() == self.PIN
 
 
 class TestCertificates:

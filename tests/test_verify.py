@@ -10,6 +10,7 @@ import pytest
 
 from borelenv import envelope, flags, jsonio, linalg, verify
 from borelenv.cli import main
+from borelenv.envelope import devissage_witness, witness_basis
 from borelenv.errors import InvalidInput, UlpInfeasible
 from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows
 from borelenv.rng import (
@@ -96,8 +97,11 @@ class TestGL2:
 
 
 class TestInverseCalls:
-    def test_one_inverse_per_tangent_cover_check(self, monkeypatch):
-        # the bridge inverts h once; neither flag(h) nor borel(h^-1) inverts
+    """``linalg.inverse`` calls, counted under every name a package module
+    binds it to."""
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
         real, calls = linalg.inverse, []
 
         def counting(m):
@@ -109,9 +113,33 @@ class TestInverseCalls:
                 for key, value in list(vars(mod).items()):
                     if value is real:
                         monkeypatch.setattr(mod, key, counting)
+        return calls
+
+    def test_one_inverse_per_tangent_cover_check(self, monkeypatch):
+        # the bridge inverts h once; neither flag(h) nor borel(h^-1) inverts
+        calls = self._count(monkeypatch)
         result = tangent_cover((F2, F5, Q), [2, 3], 2, seed=1)
         assert result.passed and result.counts["checked"] == 54 + 3 * 4
         assert len(calls) == result.counts["checked"]
+
+    def test_witnesses_make_no_inverse(self, monkeypatch):
+        # the witnesses peel u^-1 by back-substitution
+        calls = self._count(monkeypatch)
+        rng = SplitMix64(263)
+        for field in (Q, F2, F5):
+            for n in range(1, 6):
+                u = random_upper_invertible(rng, field, n)
+                witness_basis(u)
+                for i, j in envelope.lower_pairs(n):
+                    devissage_witness(u, i, j)
+        assert calls == []
+
+    def test_verify_one_trial(self, monkeypatch):
+        # the config of `borelenv verify --seed 7 --trials 1`: c2's
+        # conjugation check is its only inverse of u
+        calls = self._count(monkeypatch)
+        assert run_suites(RunConfig(7, 1, (F2, F3, F5, Q), (2, 4), "full"))["pass"]
+        assert len(calls) == 70
 
 
 class TestSuites:
