@@ -33,6 +33,7 @@ __all__ = [
     "rref_q_int",
     "clear_denominators",
     "fracs_from_primitive",
+    "reduce_row",
     "reduce_row_q",
     "reduce_row_fp",
     "int_rows",
@@ -157,6 +158,12 @@ def reduce_row_fp(v: list[int], prim, pivots, p: int) -> list[int]:
         if coef:
             v = [(x - coef * y) % p for x, y in zip(v, row)]
     return v
+
+
+def reduce_row(v: list[int], rows, pivots, p: int | None) -> list[int]:
+    """v reduced in order at the pivots of integer-shape rows, each zero at
+    the earlier pivots: over Q primitive rows, over F_p unit pivots."""
+    return reduce_row_q(v, rows, pivots) if p is None else reduce_row_fp(v, rows, pivots, p)
 
 
 def int_rows(rows, p: int | None) -> list:

@@ -8,7 +8,8 @@ row-major flattening.  The conjugation convention here is
 so ``borel_from_g(identity)`` is the upper triangular algebra and
 ``borel_from_g(P_w0)`` the lower triangular one.  (The flag module uses
 the opposite stabilizer convention g @ b0 @ g^-1 and builds it with the
-same :func:`_borel_span`, as a transpose; the two meet through
+same :func:`_borel_span`, from its flag and :func:`_dual_flag`; the two
+meet through
 ``stabilizer_algebra(flag_from_matrix(inverse(g))) == borel_from_g(g)``.)
 
 The central fact made executable here: every Borel subalgebra equals the
@@ -34,7 +35,7 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from ._kernel import _clear, _primitive, int_rows, peel, ratio, unit_row
+from ._kernel import _primitive, int_rows, peel, ratio, reduce_row, unit_row
 from .decomp import _ulp_sweep
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
 from .linalg import FieldSpec, Matrix, SpanAccumulator, Subspace, subspace_intersect
@@ -69,15 +70,36 @@ def _lead(v) -> int:
 
 
 def _flag_echelon(p: int | None, vecs: list) -> list:
-    """Independent integer-shape vecs, each reduced by the earlier ones until
-    its lead is new (over F_p then scaled to 1): keeps every span(vecs[:k])."""
-    by_lead = {}
+    """The canonical echelon basis of the flag span(vecs[:1]) ⊂ span(vecs[:2])
+    ⊂ ...: each integer-shape vec reduced at the leads of the earlier ones,
+    in order, then its lead made 1 over F_p, primitive with a positive lead
+    over Q.  Step k has one line vanishing at the earlier leads, so the
+    output depends on the flag alone.  A dependent vec reduces to zero and
+    raises StopIteration, having no lead."""
+    out, leads = [], []
     for v in vecs:
-        while (lead := _lead(v)) in by_lead:
-            row = by_lead[lead]
-            v = _clear(v, row, lead) if p is None else [(x - v[lead] * y) % p for x, y in zip(v, row)]
-        by_lead[lead] = unit_row(v, 1, lead, p)[0]
-    return list(by_lead.values())
+        v = reduce_row(v, out, leads, p)
+        leads.append(lead := _lead(v))
+        out.append(_primitive(v, lead) if p is None else tuple(unit_row(v, 1, lead, p)[0]))
+    return out
+
+
+def _matrix_flag(m: Matrix, vecs: list) -> list:
+    """``_flag_echelon`` of vecs, the rows or columns of square m as field
+    elements; NotInvertible with m's rank if a vec reduces to zero."""
+    try:  # a vec reduced to zero has no lead
+        return _flag_echelon(m.field.p, _int_shape(m.field, vecs))
+    except StopIteration:
+        raise NotInvertible(f"matrix of rank {_rank(m)} < {m.nrows}") from None
+
+
+def _dual_flag(p: int | None, rows: list) -> list:
+    """The dual of a flag given from the bottom, as ``BorelConjugate`` keeps
+    g's rows: for rows[a:] spanning each step, the echelon basis out with
+    out[:a] spanning ann(rows[a:]), from column lead(rows[a]) of E^-1 for
+    each a, E the rows sorted by lead, by back-substitution."""
+    e = {_lead(r): r for r in rows}  # keys in flag order
+    return _flag_echelon(p, [_inverse_col(e, c, p) for c in e])
 
 
 class BorelConjugate:
@@ -104,21 +126,12 @@ class BorelConjugate:
             raise InvalidInput("conjugating matrix must be square")
         self.g = g
         self.n = g.nrows
-        try:  # a row reduced to zero has no lead
-            self._rows = _flag_echelon(g.field.p, _int_shape(g.field, g.rows_list()[::-1]))[::-1]
-        except StopIteration:
-            raise NotInvertible(f"matrix of rank {_rank(g)} < {g.nrows}") from None
-
-    @cached_property
-    def _cols(self) -> list:
-        """The column flag of g^-1 in echelon form, read off ``_rows``."""
-        p = self.g.field.p
-        e = {_lead(r): r for r in self._rows}  # keys in flag order
-        return _flag_echelon(p, [_inverse_col(e, c, p) for c in e])
+        self._rows = _matrix_flag(g, g.rows_list()[::-1])[::-1]
 
     @cached_property
     def algebra(self) -> Subspace:
-        return _borel_span(self.g.field, self._cols, self._rows)
+        # the column flag of g^-1, read off the row flag
+        return _borel_span(self.g.field, _dual_flag(self.g.field.p, self._rows), self._rows)
 
 
 def _borel_span(f: FieldSpec, left: list, right: list) -> Subspace:

@@ -14,11 +14,12 @@ g^-1 @ b0 @ g); the bridge identity is
     stabilizer_algebra(flag_from_matrix(inverse(g))) == borel_from_g(g).algebra
 
 and both directions are kept deliberately, each in its home module.  Both
-algebras come from one builder: stab(flag(h)) is the transpose of
-borel(P_w0 @ h^T), read from h's columns.  So criterion 7's bridge,
-stab(flag(h)) == borel(inverse(h)), checks that ``linalg.inverse`` agrees
-with the builder's back-substitution, read from h's columns on one side
-and from inverse(h)'s rows on the other.
+algebras come from one builder, the span of a flag against its dual flag:
+stab(flag(h)) takes the flag's key for h's columns and reads the dual off
+it by the back-substitution borel(g) applies to g's rows.  So criterion
+7's bridge, stab(flag(h)) == borel(inverse(h)), checks that
+``linalg.inverse`` agrees with that back-substitution, read from h's
+columns on one side and from inverse(h)'s rows on the other.
 
 Tangent spaces are coordinatized concretely.  The tangent space of the
 flag variety at any point is identified with the strictly lower triangular
@@ -40,10 +41,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .decomp import bruhat_cell
-from ._kernel import _clear, _primitive, unit_row
-from .envelope import BorelConjugate, _borel_span, _intersection_sum, _lead, _translate_coords
-from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
-from .linalg import FieldSpec, Matrix, Subspace, _int_shape, _intersect_with_coordinates, _rank, inverse, subspace_from_rows, subspace_intersect
+from .envelope import _borel_span, _dual_flag, _intersection_sum, _matrix_flag, _translate_coords
+from .errors import ContractViolation, InvalidInput, ResourceGuard
+from .linalg import FieldSpec, Matrix, Subspace, _intersect_with_coordinates, inverse, subspace_from_rows, subspace_intersect
 from .weyl import Permutation, enumerate_group
 
 __all__ = [
@@ -68,10 +68,9 @@ def chart_dim(n: int) -> int:
 
 class Flag:
     """A complete flag: an adapted basis, inverted only when first asked,
-    and the key it compares and hashes by, the canonical column echelon:
-    column j reduced at the leads of columns 1..j-1 in order, then lead 1
-    over F_p, primitive with a positive lead over Q.  F_j has one line
-    vanishing at those leads, so the key depends on the flag alone."""
+    and the key it compares and hashes by, the canonical echelon of its
+    columns (:func:`envelope._flag_echelon`), which depends on the flag
+    alone; building it is the rank check."""
 
     def __init__(self, adapted_basis: Matrix):
         if not adapted_basis.is_square:
@@ -79,16 +78,7 @@ class Flag:
         self.adapted_basis = h = adapted_basis
         self.n = n = h.nrows
         self.field = h.field
-        p, key = h.field.p, []
-        for v in _int_shape(h.field, [h.col(j) for j in range(n)]):
-            for lead, c in key:
-                if v[lead]:
-                    v = _clear(v, c, lead) if p is None else [(x - v[lead] * y) % p for x, y in zip(v, c)]
-            if not any(v):
-                raise NotInvertible(f"matrix of rank {_rank(h)} < {n}")
-            lead = _lead(v)
-            key.append((lead, _primitive(v, lead) if p is None else tuple(unit_row(v, 1, lead, p)[0])))
-        self._key = tuple(c for _, c in key)
+        self._key = tuple(_matrix_flag(h, [h.col(j) for j in range(n)]))
 
     @cached_property
     def _inverse(self) -> Matrix:
@@ -115,18 +105,17 @@ def flag_from_matrix(g: Matrix) -> Flag:
 def stabilizer_algebra(f: Flag) -> Subspace:
     """{M in gl_n : M F_i ⊆ F_i for all i}, as a subspace of k^(n^2).
 
-    For the adapted basis h this is h @ b0 @ h^-1, the transpose of
-    borel(P_w0 @ h^T), whose rows are h's columns in reverse order.  As
-    (c ⊗ r)^T = r ⊗ c, it is spanned by r_b ⊗ c_a, a <= b, for the echelon
-    flags (c, r) of that borel; both lists reversed, the pairs again run
-    a <= b, so the builder of ``BorelConjugate.algebra`` serves unchanged.
-    Cached with a small bound: the tangent cover asks once per flag, so
-    hits come from callers that repeat a flag, and the bound keeps a long
-    run from holding the flag of every h it has seen.
+    For the adapted basis h this is h @ b0 @ h^-1, spanned by c_a ⊗ r_b,
+    a <= b, for c_a column a of h and r_b row b of h^-1, and fixed by the
+    flags span(c_1..c_a) = F_a and span(r_b..r_n) = ann(F_{b-1}).  The key
+    is the first in echelon form; the second is its dual, read off the key
+    reversed as borel(g) reads g^-1's columns off g's rows
+    (:func:`envelope._dual_flag`), so no matrix is formed.  Cached with a
+    small bound: the tangent cover asks once per flag, so hits come from
+    callers that repeat a flag, and the bound keeps a long run from holding
+    the flag of every h it has seen.
     """
-    h, n = f.adapted_basis, f.n
-    b = BorelConjugate(Matrix(f.field, n, n, tuple(x for j in range(n - 1, -1, -1) for x in h.col(j))))
-    return _borel_span(f.field, b._rows[::-1], b._cols[::-1])
+    return _borel_span(f.field, list(f._key), _dual_flag(f.field.p, f._key[::-1])[::-1])
 
 
 def relative_position(f1: Flag, f2: Flag) -> Permutation:

@@ -31,7 +31,6 @@ __all__ = [
     "field_to_json",
     "field_from_json",
     "scalar_to_json",
-    "scalar_from_json",
     "matrix_to_json",
     "matrix_from_json",
     "perm_to_json",
@@ -65,16 +64,6 @@ def scalar_to_json(field: FieldSpec, x) -> Any:
     return int(x)
 
 
-def scalar_from_json(field: FieldSpec, obj: Any):
-    if field.p is None:
-        if isinstance(obj, str) or isinstance(obj, int):
-            return field.coerce(obj)
-        raise InvalidInput(f"bad rational entry {obj!r}")
-    if not isinstance(obj, int) or isinstance(obj, bool):
-        raise InvalidInput(f"bad F_{field.p} entry {obj!r}")
-    return field.coerce(obj)
-
-
 def matrix_to_json(m: Matrix) -> dict:
     return {
         "field": field_to_json(m.field),
@@ -95,7 +84,7 @@ def matrix_from_json(obj: Any, field: FieldSpec | None = None) -> Matrix:
     rows = obj["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvalidInput("matrix rows must be a list of lists")
-    return Matrix.from_rows(field, [[scalar_from_json(field, x) for x in r] for r in rows])
+    return Matrix.from_rows(field, rows)  # coerces each entry once
 
 
 def perm_to_json(w: Permutation) -> list[int]:

@@ -26,14 +26,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from ._kernel import (
-    clear_denominators,
-    fracs_from_primitive,
-    reduce_row_fp,
-    reduce_row_q,
-    rref_fp,
-    rref_q_int,
-)
+from ._kernel import clear_denominators, fracs_from_primitive, reduce_row, rref_fp, rref_q_int
 from .errors import InvalidInput, NotInvertible, ResourceGuard
 
 __all__ = [
@@ -116,9 +109,9 @@ class FieldSpec:
                     return Fraction(x)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise InvalidInput(f"bad rational literal {x!r}") from exc
-            raise InvalidInput(f"cannot coerce {type(x).__name__} into Q")
+            raise InvalidInput(f"bad rational entry {x!r}")
         if isinstance(x, bool) or not isinstance(x, int):
-            raise InvalidInput(f"cannot coerce {type(x).__name__} into F_{self.p}")
+            raise InvalidInput(f"bad F_{self.p} entry {x!r}")
         return x % self.p
 
     def zero(self):
@@ -129,23 +122,6 @@ class FieldSpec:
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a) if self.p is None else pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"F_{self.p}"
@@ -390,10 +366,7 @@ class Subspace:
         v = [self.field.coerce(x) for x in vector]
         if len(v) != self.ambient_dim:
             raise InvalidInput("vector length does not match ambient dimension")
-        v, p = _int_shape(self.field, [v])[0], self.field.p
-        if p is None:
-            return not any(reduce_row_q(v, self._prim, self._pivots))
-        return not any(reduce_row_fp(v, self._prim, self._pivots, p))
+        return not any(reduce_row(_int_shape(self.field, [v])[0], self._prim, self._pivots, self.field.p))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -565,11 +538,7 @@ class SpanAccumulator:
     def add_rows(self, rows: Iterable) -> bool:
         # cheap reject: reduce the incoming rows against the current basis
         # and keep only genuine enlargers before re-canonicalizing
-        if self.field.p is None:
-            reduced = (reduce_row_q(r, self._prim, self._pivots) for r in rows)
-        else:
-            p = self.field.p
-            reduced = (reduce_row_fp(r, self._prim, self._pivots, p) for r in rows)
+        reduced = (reduce_row(r, self._prim, self._pivots, self.field.p) for r in rows)
         survivors = [v for v in reduced if any(v)]
         if not survivors:
             return False

@@ -106,11 +106,11 @@ def random_singular(rng: SplitMix64, field: FieldSpec, n: int) -> Matrix:
         return Matrix.zeros(field, 1, 1)
     rows = m.rows_list()
     target = rng.below(n)
-    combo = [field.zero()] * n
+    combo = [0] * n
     for k in range(n):
         if k == target:
             continue
-        c = field.coerce(_scalar(rng, field))
-        combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, rows[k])]
-    rows[target] = combo
+        c = _scalar(rng, field)
+        combo = [x + c * y for x, y in zip(combo, rows[k])]
+    rows[target] = combo  # from_rows coerces it into the field
     return Matrix.from_rows(field, rows)

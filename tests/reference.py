@@ -9,6 +9,34 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Field arithmetic for the oracles, kept apart from the library's: field
+# elements are Fractions over Q and residues in [0, p) over F_p.
+def _reduce(f, x):
+    return x if f.p is None else x % f.p
+
+
+def _sub(f, a, b):
+    return _reduce(f, a - b)
+
+
+def _mul(f, a, b):
+    return _reduce(f, a * b)
+
+
+def _neg(f, a):
+    return _reduce(f, -a)
+
+
+def _inv(f, a):
+    if not a:
+        raise ZeroDivisionError("inverse of zero")
+    return 1 / Fraction(a) if f.p is None else pow(a, f.p - 2, f.p)
+
+
+def _div(f, a, b):
+    return _mul(f, a, _inv(f, b))
+
+
 def naive_rref_q(rows):
     """Reduced row-echelon form over Q by eager Fraction elimination."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -164,24 +192,24 @@ def naive_bruhat_decompose(g):
         for r in range(i):
             if m[r][j] == zero:
                 continue
-            fac = f.div(m[r][j], piv)
+            fac = _div(f, m[r][j], piv)
             # m <- L(r,i;-fac) m  and  u1 <- u1 L(r,i;+fac)
-            m[r] = [f.sub(x, f.mul(fac, y)) for x, y in zip(m[r], m[i])]
+            m[r] = [_sub(f, x, _mul(f, fac, y)) for x, y in zip(m[r], m[i])]
             for t in range(n):
-                u1[t][i] = f.add(u1[t][i], f.mul(fac, u1[t][r]))
+                u1[t][i] = f.add(u1[t][i], _mul(f, fac, u1[t][r]))
         for c in range(j + 1, n):
             if m[i][c] == zero:
                 continue
-            fac = f.div(m[i][c], piv)
+            fac = _div(f, m[i][c], piv)
             # m <- m R(j,c;-fac)  and  u2 <- R(j,c;+fac) u2
             for t in range(n):
-                m[t][c] = f.sub(m[t][c], f.mul(fac, m[t][j]))
-            u2[j] = [f.add(x, f.mul(fac, y)) for x, y in zip(u2[j], u2[c])]
+                m[t][c] = _sub(f, m[t][c], _mul(f, fac, m[t][j]))
+            u2[j] = [f.add(x, _mul(f, fac, y)) for x, y in zip(u2[j], u2[c])]
     s = Permutation(tuple(images))
     # m is now P_s @ D with D = diag(m[s(j), j]); fold D into u2.
     for j in range(n):
         d = m[images[j] - 1][j]
-        u2[j] = [f.mul(d, x) for x in u2[j]]
+        u2[j] = [_mul(f, d, x) for x in u2[j]]
     factors = BruhatFactors(_square(f, u1), s, _square(f, u2))
     if factors.recompose() != g:
         raise ContractViolation("Bruhat recomposition failed")
@@ -301,7 +329,7 @@ def naive_witness_coefficients(u, i, j):
             [u.at(j + c - 1, j + r - 1) if c <= r else f.zero() for c in range(1, size + 1)]
             for r in range(1, size + 1)
         ]
-        rhs = [[f.neg(u.at(j - 1, j + r - 1))] for r in range(1, size + 1)]
+        rhs = [[_neg(f, u.at(j - 1, j + r - 1))] for r in range(1, size + 1)]
         sol = solve_lower_triangular(
             Matrix.from_rows(f, sys_rows), Matrix.from_rows(f, rhs)
         )
@@ -356,7 +384,7 @@ def naive_stabilizer_algebra(f):
         annihilator = kernel(step.basis).rows()
         for v in step.rows():
             for z in annihilator:
-                conditions.extend(field.mul(zr, vc) for zr in z for vc in v)
+                conditions.extend(_mul(field, zr, vc) for zr in z for vc in v)
     return kernel(Matrix(field, len(conditions) // (n * n), n * n, tuple(conditions)))
 
 
@@ -415,8 +443,8 @@ def solve_lower_triangular(lower, rhs):
     for i in range(n):
         acc = rhs.at(i, 0)
         for k in range(i):
-            acc = f.sub(acc, f.mul(lower.at(i, k), x[k]))
-        x.append(f.div(acc, lower.at(i, i)))
+            acc = _sub(f, acc, _mul(f, lower.at(i, k), x[k]))
+        x.append(_div(f, acc, lower.at(i, i)))
     return Matrix(f, n, 1, tuple(x))
 
 
@@ -470,13 +498,13 @@ def naive_ulp_lower(m):
             u[i][k] = coef
             if coef != zero:
                 xk = x_rows[k]
-                v = [f.sub(a, f.mul(coef, b)) for a, b in zip(v, xk)]
+                v = [_sub(f, a, _mul(f, coef, b)) for a, b in zip(v, xk)]
         support = [c for c in range(n) if v[c] != zero]
         if support:
             j = max(support)
             u[i][i] = v[j]
-            inv = f.inv(v[j])
-            x_rows[i] = [f.mul(inv, a) for a in v]
+            inv = _inv(f, v[j])
+            x_rows[i] = [_mul(f, inv, a) for a in v]
         else:
             j = max(free)
             u[i][i] = zero
@@ -528,7 +556,7 @@ def naive_ul_split(b):
             for idx, k in enumerate(range(i + 1, n)):
                 u[i][k] = t[idx]
                 if t[idx] != zero:
-                    v = [f.sub(x, f.mul(t[idx], y)) for x, y in zip(v, l_rows[k])]
+                    v = [_sub(f, x, _mul(f, t[idx], y)) for x, y in zip(v, l_rows[k])]
         if any(v[c] != zero for c in range(i + 1, n)):
             raise ContractViolation("residual row escaped its lower support")
         l_rows[i] = v
@@ -555,8 +583,8 @@ def naive_ulp_upper(m):
     base = naive_ulp_lower(m)
     diag = [base.u.at(i, i) for i in range(n)]
     if all(d != zero for d in diag):
-        u = _square(f, [[f.div(base.u.at(i, k), diag[k]) for k in range(n)] for i in range(n)])
-        lower = _square(f, [[f.mul(diag[i], base.l.at(i, k)) for k in range(n)] for i in range(n)])
+        u = _square(f, [[_div(f, base.u.at(i, k), diag[k]) for k in range(n)] for i in range(n)])
+        lower = _square(f, [[_mul(f, diag[i], base.l.at(i, k)) for k in range(n)] for i in range(n)])
         return UlpFactors(u, lower, base.p, "upper")
     candidates = itertools.chain(
         [base.p], (Permutation(img) for img in itertools.permutations(range(1, n + 1)))
@@ -611,7 +639,7 @@ def _naive_conjugate_witness(left, right, i, j, x):
     rowv = [zero] * right.ncols
     for r, val in enumerate((f.one(),) + x, start=j - 1):
         if val != zero:
-            rowv = [f.add(acc, f.mul(val, y)) for acc, y in zip(rowv, right.row(r))]
+            rowv = [f.add(acc, _mul(f, val, y)) for acc, y in zip(rowv, right.row(r))]
     return left.col(i - 1), rowv
 
 
@@ -672,7 +700,7 @@ def naive_certificate_devissage(g):
     entries = []
     for i, j in lower_pairs(n):
         col, rowv = _naive_conjugate_witness(left, right, i, j, naive_witness_coefficients(u2, i, j))
-        vec = tuple(f.mul(a, b) for a in col for b in rowv)
+        vec = tuple(_mul(f, a, b) for a in col for b in rowv)
         entries.append((vec, compose(Permutation.transposition(n, i, j), q)))
     span = _naive_checked_span(target, entries)
     if span is None:

@@ -54,10 +54,9 @@ class TestJson:
         assert jsonio.scalar_to_json(Q, Q.coerce("-2/3")) == "-2/3"
         assert jsonio.scalar_to_json(Q, Q.coerce(4)) == "4"
         assert jsonio.scalar_to_json(F5, 3) == 3
-        assert jsonio.scalar_from_json(Q, "-2/3") == Q.coerce("-2/3")
-        assert jsonio.scalar_from_json(Q, 7) == Q.coerce(7)
+        assert jsonio.matrix_from_json({"rows": [["-2/3", 7]]}, Q).row(0) == (Q.coerce("-2/3"), Q.coerce(7))
         with pytest.raises(InvalidInput):
-            jsonio.scalar_from_json(F5, "3")
+            jsonio.matrix_from_json({"rows": [["3"]]}, F5)
 
     def test_long_rational_is_a_resource_guard(self, int_str_digit_limit):
         assert len(jsonio.scalar_to_json(Q, Fraction(10**4000 + 1, 3))) == 4003

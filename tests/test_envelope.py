@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -286,10 +287,15 @@ class TestAlgebraStructuredFlags:
             vecs = envelope._int_shape(field, g.rows_list())
             out = envelope._flag_echelon(p, vecs)
             assert sorted(_lead(v) for v in out) == list(range(n))
-            assert p is None or all(v[_lead(v)] == 1 for v in out)
+            # lead 1 over F_p; primitive with a positive lead over Q
+            assert all(v[_lead(v)] == 1 if p else v[_lead(v)] > 0 and math.gcd(*v) == 1 for v in out)
             for k in range(1, n + 1):
                 want = subspace_from_rows(n, g.rows_list()[:k], field)
                 assert subspace_from_rows(n, out[:k], field) == want
+            # canonical: l @ g has the same row flag for l lower triangular
+            w0 = perm_matrix(longest_element(n), field)
+            lg = w0 @ random_upper_invertible(rng, field, n) @ w0 @ g
+            assert envelope._flag_echelon(p, envelope._int_shape(field, lg.rows_list())) == out
 
 
 class TestUnipotentInverse:

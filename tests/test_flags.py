@@ -1,6 +1,8 @@
 """Flag tests: stabilizers, relative position, tangent spaces, the cover."""
 
+import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -150,6 +152,45 @@ class TestFlagKey:
             for n in range(1, 6):
                 h = random_invertible(rng, field, n)
                 assert hash(Flag(h)) == hash(Flag(h @ random_upper_invertible(rng, field, n)))
+
+
+class TestBuilderBytes:
+    """The bytes of both Borel builders and of the flag key, pinned by one
+    sha256: borel(g), stab(flag(h)) and flag(h)'s key over seeded random,
+    rational, triangular and permutation matrices."""
+
+    DIGEST = "19096a2df7e7eacf9510921f9a9f1119976c25b407c5bca23ae89b740c84906b"
+
+    @staticmethod
+    def _inputs(field, rng, n):
+        yield random_invertible(rng, field, n)
+        yield random_invertible(rng, field, n)
+        if field.p is None:  # non-integer entries
+            while True:
+                rows = [[Fraction(rng.randint(-9, 9), 1 + rng.below(7)) for _ in range(n)] for _ in range(n)]
+                m = Matrix.from_rows(Q, rows)
+                if linalg.rref(m).rank == n:
+                    yield m
+                    break
+        w0 = perm_matrix(longest_element(n), field)
+        yield random_upper_invertible(rng, field, n)
+        yield w0 @ random_upper_invertible(rng, field, n) @ w0  # lower triangular
+        images = list(range(1, n + 1))
+        for k in range(n - 1, 0, -1):
+            j = rng.below(k + 1)
+            images[k], images[j] = images[j], images[k]
+        yield perm_matrix(Permutation(tuple(images)), field)
+
+    def test_builder_digest(self):
+        rng = SplitMix64(331)
+        h = hashlib.sha256()
+        for field in (Q, F2, F3, F5, F101):
+            for n in (1, 2, 3, 4, 5, 6, 8):
+                for m in self._inputs(field, rng, n):
+                    borel, stab = envelope.BorelConjugate(m).algebra, stabilizer_algebra(Flag(m))
+                    for out in (borel.prim_rows(), stab.prim_rows(), Flag(m)._key):
+                        h.update(repr(out).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestStabilizer:
