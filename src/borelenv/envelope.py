@@ -108,7 +108,8 @@ class BorelConjugate:
     Obtain it through :func:`borel_from_g`, which shares one instance per g:
     the brute-force oracle, both certificate routes and the caller then use
     one ``algebra``.  The defining matrix is validated eagerly; the subspace
-    is computed lazily, once, and its dimension is checked there.
+    is computed lazily, once per coset B·g (:func:`_row_flag_algebra`), and
+    its dimension is checked there.
 
     borel(g) is spanned by c_a ⊗ r_b, a <= b (c_a column a of g^-1, r_b row
     b of g), and fixed by the flags span(c_1..c_a), span(r_b..r_n).  g^-1 is
@@ -130,8 +131,15 @@ class BorelConjugate:
 
     @cached_property
     def algebra(self) -> Subspace:
-        # the column flag of g^-1, read off the row flag
-        return _borel_span(self.g.field, _dual_flag(self.g.field.p, self._rows), self._rows)
+        return _row_flag_algebra(self.g.field, tuple(self._rows))
+
+
+@lru_cache(maxsize=8)
+def _row_flag_algebra(f: FieldSpec, rows: tuple) -> Subspace:
+    """borel(g) from g's row flag, which fixes the coset B·g and so the
+    Borel; the key holds the field, since rows over F_p and Q can be equal."""
+    # the column flag of g^-1, read off the row flag
+    return _borel_span(f, _dual_flag(f.p, rows), rows)
 
 
 def _borel_span(f: FieldSpec, left: list, right: list) -> Subspace:

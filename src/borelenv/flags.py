@@ -101,7 +101,7 @@ def flag_from_matrix(g: Matrix) -> Flag:
     return Flag(g)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=8)
 def stabilizer_algebra(f: Flag) -> Subspace:
     """{M in gl_n : M F_i ⊆ F_i for all i}, as a subspace of k^(n^2).
 
@@ -112,8 +112,9 @@ def stabilizer_algebra(f: Flag) -> Subspace:
     reversed as borel(g) reads g^-1's columns off g's rows
     (:func:`envelope._dual_flag`), so no matrix is formed.  Cached with a
     small bound: the tangent cover asks once per flag, so hits come from
-    callers that repeat a flag, and the bound keeps a long run from holding
-    the flag of every h it has seen.
+    callers that repeat a flag.  Eight entries hold the 7 flags of the GL_2
+    prelude within one pass, and the drawn flags that end the pass evict
+    them, so no work carries from one run to the next.
     """
     return _borel_span(f.field, list(f._key), _dual_flag(f.field.p, f._key[::-1])[::-1])
 

@@ -143,5 +143,5 @@ def load_json_file(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, too many digits, too deep
         raise InvalidInput(f"malformed JSON in {path}: {exc}") from exc

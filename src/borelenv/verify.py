@@ -24,6 +24,8 @@ from functools import lru_cache
 from . import jsonio
 from .decomp import bruhat_cell, bruhat_decompose, ulp_decompose
 from .envelope import (
+    FULL_GROUP_LIMIT,
+    RESTRICTED_LIMIT,
     borel_from_g,
     borel_intersection_dim,
     envelope_bruteforce,
@@ -31,7 +33,7 @@ from .envelope import (
     verify_certificate,
     witness_basis,
 )
-from .errors import InvalidInput, UlpInfeasible
+from .errors import InvalidInput, ResourceGuard, UlpInfeasible
 from .flags import _tangent_sum
 from .linalg import FieldSpec, Matrix, Subspace, _coordinate_subspace, _rank, inverse, subspace_from_rows
 from .rng import derive_stream, random_invertible, random_singular, random_upper_invertible
@@ -501,6 +503,13 @@ def _sizes(config: RunConfig, name: str) -> list[int]:
     ns = list(range(max(least, lo), (hi if most is None else min(most, hi)) + 1))
     if not ns:
         raise InvalidInput(f"size range {lo}..{hi} leaves the {name} suite no size")
+    if name == "envelope":
+        # its first criterion runs every size, so a size past its guard
+        # would stop the run only after the earlier suites
+        what, limit = (("restricted certificates", RESTRICTED_LIMIT) if config.mode == "restricted"
+                       else ("envelope_bruteforce", FULL_GROUP_LIMIT))
+        if hi > limit:
+            raise ResourceGuard(f"{what} guarded at n <= {limit}")
     return ns
 
 
@@ -508,8 +517,9 @@ def run_suites(config: RunConfig, suites=("all",), threads: int = 1) -> dict:
     """Run the chosen suites and return the canonical report.
 
     Unknown suites, and suites that ``config.n_range`` leaves no size, raise
-    InvalidInput before any suite runs.  ``threads`` is ignored: the trials
-run on the calling thread.
+    InvalidInput, and a range past the envelope suite's guard raises
+    ResourceGuard, before any suite runs.  ``threads`` is ignored: the trials
+    run on the calling thread.
     """
     unknown = sorted(set(suites) - {"all", *SUITE_NAMES})
     if unknown or not suites:

@@ -28,10 +28,14 @@ def _time_bound(request):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_intersection_sums():
-    # the memo's key is (algebra, Weyl set), blind to monkeypatching: a sum
-    # left by an earlier test would skip a later test's patched kernel, and
-    # a sum made by a patched kernel must not reach a later test
-    envelope._intersection_sum.cache_clear()
+def _fresh_envelope_memos():
+    # both keys are blind to monkeypatching: _intersection_sum's is (algebra,
+    # Weyl set), _row_flag_algebra's is (field, row flag).  An entry left by
+    # an earlier test would skip a later test's patched kernel, and one made
+    # by a patched kernel must not reach a later test
+    memos = (envelope._intersection_sum, envelope._row_flag_algebra)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    envelope._intersection_sum.cache_clear()
+    for memo in memos:
+        memo.cache_clear()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from borelenv import jsonio
+from borelenv import jsonio, verify
 from borelenv.cli import main
 from borelenv.decomp import bruhat_decompose, ulp_decompose
 from borelenv.envelope import envelope_certificate
@@ -133,6 +133,28 @@ class TestCliEnvelope:
         bad.write_text("{not json")
         assert main(["envelope", "--matrix", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @staticmethod
+    def _assert_one_error_line(path, capsys):
+        assert main(["envelope", "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed JSON") and captured.err.count("\n") == 1
+
+    def test_non_utf8_input_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"field": "Q", "rows": [["\xe9"]]}')
+        self._assert_one_error_line(bad, capsys)
+
+    def test_integer_past_digit_limit_exits_two(self, tmp_path, capsys, int_str_digit_limit):
+        bad = tmp_path / "long.json"
+        bad.write_text('{"field": "Q", "rows": [[' + "7" * 4301 + "]]}")
+        self._assert_one_error_line(bad, capsys)
+
+    def test_deep_nesting_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        self._assert_one_error_line(bad, capsys)
 
     def test_exponent_literal_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "big.json"
@@ -287,6 +309,20 @@ class TestCliVerify:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--n", "2..7"], "envelope_bruteforce guarded at n <= 6", id="full"),
+        pytest.param(["--n", "2..13", "--mode", "restricted"], "restricted certificates guarded at n <= 12",
+                     id="restricted"),
+    ])
+    def test_range_past_envelope_guard_runs_no_suite(self, args, message, monkeypatch, capsys):
+        ran = []
+        for name, (_, least, most) in verify._SUITES.items():
+            monkeypatch.setitem(verify._SUITES, name, (lambda config, ns, name=name: ran.append(name) or [], least, most))
+        code = main(["verify", "--trials", "1"] + args)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        assert ran == []
 
     def test_bad_range_exits_two(self, capsys):
         assert main(["verify", "--n", "oops"]) == 2

@@ -240,6 +240,8 @@ class TestAlgebraStructuredFlags:
             return real(field, rows, width)
 
         monkeypatch.setattr(envelope, "_rref_prim", recording)
+        # an earlier case may share g's Borel: build this one afresh
+        envelope._row_flag_algebra.cache_clear()
         algebra = envelope.BorelConjugate(g).algebra
         monkeypatch.undo()
         rows, rank, _ = naive_borel_algebra(g)
@@ -360,6 +362,25 @@ class TestBorelFromGShared:
         b5 = borel_from_g(Matrix.from_rows(F5, [[1, 2], [3, 4]]))
         assert bq is not b5
         assert bq.algebra.field == Q and b5.algebra.field == F5
+
+    def test_one_coset_shares_one_algebra(self):
+        # borel(b @ g) = borel(g) for b upper triangular: the 12 elements of
+        # B(F_3) @ g share one algebra object, which no other element's equals
+        g = Matrix.from_rows(F3, [[0, 1], [1, 1]])
+        elements = gl2_elements(F3)
+        coset = [b @ g for b in elements if b.entries[2] == 0]
+        assert len(set(coset)) == 12
+        algebras = [borel_from_g(h).algebra for h in coset]
+        assert all(a is algebras[0] for a in algebras)
+        assert all(borel_from_g(h).algebra != algebras[0] for h in elements if h not in coset)
+
+    def test_equal_rows_other_field_not_shared(self):
+        # the row flag of [[1, 2], [0, 1]] has the same integer echelon form
+        # over Q and over F_5
+        bq, b5 = (borel_from_g(Matrix.from_rows(f, [[1, 2], [0, 1]])) for f in (Q, F5))
+        assert bq._rows == b5._rows
+        assert bq.algebra is not b5.algebra
+        assert (bq.algebra.field, b5.algebra.field) == (Q, F5)
 
     def test_singular_raises_on_every_call(self):
         g = Matrix.from_rows(Q, [[1, 2], [2, 4]])

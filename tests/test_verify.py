@@ -316,6 +316,34 @@ class TestIntersectionSumMemo:
         assert [computed(7), computed(8)] == [34, 34]
 
 
+class TestBorelBuilds:
+    """borel(g) is built once per Borel, keyed by g's row flag
+    (``envelope._row_flag_algebra``), and stab(F) once per flag; each memo
+    keeps 8, enough for the 7 Borels of the GL_2 prelude within one pass."""
+
+    def test_verify_run_builds_51_borels_cold_and_again(self, monkeypatch):
+        builds = []
+        real = envelope._borel_span
+
+        def counting(*args):
+            builds.append(args[0])
+            return real(*args)
+
+        for module in (envelope, flags):
+            monkeypatch.setattr(module, "_borel_span", counting)
+        envelope.borel_from_g.cache_clear()
+        flags.stabilizer_algebra.cache_clear()
+        config = RunConfig(7, 1, (F2, F3, F5, Q), (2, 4), "full")  # `borelenv verify --seed 7 --trials 1`
+
+        def built():
+            before = len(builds)
+            assert run_suites(config)["pass"]
+            return len(builds) - before
+
+        # a second run in the same process finds nothing the first left
+        assert [built(), built()] == [51, 51]
+
+
 class TestReplayDumps:
     def test_failure_dump_replays_through_cli(self, tmp_path, capsys):
         # force a failing trial by corrupting the oracle comparison: run the
