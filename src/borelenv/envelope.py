@@ -107,9 +107,10 @@ class BorelConjugate:
 
     Obtain it through :func:`borel_from_g`, which shares one instance per g:
     the brute-force oracle, both certificate routes and the caller then use
-    one ``algebra``.  The defining matrix is validated eagerly; the subspace
-    is computed lazily, once per coset B·g (:func:`_row_flag_algebra`), and
-    its dimension is checked there.
+    one ``algebra``.  It compares and hashes by (field, row flag), which
+    fixes the coset B·g and so the Borel: equal exactly when the Borels are.
+    The matrix is validated eagerly; the subspace is computed lazily, once
+    per coset (:func:`_row_flag_algebra`), and its dimension checked there.
 
     borel(g) is spanned by c_a ⊗ r_b, a <= b (c_a column a of g^-1, r_b row
     b of g), and fixed by the flags span(c_1..c_a), span(r_b..r_n).  g^-1 is
@@ -128,18 +129,25 @@ class BorelConjugate:
         self.g = g
         self.n = g.nrows
         self._rows = _matrix_flag(g, g.rows_list()[::-1])[::-1]
+        self._key = (g.field, tuple(self._rows))  # rows over F_p and Q can be equal
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BorelConjugate) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @cached_property
     def algebra(self) -> Subspace:
-        return _row_flag_algebra(self.g.field, tuple(self._rows))
+        return _row_flag_algebra(self)
 
 
 @lru_cache(maxsize=8)
-def _row_flag_algebra(f: FieldSpec, rows: tuple) -> Subspace:
-    """borel(g) from g's row flag, which fixes the coset B·g and so the
-    Borel; the key holds the field, since rows over F_p and Q can be equal."""
+def _row_flag_algebra(target: BorelConjugate) -> Subspace:
+    """borel(g) from g's row flag, once per coset B·g (the key)."""
     # the column flag of g^-1, read off the row flag
-    return _borel_span(f, _dual_flag(f.p, rows), rows)
+    f = target.g.field
+    return _borel_span(f, _dual_flag(f.p, target._rows), target._rows)
 
 
 def _borel_span(f: FieldSpec, left: list, right: list) -> Subspace:
@@ -398,10 +406,12 @@ def _peel(inv: list, right: list, qimg, p: int | None):
         yield (i, j), img, cols[i - 1], coefs, rowv
 
 
-def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
-    """The witness route: entry (i, j) is P_q^-1 u2^-1 a u2 P_q, tagged s∘q,
-    for the (i, j) witness a of u2 = P_w0 @ l @ P_w0, (1, x) read off row j
-    of u2^-1, where g = u @ l @ P_p is the unipotent-lower ULP and q = w0∘p.
+@lru_cache(maxsize=8)
+def _coset_certificate(target: BorelConjugate) -> tuple[tuple, tuple]:
+    """The witness route's (entries, translate): entry (i, j) is
+    P_q^-1 u2^-1 a u2 P_q, tagged s∘q, for the (i, j) witness a of
+    u2 = P_w0 @ l @ P_w0, (1, x) read off row j of u2^-1, where
+    g = u @ l @ P_p is the unipotent-lower ULP and q = w0∘p.
 
     All of it is read off the ULP sweep, with no factor built: row k of
     l @ P_p is the peel row units[k], so right = u2 @ P_q = P_w0 @ l @ P_p
@@ -411,6 +421,9 @@ def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     Membership in borel(P_{s∘q}) is an index test on the two factors, and
     the vectors must span borel(g) (one ``_span_int``), so a public caller
     never gets an unchecked ``spans=True``.
+
+    Memoized per coset B·g (:func:`_certificate_devissage`), from its first
+    g seen; 8 are kept, for the 7 Borels of verify's GL_2 prelude.
     """
     n, f, p = target.n, target.g.field, target.g.field.p
     _, claimed, _, units, _ = _ulp_sweep(target.g)
@@ -436,8 +449,16 @@ def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
     if _span_int(f, vecs, n * n) != target.algebra:
         raise ContractViolation("devissage certificate does not span borel(g)")
     q = Permutation(tuple(qimg))
-    translate = tuple(compose(t, q) for t in transposition_set(n))
-    return EnvelopeCertificate(target, tuple(entries), True, translate)
+    return tuple(entries), tuple(compose(t, q) for t in transposition_set(n))
+
+
+def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
+    """The restricted certificate, target.g the g asked for.  It depends on g
+    only through B·g: row i of b @ g is b[i][i] times g's row i plus rows
+    below it, so the ULP sweep peels the same unit rows and l @ P_p is the
+    same.  So it is built once per coset (:func:`_coset_certificate`)."""
+    entries, translate = _coset_certificate(target)
+    return EnvelopeCertificate(target, entries, True, translate)
 
 
 def envelope_certificate(
@@ -451,10 +472,12 @@ def envelope_certificate(
     With ``restricted=True`` the construction follows the witness route:
     factor g, peel the witness basis, and conjugate it into borel(g); the
     tags then lie in a single translate of the identity-plus-transpositions
-    subset, and the certificate always spans.  Otherwise intersections with
-    the translates in ``weyl_set`` (default: all of S_n, guarded at n <= 6)
-    are accumulated greedily; a too-small caller-supplied set yields
-    ``spans=False``, which is informative output rather than an error.
+    subset, and the certificate always spans.  It depends on g only through
+    B·g and is built once per coset (:func:`_certificate_devissage`), with
+    ``target.g`` = g.  Otherwise intersections with the translates in
+    ``weyl_set`` (default: all of S_n, guarded at n <= 6) are accumulated
+    greedily; a too-small caller-supplied set yields ``spans=False``, which
+    is informative output rather than an error.
     """
     target = borel_from_g(g)
     if restricted:

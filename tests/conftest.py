@@ -29,11 +29,12 @@ def _time_bound(request):
 
 @pytest.fixture(autouse=True)
 def _fresh_envelope_memos():
-    # both keys are blind to monkeypatching: _intersection_sum's is (algebra,
-    # Weyl set), _row_flag_algebra's is (field, row flag).  An entry left by
-    # an earlier test would skip a later test's patched kernel, and one made
-    # by a patched kernel must not reach a later test
-    memos = (envelope._intersection_sum, envelope._row_flag_algebra)
+    # every key is blind to monkeypatching: _intersection_sum's is (algebra,
+    # Weyl set), _row_flag_algebra's and _coset_certificate's a BorelConjugate,
+    # which compares by (field, row flag).  An entry left by an earlier test
+    # would skip a later test's patched kernel, and one made by a patched
+    # kernel must not reach a later test
+    memos = (envelope._intersection_sum, envelope._row_flag_algebra, envelope._coset_certificate)
     for memo in memos:
         memo.cache_clear()
     yield

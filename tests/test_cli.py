@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from borelenv import jsonio, verify
+from borelenv import cli, jsonio, verify
 from borelenv.cli import main
 from borelenv.decomp import bruhat_decompose, ulp_decompose
 from borelenv.envelope import envelope_certificate
@@ -272,6 +272,44 @@ class TestCliOther:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "takes" in captured.err
+
+
+class TestCliWeylGuard:
+    """``weyl leq`` and ``weyl length`` stop past cli.WEYL_LIMIT entries
+    (exit 2, one error line) before the order or length is computed."""
+
+    @staticmethod
+    def _perm(n, reverse=False):
+        return ",".join(map(str, range(n, 0, -1) if reverse else range(1, n + 1)))
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("computed past the guard")
+
+        monkeypatch.setattr(cli, "bruhat_leq", refuse)
+        monkeypatch.setattr(cli, "length", refuse)
+
+    def _assert_guarded(self, args, capsys):
+        assert main(["weyl", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: weyl {args[0]} guarded at {cli.WEYL_LIMIT} entries per permutation\n"
+
+    def test_leq_past_limit_exits_two(self, capsys, no_work):
+        n = cli.WEYL_LIMIT + 1
+        self._assert_guarded(["leq", self._perm(n), self._perm(n, reverse=True)], capsys)
+
+    def test_length_past_limit_exits_two(self, capsys, no_work):
+        self._assert_guarded(["length", self._perm(cli.WEYL_LIMIT + 1, reverse=True)], capsys)
+
+    def test_limit_still_answers(self, capsys):
+        n = cli.WEYL_LIMIT
+        assert cli.WEYL_LIMIT == 2000
+        assert main(["weyl", "leq", self._perm(n), self._perm(n, reverse=True)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] is True
+        assert main(["weyl", "length", self._perm(n, reverse=True)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == n * (n - 1) // 2
 
 
 class TestCliVerify:

@@ -370,15 +370,19 @@ class TestBorelFromGShared:
         elements = gl2_elements(F3)
         coset = [b @ g for b in elements if b.entries[2] == 0]
         assert len(set(coset)) == 12
-        algebras = [borel_from_g(h).algebra for h in coset]
+        targets = [borel_from_g(h) for h in coset]
+        algebras = [t.algebra for t in targets]
         assert all(a is algebras[0] for a in algebras)
-        assert all(borel_from_g(h).algebra != algebras[0] for h in elements if h not in coset)
+        # a BorelConjugate compares and hashes by its Borel
+        assert all(t == targets[0] and hash(t) == hash(targets[0]) for t in targets)
+        others = [borel_from_g(h) for h in elements if h not in coset]
+        assert all(t != targets[0] and t.algebra != algebras[0] for t in others)
 
     def test_equal_rows_other_field_not_shared(self):
         # the row flag of [[1, 2], [0, 1]] has the same integer echelon form
         # over Q and over F_5
         bq, b5 = (borel_from_g(Matrix.from_rows(f, [[1, 2], [0, 1]])) for f in (Q, F5))
-        assert bq._rows == b5._rows
+        assert bq._rows == b5._rows and bq != b5
         assert bq.algebra is not b5.algebra
         assert (bq.algebra.field, b5.algebra.field) == (Q, F5)
 
@@ -415,6 +419,50 @@ class TestBorelFromGShared:
             cert = envelope_certificate(g, restricted=True)
             assert cert.spans and verify_certificate(cert)
         assert len(calls) == len(gs)
+
+
+class TestCosetCertificate:
+    """The restricted certificate depends on g only through B·g, so it is
+    built once per coset (``envelope._coset_certificate``) and handed back
+    with the caller's own target."""
+
+    @pytest.mark.parametrize("field", [Q, F2, F5, F101], ids=str)
+    def test_equal_for_g_and_bg_built_apart(self, field):
+        # the fact the memo relies on: each side is built cold
+        rng = SplitMix64(337 + (field.p or 0))
+        for n in range(2, 7):
+            for _ in range(3):
+                g = random_invertible(rng, field, n)
+                bg = random_upper_invertible(rng, field, n) @ g
+                certs = []
+                for h in (g, bg):
+                    envelope._coset_certificate.cache_clear()
+                    certs.append(envelope_certificate(h, restricted=True))
+                assert envelope._coset_certificate.cache_info().hits == 0
+                assert repr(certs[0].entries) == repr(certs[1].entries)
+                assert repr(certs[0].witness_set) == repr(certs[1].witness_set)
+                assert certs[0].target.g == g and certs[1].target.g == bg
+
+    def test_one_coset_shares_one_build(self):
+        g = Matrix.from_rows(F3, [[0, 1], [1, 1]])
+        coset = [b @ g for b in gl2_elements(F3) if b.entries[2] == 0]
+        assert len(set(coset)) == 12
+        before = envelope._coset_certificate.cache_info().misses
+        certs = [envelope_certificate(h, restricted=True) for h in coset]
+        assert envelope._coset_certificate.cache_info().misses - before == 1
+        assert [c.target.g for c in certs] == coset
+        assert all(c.entries is certs[0].entries for c in certs)
+        assert all(c.spans and verify_certificate(c) for c in certs)
+
+    def test_failure_is_not_cached(self, monkeypatch):
+        g = random_invertible(SplitMix64(347), Q, 3)
+        monkeypatch.setattr(envelope, "_span_int", lambda *args: None)
+        for _ in range(2):
+            with pytest.raises(ContractViolation, match="does not span"):
+                envelope_certificate(g, restricted=True)
+        assert envelope._coset_certificate.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert verify_certificate(envelope_certificate(g, restricted=True))
 
 
 class TestBorelTranslate:
@@ -1108,8 +1156,10 @@ class TestRestrictedRouteOracle:
 
     @pytest.mark.parametrize("field", [F2, F3], ids=str)
     def test_matches_fraction_route_on_gl2_prelude(self, field):
-        # the verify suites' GL_2 prelude: every element of GL_2(F_2) and GL_2(F_3)
+        # the verify suites' GL_2 prelude: every element of GL_2(F_2) and
+        # GL_2(F_3), each on the integer route, not a memo hit of its coset
         for g in gl2_elements(field):
+            envelope._coset_certificate.cache_clear()
             got, want = envelope_certificate(g, restricted=True), naive_certificate_devissage(g)
             assert repr(got.entries) == repr(want.entries)
             assert got.spans == want.spans is True

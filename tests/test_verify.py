@@ -343,6 +343,19 @@ class TestBorelBuilds:
         # a second run in the same process finds nothing the first left
         assert [built(), built()] == [51, 51]
 
+    def test_verify_run_builds_17_certificates_cold_and_again(self):
+        # c3's restricted route, once per coset: the 54 GL_2 prelude elements
+        # hold 7 Borels, and the 12 samples make 10 more (the n = 2 samples
+        # over F_2 and F_3 find a prelude Borel)
+        config = RunConfig(7, 1, (F2, F3, F5, Q), (2, 4), "full")  # `borelenv verify --seed 7 --trials 1`
+
+        def built():
+            before = envelope._coset_certificate.cache_info().misses
+            assert run_suites(config)["pass"]
+            return envelope._coset_certificate.cache_info().misses - before
+
+        assert [built(), built()] == [17, 17]
+
 
 class TestReplayDumps:
     def test_failure_dump_replays_through_cli(self, tmp_path, capsys):
