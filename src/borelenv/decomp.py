@@ -54,6 +54,11 @@ Normalization = Literal["upper", "lower"]
 ULP_SEARCH_LIMIT = 8
 
 
+def _search_guard(n: int) -> None:
+    if n > ULP_SEARCH_LIMIT:
+        raise ResourceGuard(f"unipotent-upper search needs {n}! permutation trials")
+
+
 @dataclass(frozen=True)
 class BruhatFactors:
     u1: Matrix
@@ -254,8 +259,7 @@ def _ulp_upper(m: Matrix) -> UlpFactors:
     # then S_n in lexicographic order.  The factorization with a unipotent
     # upper factor does not always exist; when no p passes the rank test of
     # _ul_split's lemma, that proves infeasibility exactly.
-    if n > ULP_SEARCH_LIMIT:
-        raise ResourceGuard(f"unipotent-upper search needs {n}! permutation trials")
+    _search_guard(n)
     split = _ul_split(m.permute_cols(base.inverse()))
     if split is not None:
         return UlpFactors(split[0], split[1], base, "upper")

@@ -38,7 +38,7 @@ from typing import Sequence
 from ._kernel import _primitive, int_rows, peel, ratio, reduce_row, unit_row
 from .decomp import _ulp_sweep
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
-from .linalg import FieldSpec, Matrix, SpanAccumulator, Subspace, subspace_intersect
+from .linalg import FieldSpec, Matrix, SpanAccumulator, Subspace
 from .linalg import _coordinate_kernel, _coordinate_subspace, _int_shape, _intersect_with_coordinates, _rank, _rref_prim, _span_int
 from .weyl import Permutation, compose, enumerate_group, transposition_set
 
@@ -183,7 +183,7 @@ def borel_from_g(g: Matrix) -> BorelConjugate:
     """The subspace {g^-1 @ M @ g : M upper triangular} of k^(n^2).
 
     Equal matrices over the same field share one BorelConjugate (the last
-    eight are kept), so its algebra is built once per g.  Errors such as
+    eight are kept); its algebra is built once per coset B·g.  Errors such as
     NotInvertible are raised again on every call; they are never cached.
     """
     return BorelConjugate(g)
@@ -204,12 +204,12 @@ def borel_translate(w: Permutation, field: FieldSpec) -> Subspace:
     return _coordinate_subspace(w.n * w.n, field, _translate_coords(w.images))
 
 
-def borel_intersection_dim(w1: Permutation, w2: Permutation, field: FieldSpec | None = None) -> int:
-    """dim(borel(P_w1) ∩ borel(P_w2)); field defaults to Q."""
+def borel_intersection_dim(w1: Permutation, w2: Permutation) -> int:
+    """dim(borel(P_w1) ∩ borel(P_w2)), over every field: the two are
+    coordinate subspaces, so it counts the entries their index sets share."""
     if w1.n != w2.n:
         raise InvalidInput("size mismatch")
-    f = field or FieldSpec.rational()
-    return subspace_intersect(borel_translate(w1, f), borel_translate(w2, f)).dim
+    return len(_translate_coords(w1.images) & _translate_coords(w2.images))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +422,9 @@ def _coset_certificate(target: BorelConjugate) -> tuple[tuple, tuple]:
     the vectors must span borel(g) (one ``_span_int``), so a public caller
     never gets an unchecked ``spans=True``.
 
-    Memoized per coset B·g (:func:`_certificate_devissage`), from its first
-    g seen; 8 are kept, for the 7 Borels of verify's GL_2 prelude.
+    Memoized per coset B·g, from its first g seen (8 are kept, for the 7
+    Borels of verify's GL_2 prelude): row i of b @ g is b[i][i] times row i
+    of g plus rows below it, so the ULP sweep peels the same l @ P_p.
     """
     n, f, p = target.n, target.g.field, target.g.field.p
     _, claimed, _, units, _ = _ulp_sweep(target.g)
@@ -452,15 +453,6 @@ def _coset_certificate(target: BorelConjugate) -> tuple[tuple, tuple]:
     return tuple(entries), tuple(compose(t, q) for t in transposition_set(n))
 
 
-def _certificate_devissage(target: BorelConjugate) -> EnvelopeCertificate:
-    """The restricted certificate, target.g the g asked for.  It depends on g
-    only through B·g: row i of b @ g is b[i][i] times g's row i plus rows
-    below it, so the ULP sweep peels the same unit rows and l @ P_p is the
-    same.  So it is built once per coset (:func:`_coset_certificate`)."""
-    entries, translate = _coset_certificate(target)
-    return EnvelopeCertificate(target, entries, True, translate)
-
-
 def envelope_certificate(
     g: Matrix,
     weyl_set: Sequence[Permutation] | None = None,
@@ -473,7 +465,7 @@ def envelope_certificate(
     factor g, peel the witness basis, and conjugate it into borel(g); the
     tags then lie in a single translate of the identity-plus-transpositions
     subset, and the certificate always spans.  It depends on g only through
-    B·g and is built once per coset (:func:`_certificate_devissage`), with
+    B·g and is built once per coset (:func:`_coset_certificate`), with
     ``target.g`` = g.  Otherwise intersections with the translates in
     ``weyl_set`` (default: all of S_n, guarded at n <= 6) are accumulated
     greedily; a too-small caller-supplied set yields ``spans=False``, which
@@ -485,7 +477,8 @@ def envelope_certificate(
             raise InvalidInput("restricted mode computes its own translate")
         if target.n > RESTRICTED_LIMIT:
             raise ResourceGuard(f"restricted certificates guarded at n <= {RESTRICTED_LIMIT}")
-        return _certificate_devissage(target)
+        entries, translate = _coset_certificate(target)
+        return EnvelopeCertificate(target, entries, True, translate)
     if weyl_set is None:
         if target.n > FULL_GROUP_LIMIT:
             raise ResourceGuard(f"full-group certificates guarded at n <= {FULL_GROUP_LIMIT}")

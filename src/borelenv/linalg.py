@@ -321,20 +321,20 @@ class Subspace:
     is mirrored internally by primitive integer rows (content 1, positive
     pivot); the two shapes determine each other, and the integer shape is
     what intersections and span sums compute with.  Every instance is
-    built from that integer shape, by ``_from_prim``.
+    built from that integer shape, by ``_from_prim``, and keeps nothing
+    else: a coordinate subspace is an ordinary instance.
     """
 
-    __slots__ = ("ambient_dim", "field", "_prim", "_pivots", "_basis", "_support")
+    __slots__ = ("ambient_dim", "field", "_prim", "_pivots", "_basis")
 
     @classmethod
-    def _from_prim(cls, ambient_dim: int, field: FieldSpec, prim, pivots, support=...):
+    def _from_prim(cls, ambient_dim: int, field: FieldSpec, prim, pivots):
         s = cls.__new__(cls)
         s.ambient_dim = ambient_dim
         s.field = field
         s._prim = tuple(tuple(r) for r in prim)
         s._pivots = tuple(pivots)
         s._basis = None
-        s._support = support  # ... until _coordinate_support fills it
         return s
 
     @property
@@ -434,17 +434,7 @@ def _coordinate_subspace(ambient_dim: int, field: FieldSpec, coords) -> Subspace
     already the canonical (and primitive) basis."""
     pivots = sorted(coords)
     prim = [tuple(1 if c == u else 0 for c in range(ambient_dim)) for u in pivots]
-    return Subspace._from_prim(ambient_dim, field, prim, pivots, frozenset(pivots))
-
-
-def _coordinate_support(s: Subspace) -> frozenset[int] | None:
-    """If every basis row is a unit vector, the supporting coordinate set
-    (computed once per subspace, then kept in its ``_support`` slot)."""
-    if s._support is ...:
-        rows = zip(s._prim, s._pivots)
-        unit = all(not any(x and c != pc for c, x in enumerate(r)) for r, pc in rows)
-        s._support = frozenset(s._pivots) if unit else None
-    return s._support
+    return Subspace._from_prim(ambient_dim, field, prim, pivots)
 
 
 def _intersect_with_coordinates(s: Subspace, coords: frozenset[int]) -> Subspace:
@@ -492,28 +482,17 @@ def _coordinate_kernel(s: Subspace, coords: frozenset[int]) -> list:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Canonical intersection of two subspaces of the same ambient space."""
+    """Canonical intersection of two subspaces of the same ambient space, by
+    one algorithm, Zassenhaus: the rref of [A | A; B | 0], whose rows with
+    zero left half carry the intersection in their right half.  Library code
+    that holds a coordinate subspace as its index set intersects through
+    :func:`_intersect_with_coordinates`, or two such sets as sets."""
     _check_compatible(a, b)
-    ca = _coordinate_support(a)
-    cb = _coordinate_support(b)
-    if ca is not None and cb is not None:
-        return _coordinate_subspace(a.ambient_dim, a.field, ca & cb)
-    if cb is not None:
-        return _intersect_with_coordinates(a, cb)
-    if ca is not None:
-        return _intersect_with_coordinates(b, ca)
-    # Zassenhaus: rref of [A | A; B | 0]; rows with zero left half carry the
-    # intersection in their right half.
-    width = a.ambient_dim
-    f = a.field
+    width, f = a.ambient_dim, a.field
     stacked = [list(r) + list(r) for r in a.prim_rows()]
     stacked += [list(r) + [0] * width for r in b.prim_rows()]
-    prim, rank, _ = _rref_prim(f, stacked, 2 * width)
-    out = []
-    for row in prim:
-        if not any(row[:width]):
-            out.append(row[width:])
-    return _span_int(f, out, width)
+    prim = _rref_prim(f, stacked, 2 * width)[0]
+    return _span_int(f, [row[width:] for row in prim if not any(row[:width])], width)
 
 
 class SpanAccumulator:

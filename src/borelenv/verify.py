@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from . import jsonio
-from .decomp import bruhat_cell, bruhat_decompose, ulp_decompose
+from .decomp import _search_guard, bruhat_cell, bruhat_decompose, ulp_decompose
 from .envelope import (
     FULL_GROUP_LIMIT,
     RESTRICTED_LIMIT,
@@ -282,13 +282,17 @@ def restricted_envelope(fields, ns, samples: int, seed: int) -> CriterionResult:
 # Criterion 4: ULP factorization
 
 
+def _singular_trial(k: int) -> bool:  # ulp_roundtrip's trial k draws a singular matrix
+    return k % 3 != 0
+
+
 def ulp_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
 
     def draw(rng, field: FieldSpec, n: int, k: int):
         if k % 6 == 2:
             return Matrix.zeros(field, n, n)
-        return random_singular(rng, field, n) if k % 3 else random_invertible(rng, field, n)
+        return random_singular(rng, field, n) if _singular_trial(k) else random_invertible(rng, field, n)
 
     def check(m: Matrix):
         outcomes = {"upper_checked": 0, "upper_infeasible": 0}
@@ -503,6 +507,9 @@ def _sizes(config: RunConfig, name: str) -> list[int]:
     ns = list(range(max(least, lo), (hi if most is None else min(most, hi)) + 1))
     if not ns:
         raise InvalidInput(f"size range {lo}..{hi} leaves the {name} suite no size")
+    if name == "decomp":  # a singular ULP draw past the search limit would stop it mid-run
+        for n in (ns[k % len(ns)] for k in range(config.trials) if _singular_trial(k)):
+            _search_guard(n)
     if name == "envelope":
         # its first criterion runs every size, so a size past its guard
         # would stop the run only after the earlier suites
@@ -517,9 +524,9 @@ def run_suites(config: RunConfig, suites=("all",), threads: int = 1) -> dict:
     """Run the chosen suites and return the canonical report.
 
     Unknown suites, and suites that ``config.n_range`` leaves no size, raise
-    InvalidInput, and a range past the envelope suite's guard raises
-    ResourceGuard, before any suite runs.  ``threads`` is ignored: the trials
-    run on the calling thread.
+    InvalidInput, and a size past the envelope suite's guard or decomp's ULP
+    search limit raises ResourceGuard, before any suite runs.  ``threads``
+    is ignored: the trials run on the calling thread.
     """
     unknown = sorted(set(suites) - {"all", *SUITE_NAMES})
     if unknown or not suites:

@@ -643,12 +643,18 @@ def _naive_conjugate_witness(left, right, i, j, x):
     return left.col(i - 1), rowv
 
 
+def naive_translate_index_set(w):
+    """The support of borel(P_w) from its definition: the 0-based row-major
+    entries (r, c) with w(r) <= w(c), the Weyl element called 1-based."""
+    n = w.n
+    return frozenset(r * n + c for r in range(n) for c in range(n) if w(r + 1) <= w(c + 1))
+
+
 def _naive_checked_span(target, entries):
     """The span of the entries' vectors, or None when some vector or tag has
     the wrong size or a vector lies outside the algebra or its translate.
     """
-    from borelenv.envelope import borel_translate
-    from borelenv.linalg import _coordinate_support, _int_shape, _span_int
+    from borelenv.linalg import _int_shape, _span_int
 
     n, f = target.n, target.g.field
     rows = []
@@ -656,7 +662,7 @@ def _naive_checked_span(target, entries):
         if len(vec) != n * n or w.n != n:
             return None
         v = [f.coerce(x) for x in vec]
-        coords = _coordinate_support(borel_translate(w, f))
+        coords = naive_translate_index_set(w)
         if any(x and c not in coords for c, x in enumerate(v)):
             return None
         rows.append(v)

@@ -362,5 +362,33 @@ class TestCliVerify:
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
         assert ran == []
 
+    # the decomp suite's trial k is singular iff k % 3 != 0 and has size
+    # ns[k % len(ns)]; a singular draw past ULP_SEARCH_LIMIT = 8 needs the
+    # guarded unipotent-upper search
+    DECOMP_ARGS = ["verify", "--suite", "weyl,decomp", "--fields", "fp:2"]
+
+    def test_singular_ulp_draw_past_search_limit_runs_no_suite(self, monkeypatch, capsys):
+        # trial 7 is a singular 9 x 9 draw
+        ran = []
+        _, least, most = verify._SUITES["weyl"]
+        monkeypatch.setitem(verify._SUITES, "weyl", (lambda config, ns: ran.append("weyl") or [], least, most))
+        code = main(self.DECOMP_ARGS + ["--n", "2..9", "--trials", "8"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: unipotent-upper search needs 9! permutation trials\n"
+        assert ran == []
+
+    @pytest.mark.parametrize("args, digest", [
+        # trials 0..6 reach n = 8 at most
+        pytest.param(["--n", "2..9", "--trials", "7"],
+                     "9d9c96ce5343efb726fa616382d7823ab104acbf8a49b82fac176c7a2245f504", id="sizes-2-to-8"),
+        # trial 0 is invertible, so n = 9 takes no search
+        pytest.param(["--n", "9..9", "--trials", "1"],
+                     "879873788a116eea1951bb3261a63138c09546ed3f78bd920365ae08d945a851", id="invertible-9"),
+    ])
+    def test_no_singular_draw_past_search_limit_passes(self, args, digest, capsys):
+        assert main(self.DECOMP_ARGS + args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_bad_range_exits_two(self, capsys):
         assert main(["verify", "--n", "oops"]) == 2

@@ -24,7 +24,7 @@ from borelenv.envelope import (
 from borelenv.errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
 from borelenv.flags import flag_from_matrix, stabilizer_algebra
 from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows, subspace_intersect
-from borelenv.linalg import _coordinate_kernel, _coordinate_support
+from borelenv.linalg import _coordinate_kernel
 from borelenv.rng import SplitMix64, derive_stream, random_invertible, random_upper_invertible
 from borelenv.verify import gl2_elements
 from borelenv.weyl import (
@@ -43,6 +43,7 @@ from reference import (
     naive_inverse,
     naive_subspace_intersect,
     naive_subspace_sum,
+    naive_translate_index_set,
     naive_witness_coefficients,
 )
 
@@ -485,10 +486,15 @@ class TestTranslateIndexSets:
     escape test on it."""
 
     def test_index_set_is_the_translate_support(self):
+        # the index set against its definition, and borel(P_w) against the
+        # span of the unit vectors there
         for n in range(1, 6):
             for w in enumerate_group(n):
+                want = naive_translate_index_set(w)
+                assert envelope._translate_coords(w.images) == want
                 for field in (F2, F3, F5, F101, Q):
-                    assert envelope._translate_coords(w.images) == _coordinate_support(borel_translate(w, field))
+                    units = [[int(c == u) for c in range(n * n)] for u in want]
+                    assert borel_translate(w, field) == subspace_from_rows(n * n, units, field)
 
     def test_escape_test_matches_the_support_test(self):
         # col ⊗ row escapes borel(P_w) iff some nonzero product sits off its index set
@@ -540,6 +546,16 @@ class TestIntersectionDim:
             e = Permutation.identity(n)
             for w in enumerate_group(n):
                 assert borel_intersection_dim(e, w) == n * (n + 1) // 2 - length(w)
+
+    def test_shared_entries_match_the_subspace_intersection(self):
+        # the count of shared index-set entries against the subspace route,
+        # every ordered pair of S_n, n <= 4, over three fields
+        for n in range(1, 5):
+            group = enumerate_group(n)
+            for field in (Q, F2, F5):
+                for w1, w2 in itertools.product(group, repeat=2):
+                    want = subspace_intersect(borel_translate(w1, field), borel_translate(w2, field)).dim
+                    assert borel_intersection_dim(w1, w2) == want
 
 
 class TestDevissage:

@@ -20,8 +20,8 @@ from borelenv.linalg import (
     subspace_from_rows,
     subspace_intersect,
     _coordinate_subspace,
-    _coordinate_support,
     _int_shape,
+    _intersect_with_coordinates,
     _is_prime,
     _kernel_rows,
 )
@@ -729,8 +729,9 @@ class TestSubspace:
 
     def test_intersect_matches_zassenhaus_both_ways(self):
         # a random subspace against coordinate sets that hold some of its
-        # basis pivots and miss others: subspace_intersect, with either
-        # operand first, against the kernel of the stacked bases
+        # basis pivots and miss others: the coordinate path, and
+        # subspace_intersect with either operand first, against the kernel
+        # of the stacked bases
         rng = SplitMix64(23)
         for field in FIELDS:
             nontrivial = 0
@@ -747,14 +748,16 @@ class TestSubspace:
                 unit = [[one if c == u else zero for c in range(n)] for u in sorted(coords)]
                 b = subspace_from_rows(n, unit, field=field)
                 want = tuple(naive_subspace_intersect(a.rows(), b.rows(), field.p))
+                assert _intersect_with_coordinates(a, frozenset(coords)).rows() == want
                 assert subspace_intersect(a, b).rows() == want
                 assert subspace_intersect(b, a).rows() == want
                 nontrivial += bool(want)
             assert nontrivial >= 5
 
     def test_borel_intersections_match_zassenhaus(self):
-        # borel(g) ∩ borel(P_w) for every w in S_n, n <= 4
-        from borelenv.envelope import borel_from_g, borel_translate
+        # borel(g) ∩ borel(P_w) for every w in S_n, n <= 4, on the
+        # coordinate path from borel(P_w)'s index set and by Zassenhaus
+        from borelenv.envelope import _translate_coords, borel_from_g, borel_translate
 
         rng = SplitMix64(29)
         for field in FIELDS:
@@ -763,6 +766,7 @@ class TestSubspace:
                 for w in enumerate_group(n):
                     coord = borel_translate(w, field)
                     want = tuple(naive_subspace_intersect(algebra.rows(), coord.rows(), field.p))
+                    assert _intersect_with_coordinates(algebra, _translate_coords(w.images)).rows() == want
                     assert subspace_intersect(algebra, coord).rows() == want
                     assert subspace_intersect(coord, algebra).rows() == want
 
@@ -784,24 +788,31 @@ class TestSubspace:
             assert {pc % 2 for pc in a._pivots} == {0, 1}
             b = _coordinate_subspace(6, field, range(0, 6, 2))
             monkeypatch.setattr(linalg, "_rref_prim", spy)
-            got = subspace_intersect(a, b)
+            got = _intersect_with_coordinates(a, frozenset(range(0, 6, 2)))
             monkeypatch.undo()
             assert seen.pop() == sum(1 for pc in a._pivots if pc % 2 == 0)
             assert got.rows() == tuple(naive_subspace_intersect(a.rows(), b.rows(), field.p))
 
-    def test_coordinate_support_computed_once(self):
+    def test_coordinate_subspace_intersections_repeat(self):
         s = subspace_from_rows(4, [[0, 2, 0, 0], [3, 0, 0, 0]], field=Q)
-        t = subspace_from_rows(4, [[1, 1, 0, 0]], field=F5)
-        assert _coordinate_support(s) == {0, 1}
-        assert _coordinate_support(s) is _coordinate_support(s)
-        assert _coordinate_support(t) is None and t._support is None
         c = _coordinate_subspace(4, Q, [3, 1])
-        assert c._support == {1, 3} and c == subspace_from_rows(4, [[0, 0, 0, 1], [0, 1, 0, 0]], Q)
-        # a warm support leaves the intersections unchanged
+        assert c == subspace_from_rows(4, [[0, 0, 0, 1], [0, 1, 0, 0]], Q)
+        # an intersection asked again gives the same subspace
         u = subspace_from_rows(4, [[1, 1, 1, 0], [0, 0, 1, 1]], field=Q)
         first = (subspace_intersect(u, s), subspace_intersect(s, c))
         assert (subspace_intersect(u, s), subspace_intersect(s, c)) == first
         assert first[1] == subspace_from_rows(4, [[0, 1, 0, 0]], Q)
+
+    def test_two_coordinate_subspaces_meet_on_common_coordinates(self):
+        # either order, against the coordinate subspace on the shared indices
+        rng = SplitMix64(37)
+        for field in FIELDS:
+            for _ in range(20):
+                n = 1 + rng.below(6)
+                ca, cb = ({c for c in range(n) if rng.below(2)} for _ in range(2))
+                a, b = _coordinate_subspace(n, field, ca), _coordinate_subspace(n, field, cb)
+                want = _coordinate_subspace(n, field, ca & cb)
+                assert subspace_intersect(a, b) == want == subspace_intersect(b, a)
 
     def test_ambient_mismatch(self):
         a = subspace_from_rows(2, [[1, 0]], field=Q)
