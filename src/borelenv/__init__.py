@@ -33,13 +33,11 @@ from .errors import (
 from .flags import (
     Flag,
     TangentSpaceFiber,
-    TangentSpaceGtilde,
     dpi2,
     flag_from_matrix,
     relative_position,
     stabilizer_algebra,
     tangent_fiber,
-    tangent_gtilde,
     tangent_sum_check,
 )
 from .linalg import (

@@ -2,9 +2,11 @@
 variety of (matrix, flag) pairs.
 
 A complete flag in k^n is the chain of spans of the leading columns of an
-invertible matrix.  Its identity is one canonical column-echelon basis,
-built once per flag: flags compare and hash by it, so the adapted basis is
-a representative and a cache lookup costs one tuple hash.
+invertible matrix.  Everything here reads two echelon bases that depend on
+the flag alone and are built once per flag, with no matrix inverted: its
+key, the canonical column echelon that flags compare and hash by, and its
+dual, whose row suffixes span the annihilators of the flag's steps, read
+off the key by back-substitution.  The adapted basis is a representative.
 
 Stabilizer convention: ``stabilizer_algebra(flag_from_matrix(g))`` equals
 g @ b0 @ g^-1 for b0 the upper triangular algebra.  This is the opposite
@@ -25,9 +27,9 @@ Tangent spaces are coordinatized concretely.  The tangent space of the
 flag variety at any point is identified with the strictly lower triangular
 matrices (the unipotent-opposite chart through that point), giving
 n(n-1)/2 chart coordinates ordered lexicographically by (row, col) with
-row > col.  The tangent space of the incidence variety at a point (0, F)
-is then stab(F) ⊕ chart inside k^(n^2) ⊕ k^(n(n-1)/2), and the fiber
-square over 0 has tangent chart ⊕ (stab ∩ stab) ⊕ chart.  The coordinate
+row > col.  The fiber square over 0 has tangent chart ⊕ (stab ∩ stab) ⊕
+chart at (F1, F2); on the diagonal its projection ``dpi2`` is the tangent
+space of the incidence variety at (0, F), stab(F) ⊕ chart.  The coordinate
 flag of w has stabilizer borel(P_w^-1), so the tangent sum is the envelope
 sum of stab(F_h) over S_n, the memoized loop of :mod:`borelenv.envelope`
 (one small kernel per w), shared with borel(h^-1)'s oracle.  The n! fiber
@@ -42,18 +44,16 @@ from functools import cached_property, lru_cache
 
 from .decomp import bruhat_cell
 from .envelope import _borel_span, _dual_flag, _intersection_sum, _matrix_flag, _translate_coords
-from .errors import ContractViolation, InvalidInput, ResourceGuard
-from .linalg import FieldSpec, Matrix, Subspace, _intersect_with_coordinates, inverse, subspace_from_rows, subspace_intersect
+from .errors import InvalidInput, ResourceGuard
+from .linalg import Matrix, Subspace, _intersect_with_coordinates, _span_int, subspace_from_rows, subspace_intersect
 from .weyl import Permutation, enumerate_group
 
 __all__ = [
     "Flag",
-    "TangentSpaceGtilde",
     "TangentSpaceFiber",
     "flag_from_matrix",
     "stabilizer_algebra",
     "relative_position",
-    "tangent_gtilde",
     "tangent_fiber",
     "dpi2",
     "tangent_sum_check",
@@ -67,10 +67,10 @@ def chart_dim(n: int) -> int:
 
 
 class Flag:
-    """A complete flag: an adapted basis, inverted only when first asked,
-    and the key it compares and hashes by, the canonical echelon of its
-    columns (:func:`envelope._flag_echelon`), which depends on the flag
-    alone; building it is the rank check."""
+    """A complete flag: an adapted basis, the key it compares and hashes by,
+    the canonical echelon of its columns (:func:`envelope._flag_echelon`),
+    and the dual read off that key when first asked.  Key and dual depend
+    on the flag alone; building the key is the rank check."""
 
     def __init__(self, adapted_basis: Matrix):
         if not adapted_basis.is_square:
@@ -81,8 +81,11 @@ class Flag:
         self._key = tuple(_matrix_flag(h, [h.col(j) for j in range(n)]))
 
     @cached_property
-    def _inverse(self) -> Matrix:
-        return inverse(self.adapted_basis)
+    def _dual(self) -> list:
+        """The dual flag in echelon form: rows b..n span ann(F_{b-1}), read
+        off the key reversed as borel(g) reads g^-1's columns off g's rows
+        (:func:`envelope._dual_flag`)."""
+        return _dual_flag(self.field.p, self._key[::-1])[::-1]
 
     def __eq__(self, other):
         if not isinstance(other, Flag):
@@ -107,47 +110,39 @@ def stabilizer_algebra(f: Flag) -> Subspace:
 
     For the adapted basis h this is h @ b0 @ h^-1, spanned by c_a ⊗ r_b,
     a <= b, for c_a column a of h and r_b row b of h^-1, and fixed by the
-    flags span(c_1..c_a) = F_a and span(r_b..r_n) = ann(F_{b-1}).  The key
-    is the first in echelon form; the second is its dual, read off the key
-    reversed as borel(g) reads g^-1's columns off g's rows
-    (:func:`envelope._dual_flag`), so no matrix is formed.  Cached with a
-    small bound: the tangent cover asks once per flag, so hits come from
-    callers that repeat a flag.  Eight entries hold the 7 flags of the GL_2
-    prelude within one pass, and the drawn flags that end the pass evict
-    them, so no work carries from one run to the next.
+    flags span(c_1..c_a) = F_a and span(r_b..r_n) = ann(F_{b-1}): the key
+    and the dual, so no matrix is formed.  Cached with a small bound: the
+    tangent cover asks once per flag, so hits come from callers that repeat
+    a flag.  Eight entries hold the 7 flags of the GL_2 prelude within one
+    pass, and the drawn flags that end the pass evict them, so no work
+    carries from one run to the next.
     """
-    return _borel_span(f.field, list(f._key), _dual_flag(f.field.p, f._key[::-1])[::-1])
+    return _borel_span(f.field, list(f._key), f._dual)
 
 
 def relative_position(f1: Flag, f2: Flag) -> Permutation:
     """The unique w with f2 in the f1-Borel orbit through w's coordinate flag.
 
-    w is the Bruhat cell of h = g1^-1 @ g2, g1 and g2 the adapted bases.
-    Proof: in g1's basis F1_i = span(e_1..e_i) and F2_j is spanned by the
-    first j columns of h, so dim(F1_i ∩ F2_j) = j - r(i+1, j), r(i, j) the
-    number of pivots of RREF(rows i..n of h) in columns 1..j, whose second
+    w is the Bruhat cell of h1^-1 @ h2, h1 and h2 the adapted bases.  In
+    h1's basis F1_i = span(e_1..e_i) and F2_j is spanned by the first j
+    columns of h1^-1 @ h2, so dim(F1_i ∩ F2_j) = j - r(i+1, j), r(i, j) the
+    number of pivots of RREF(rows i..n) in columns 1..j, whose second
     difference is 1 exactly where row i adds column j to those pivots: the
     reading of :func:`bruhat_cell`, n RREFs instead of n^2 joint ranks.
+    The cell is read from D1 @ K2 instead, D1 with f1's dual as rows and K2
+    with f2's key as columns.  D1's row suffixes span those of h1^-1, so
+    D1 = T @ h1^-1 with T upper triangular; K2's column prefixes span those
+    of h2, so K2 = h2 @ b2 with b2 upper triangular.  Then D1 @ K2 =
+    T @ (h1^-1 @ h2) @ b2, and the label is a two-sided invariant.
     """
     if f1.n != f2.n or f1.field != f2.field:
         raise InvalidInput("flags live in different spaces")
-    return bruhat_cell(f1._inverse @ f2.adapted_basis)
+    d1k2 = [[sum(x * y for x, y in zip(d, k)) for k in f2._key] for d in f1._dual]
+    return bruhat_cell(Matrix.from_rows(f1.field, d1k2))
 
 
 # ---------------------------------------------------------------------------
 # Tangent spaces
-
-
-@dataclass(frozen=True)
-class TangentSpaceGtilde:
-    """Tangent space of the incidence variety at (0, base_flag).
-
-    Lives in k^(n^2) ⊕ chart; equals stab(base_flag) ⊕ (full chart), so its
-    dimension is always n^2.
-    """
-
-    base_flag: Flag
-    space: Subspace
 
 
 @dataclass(frozen=True)
@@ -162,51 +157,15 @@ class TangentSpaceFiber:
     space: Subspace
 
 
-def _block_diag_space(fld: FieldSpec, blocks) -> Subspace:
-    """Canonical subspace from block-supported canonical pieces.
-
-    ``blocks`` is a list of (offset, width, subspace_or_None); None means
-    the full block.  Offsets are increasing and non-overlapping, so the
-    pieces' canonical rows, padded in block order, are again canonical.
-    """
-    total = sum(w for _, w, _ in blocks)
-    prim = []
-    pivots = []
-    for offset, width, piece in blocks:
-        if piece is None:
-            for t in range(width):
-                row = [0] * total
-                row[offset + t] = 1
-                prim.append(tuple(row))
-                pivots.append(offset + t)
-        else:
-            for r, pc in zip(piece.prim_rows(), piece._pivots):
-                row = [0] * total
-                row[offset : offset + width] = list(r)
-                prim.append(tuple(row))
-                pivots.append(offset + pc)
-    return Subspace._from_prim(total, fld, prim, pivots)
-
-
-def tangent_gtilde(f: Flag) -> TangentSpaceGtilde:
-    n, fld = f.n, f.field
-    cd = chart_dim(n)
-    space = _block_diag_space(fld, [(0, n * n, stabilizer_algebra(f)), (n * n, cd, None)])
-    if space.dim != n * n:
-        raise ContractViolation("tangent space has wrong dimension")
-    return TangentSpaceGtilde(f, space)
-
-
 def tangent_fiber(f1: Flag, f2: Flag) -> TangentSpaceFiber:
     if f1.n != f2.n or f1.field != f2.field:
         raise InvalidInput("flags live in different spaces")
-    n, fld = f1.n, f1.field
-    cd = chart_dim(n)
+    n, cd = f1.n, chart_dim(f1.n)
+    width = 2 * cd + n * n
     mid = subspace_intersect(stabilizer_algebra(f1), stabilizer_algebra(f2))
-    space = _block_diag_space(
-        fld, [(0, cd, None), (cd, n * n, mid), (cd + n * n, cd, None)]
-    )
-    return TangentSpaceFiber((f1, f2), space)
+    units = [[int(c == t) for c in range(width)] for t in (*range(cd), *range(cd + n * n, width))]
+    rows = units[:cd] + [[0] * cd + list(r) + [0] * cd for r in mid.prim_rows()] + units[cd:]
+    return TangentSpaceFiber((f1, f2), _span_int(f1.field, rows, width))
 
 
 def dpi2(t: TangentSpaceFiber) -> Subspace:

@@ -18,6 +18,7 @@ criterion is marked failed.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -28,6 +29,7 @@ from .envelope import (
     RESTRICTED_LIMIT,
     borel_from_g,
     borel_intersection_dim,
+    borel_translate,
     envelope_bruteforce,
     envelope_certificate,
     verify_certificate,
@@ -35,13 +37,14 @@ from .envelope import (
 )
 from .errors import InvalidInput, ResourceGuard, UlpInfeasible
 from .flags import _tangent_sum
-from .linalg import FieldSpec, Matrix, Subspace, _coordinate_subspace, _rank, inverse, subspace_from_rows
+from .linalg import FieldSpec, Matrix, _rank, inverse, subspace_from_rows
 from .rng import derive_stream, random_invertible, random_singular, random_upper_invertible
 from .weyl import (
     Permutation,
     bruhat_leq,
     enumerate_group,
     length,
+    longest_element,
     transposition_set,
 )
 
@@ -77,8 +80,8 @@ class RunConfig:
         lo, hi = self.n_range
         if self.trials < 1:
             raise InvalidInput(f"trials must be at least 1, got {self.trials}")
-        if not 1 <= lo <= hi:
-            raise InvalidInput(f"bad size range {lo}..{hi} (want 1 <= lo <= hi)")
+        if not 1 <= lo <= hi <= sys.maxsize:  # a wider range has no len()
+            raise InvalidInput(f"bad size range {lo}..{hi} (want 1 <= lo <= hi <= {sys.maxsize})")
         if not self.fields:
             raise InvalidInput("no field to sample")
         if self.mode not in ("full", "restricted"):
@@ -158,7 +161,6 @@ def _drive(criteria, draw, fields, ns, samples, seed, *, cycled=False, prelude=F
     if prelude:
         for field in (FieldSpec.prime(2), FieldSpec.prime(3)):
             jobs += [(field, 2, -1 - idx, g) for idx, g in enumerate(gl2_elements(field))]
-    ns = list(ns)
     if cycled:
         jobs += [(field, ns[k % len(ns)], k, None) for field in fields for k in range(samples)]
     else:
@@ -206,11 +208,6 @@ def envelope_identity(fields, ns, samples: int, seed: int) -> CriterionResult:
 # Criterion 2: the constructive witness basis
 
 
-def _lower_triangular_space(field: FieldSpec, n: int) -> Subspace:
-    """The lower triangular matrices: the coordinates (i, j) with j <= i."""
-    return _coordinate_subspace(n * n, field, [i * n + j for i in range(n) for j in range(i + 1)])
-
-
 def witness_construction(fields, ns, samples: int, seed: int) -> CriterionResult:
     """Samples count per field; the size cycles through ns deterministically."""
 
@@ -228,7 +225,7 @@ def witness_construction(fields, ns, samples: int, seed: int) -> CriterionResult
             if not conj.is_upper_triangular():
                 return u, "", f"witness {wit.i},{wit.j} escaped"
         span = subspace_from_rows(n * n, [list(w.a.flatten()) for w in wits], field=field)
-        if span != _lower_triangular_space(field, n):
+        if span != borel_translate(longest_element(n), field):  # the lower triangular algebra
             return u, "", "witnesses do not span"
         # change of basis from the elementary matrices, in lex (i, j) order:
         # column t holds the coordinates of witness t, so entries sit on or
@@ -501,10 +498,10 @@ _SUITES = {
 }
 
 
-def _sizes(config: RunConfig, name: str) -> list[int]:
+def _sizes(config: RunConfig, name: str) -> range:
     _, least, most = _SUITES[name]
     lo, hi = config.n_range
-    ns = list(range(max(least, lo), (hi if most is None else min(most, hi)) + 1))
+    ns = range(max(least, lo), (hi if most is None else min(most, hi)) + 1)  # lazy: --n may be wide
     if not ns:
         raise InvalidInput(f"size range {lo}..{hi} leaves the {name} suite no size")
     if name == "decomp":  # a singular ULP draw past the search limit would stop it mid-run

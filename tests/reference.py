@@ -393,10 +393,12 @@ def fiber_tangent_sum(h):
 
     For every w in S_n: the coordinate flag of w as a Flag, the fiber
     tangent space at (flag(w), flag(h)) and its dpi2 projection.  The
-    projections are summed in one naive_subspace_sum, and the gl_n block is
-    read off the rows of that sum.  Only public API is used.
+    projections are summed in one naive_subspace_sum, the gl_n block is read
+    off the rows of that sum, and the sum holds when it is the tangent space
+    at (0, flag(h)), the projected fiber tangent at (flag(h), flag(h)).
+    Only public API is used.
     """
-    from borelenv.flags import chart_dim, dpi2, flag_from_matrix, tangent_fiber, tangent_gtilde
+    from borelenv.flags import chart_dim, dpi2, flag_from_matrix, tangent_fiber
     from borelenv.linalg import subspace_from_rows
     from borelenv.weyl import enumerate_group, perm_matrix
 
@@ -409,7 +411,7 @@ def fiber_tangent_sum(h):
         parts.append(dpi2(fiber))
     total = naive_subspace_sum(parts)
     gl = subspace_from_rows(n * n, [list(r)[: n * n] for r in total.rows()], field=field)
-    return total == tangent_gtilde(fh).space, tuple(ledger), gl
+    return total == dpi2(tangent_fiber(fh, fh)), tuple(ledger), gl
 
 
 class SingularSystem(Exception):

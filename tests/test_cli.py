@@ -162,6 +162,32 @@ class TestCliEnvelope:
         assert main(["envelope", "--matrix", str(bad)]) == 2
         assert "exponent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["foo", "fp:abc"])
+    def test_bad_field_argument_exits_two(self, field, tmp_path, capsys):
+        path = write_matrix(tmp_path, "id.json", Matrix.identity(Q, 2))
+        assert main(["envelope", "--matrix", path, "--field", field]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad field argument {field!r}" + (
+            " (want q or fp:<p>)\n" if field == "foo" else "\n")
+
+    def test_weyl_set_object_exits_two(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "id.json", Matrix.identity(Q, 2))
+        ws = tmp_path / "ws.json"
+        ws.write_text(json.dumps({"w": [1, 2]}))
+        assert main(["envelope", "--matrix", path, "--weyl-set", str(ws)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weyl set file must hold a JSON array of permutations\n"
+
+    def test_certificate_failing_self_verification_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_certificate", lambda cert: False)
+        path = write_matrix(tmp_path, "id.json", Matrix.identity(Q, 2))
+        assert main(["envelope", "--matrix", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: certificate failed self-verification\n"
+
     def test_singular_exits_two(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "z.json", Matrix.zeros(Q, 2, 2))
         assert main(["envelope", "--matrix", path]) == 2
@@ -338,6 +364,8 @@ class TestCliVerify:
                      id="trials-zero"),
         pytest.param(["--n", "5..2", "--suite", "envelope"], "bad size range", id="lo-above-hi"),
         pytest.param(["--n", "0..2", "--suite", "decomp"], "bad size range", id="lo-below-one"),
+        pytest.param(["--n", f"1..{sys.maxsize + 1}", "--suite", "weyl"], "bad size range",
+                     id="hi-past-maxsize"),
         pytest.param(["--n", "5..6", "--suite", "flag"], "leaves the flag suite no size",
                      id="flag-sizes-empty"),
     ])
@@ -389,6 +417,27 @@ class TestCliVerify:
     def test_no_singular_draw_past_search_limit_passes(self, args, digest, capsys):
         assert main(self.DECOMP_ARGS + args) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    # a size range too wide to list: the sizes are planned as a range, so
+    # each guard and each draw reads only the sizes it needs
+    WIDE = f"1..{10 ** 18}"
+
+    def test_wide_range_weyl_passes(self, capsys):
+        assert main(["verify", "--suite", "weyl", "--n", self.WIDE, "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    def test_wide_range_decomp_draws_what_one_size_draws(self, capsys):
+        # one trial takes ns[0] = 1, as --n 1..1 does
+        suites = []
+        for sizes in (self.WIDE, "1..1"):
+            assert main(["verify", "--suite", "decomp", "--n", sizes, "--trials", "1"]) == 0
+            suites.append(json.dumps(json.loads(capsys.readouterr().out)["suites"], sort_keys=True))
+        assert suites[0] == suites[1]
+
+    def test_wide_range_past_envelope_guard_exits_two(self, capsys):
+        assert main(["verify", "--suite", "envelope", "--n", f"2..{10 ** 18}"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: envelope_bruteforce guarded at n <= 6\n")
 
     def test_bad_range_exits_two(self, capsys):
         assert main(["verify", "--n", "oops"]) == 2

@@ -12,7 +12,6 @@ from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard
 from borelenv.flags import (
     Flag,
     TangentSpaceFiber,
-    _block_diag_space,
     _tangent_sum,
     chart_dim,
     dpi2,
@@ -20,11 +19,10 @@ from borelenv.flags import (
     relative_position,
     stabilizer_algebra,
     tangent_fiber,
-    tangent_gtilde,
     tangent_sum_check,
 )
 from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subspace_intersect
-from borelenv.rng import SplitMix64, random_invertible, random_matrix, random_upper_invertible
+from borelenv.rng import SplitMix64, random_invertible, random_upper_invertible
 from borelenv.verify import gl2_elements, tangent_cover
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
 from reference import fiber_tangent_sum, flag_steps, naive_relative_position, naive_stabilizer_algebra
@@ -57,6 +55,25 @@ def conjugated_uppers(g):
             conj = g @ Matrix.from_rows(field, e) @ ginv
             rows.append(list(conj.flatten()))
     return subspace_from_rows(n * n, rows, field=field)
+
+
+def unit_rows(width, coords):
+    return [[int(c == t) for c in range(width)] for t in coords]
+
+
+def gtilde(f):
+    """The incidence variety's tangent space at (0, f): the fiber square's
+    at (f, f), projected."""
+    return dpi2(tangent_fiber(f, f))
+
+
+def stab_plus_chart(f):
+    """stab(f) ⊕ chart from its definition: the conjugated uppers' rows
+    padded by the chart's zeros, and the chart's unit rows."""
+    n, cd = f.n, chart_dim(f.n)
+    rows = [list(r) + [0] * cd for r in conjugated_uppers(f.adapted_basis).rows()]
+    rows += unit_rows(n * n + cd, range(n * n, n * n + cd))
+    return subspace_from_rows(n * n + cd, rows, field=f.field)
 
 
 class TestFlag:
@@ -299,7 +316,7 @@ class TestRelativePosition:
         # g2 gives a generic pair.  Inverses give non-integer entries over Q.
         rng = SplitMix64(131)
         for field in (F2, F3, F5, F101, Q):
-            for n in range(1, 6):
+            for n in range(1, 7):
                 cells = enumerate_group(n)
                 for _ in range(4):
                     g1 = inverse(random_invertible(rng, field, n))
@@ -326,18 +343,18 @@ class TestTangentSpaces:
             assert chart_dim(n) == n * (n - 1) // 2
 
     def test_gtilde_dimension(self):
-        assert tangent_gtilde(standard_flag(Q, 2)).space.dim == 4
+        assert gtilde(standard_flag(Q, 2)).dim == 4
         rng = SplitMix64(131)
         f = flag_from_matrix(random_invertible(rng, F5, 3))
-        assert tangent_gtilde(f).space.dim == 9
+        assert gtilde(f).dim == 9
 
     def test_gtilde_matrix_block_for_anti_flag(self):
-        t = tangent_gtilde(anti_flag(Q, 2))
+        t = gtilde(anti_flag(Q, 2))
         # contains the lower elementary in the matrix block
-        assert t.space.contains((0, 0, 1, 0, 0))
-        assert not t.space.contains((0, 1, 0, 0, 0))
+        assert t.contains((0, 0, 1, 0, 0))
+        assert not t.contains((0, 1, 0, 0, 0))
         # chart directions are always present
-        assert t.space.contains((0, 0, 0, 0, 1))
+        assert t.contains((0, 0, 0, 0, 1))
 
     def test_fiber_dims(self):
         f = standard_flag(Q, 2)
@@ -359,11 +376,10 @@ class TestTangentSpaces:
 
     def test_dpi2_examples(self):
         f = standard_flag(Q, 2)
-        same = dpi2(tangent_fiber(f, f))
-        assert same == tangent_gtilde(f).space
+        assert gtilde(f) == stab_plus_chart(f)
         proj = dpi2(tangent_fiber(standard_flag(Q, 2), anti_flag(Q, 2)))
         assert proj.dim == 3
-        target = tangent_gtilde(anti_flag(Q, 2)).space
+        target = stab_plus_chart(anti_flag(Q, 2))
         assert proj.dim < target.dim
         for row in proj.rows():
             assert target.contains(row)
@@ -381,24 +397,24 @@ class TestTangentSpaces:
         assert proj == subspace_from_rows(4 + cd, [row[cd:]], field=Q)
 
 
-class TestBlockDiagSpace:
+class TestFiberSpace:
     def test_matches_span_of_padded_rows(self):
-        # random pieces of random dimension, with a full (None) block between
+        # chart ⊕ (stab ∩ stab) ⊕ chart from its definition, for random
+        # pairs and pairs in a random relative position w
         rng = SplitMix64(163)
         for field in (F2, F3, F5, F101, Q):
-            for _ in range(6):
-                first, last = (random_matrix(rng, field, w).rows_list() for w in (3, 4))
-                first, last = first[: rng.below(4)], last[: rng.below(5)]
-                blocks = [
-                    (0, 3, subspace_from_rows(3, first, field=field)),
-                    (3, 2, None),
-                    (5, 4, subspace_from_rows(4, last, field=field)),
-                ]
-                padded = [r + [0] * 6 for r in first] + [[0] * 5 + r for r in last]
-                padded += [[int(c == t) for c in range(9)] for t in (3, 4)]
-                built = _block_diag_space(field, blocks)
-                expected = subspace_from_rows(9, padded, field=field)
-                assert built == expected and built._pivots == expected._pivots
+            for n in range(1, 5):
+                cd, width = chart_dim(n), n * n + 2 * chart_dim(n)
+                h = random_invertible(rng, field, n)
+                w = enumerate_group(n)[rng.below(len(enumerate_group(n)))]
+                for h2 in (random_invertible(rng, field, n),
+                           h @ random_upper_invertible(rng, field, n) @ perm_matrix(w, field)):
+                    mid = subspace_intersect(conjugated_uppers(h), conjugated_uppers(h2))
+                    padded = [[0] * cd + list(r) + [0] * cd for r in mid.rows()]
+                    padded += unit_rows(width, [*range(cd), *range(cd + n * n, width)])
+                    built = tangent_fiber(flag_from_matrix(h), flag_from_matrix(h2)).space
+                    expected = subspace_from_rows(width, padded, field=field)
+                    assert built == expected and built._pivots == expected._pivots
 
 
 class TestTangentSum:

@@ -134,6 +134,17 @@ class TestInverseCalls:
                     devissage_witness(u, i, j)
         assert calls == []
 
+    def test_relative_position_makes_no_inverse(self, monkeypatch):
+        # both flags are read from their keys and duals
+        calls = self._count(monkeypatch)
+        rng = SplitMix64(269)
+        for field in (Q, F2, F5):
+            for n in range(1, 6):
+                f1, f2 = (flags.flag_from_matrix(random_invertible(rng, field, n)) for _ in range(2))
+                flags.relative_position(f1, f2)
+                flags.relative_position(f1, f1)
+        assert calls == []
+
     def test_verify_one_trial(self, monkeypatch):
         # the config of `borelenv verify --seed 7 --trials 1`: c2's
         # conjugation check is its only inverse of u
