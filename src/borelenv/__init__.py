@@ -16,7 +16,6 @@ from .envelope import (
     borel_from_g,
     borel_intersection_dim,
     borel_translate,
-    devissage_witness,
     envelope_bruteforce,
     envelope_certificate,
     verify_certificate,

@@ -15,7 +15,7 @@ meet through
 The central fact made executable here: every Borel subalgebra equals the
 span of its intersections with the coordinate Borels borel(P_w), w in S_n,
 and a certificate for that span can be produced constructively by peeling
-witness matrices out of triangular data (:func:`devissage_witness`).  The
+witness matrices out of triangular data (:func:`witness_basis`).  The
 witness route needs only a small translate of the identity-plus-
 transpositions subset of S_n and reads its certificate off the ULP sweep
 of g; the brute-force route (:func:`envelope_bruteforce`) sums the
@@ -49,7 +49,6 @@ __all__ = [
     "borel_from_g",
     "borel_translate",
     "borel_intersection_dim",
-    "devissage_witness",
     "witness_basis",
     "envelope_certificate",
     "envelope_bruteforce",
@@ -253,17 +252,9 @@ def _escapes(tag: tuple, col, row) -> bool:
     return top > min((t for t, x in zip(tag, row) if x), default=0)
 
 
-def devissage_witness(u: Matrix, i: int, j: int) -> DevissageWitness:
-    """The (i, j) witness for u, 1-based, i >= j: entry (i, j) of
-    :func:`witness_basis`, whose peel checks every witness."""
-    n = u.nrows
-    if not (1 <= j <= i <= n):
-        raise InvalidInput(f"need 1 <= j <= i <= n, got (i, j) = ({i}, {j})")
-    return witness_basis(u)[i * (i - 1) // 2 + j - 1]
-
-
 def witness_basis(u: Matrix) -> tuple[DevissageWitness, ...]:
-    """All n(n+1)/2 witnesses for u, ordered lexicographically by (i, j).
+    """All n(n+1)/2 witnesses for u, ordered lexicographically by (i, j):
+    the (i, j) witness, 1-based, i >= j, is entry i(i-1)/2 + j - 1.
 
     Witness (i, j) is e^{i,j} + sum_l x_l e^{i,j+l}, (1, x) row j of u^-1 on
     columns j..i over its first entry.  They are peeled from the unipotent
@@ -345,10 +336,17 @@ def verify_certificate(cert: EnvelopeCertificate) -> bool:
     return cert.spans == (span == algebra)
 
 
-def _certificate_greedy(target: BorelConjugate, ws: Sequence[Permutation]) -> EnvelopeCertificate:
-    n, f = target.n, target.g.field
+def _weyl_set(weyl_set: Sequence[Permutation], n: int) -> tuple[Permutation, ...]:
+    """weyl_set with the first of each repeat kept, in order; every element
+    must be of size n."""
+    ws = tuple(dict.fromkeys(weyl_set))
     if any(w.n != n for w in ws):
         raise InvalidInput("weyl_set size does not match the matrix")
+    return ws
+
+
+def _certificate_greedy(target: BorelConjugate, ws: tuple[Permutation, ...]) -> EnvelopeCertificate:
+    n, f = target.n, target.g.field
     algebra = target.algebra
     acc = SpanAccumulator(n * n, f)
     entries = []
@@ -361,7 +359,7 @@ def _certificate_greedy(target: BorelConjugate, ws: Sequence[Permutation]) -> En
             if acc.add_rows([prim]):
                 entries.append((tuple(row), w))
     spans = acc.equals(algebra)
-    return EnvelopeCertificate(target, tuple(entries), spans, tuple(ws))
+    return EnvelopeCertificate(target, tuple(entries), spans, ws)
 
 
 def _unipotent_inverse(rows: list, p: int | None) -> list:
@@ -467,9 +465,10 @@ def envelope_certificate(
     subset, and the certificate always spans.  It depends on g only through
     B·g and is built once per coset (:func:`_coset_certificate`), with
     ``target.g`` = g.  Otherwise intersections with the translates in
-    ``weyl_set`` (default: all of S_n, guarded at n <= 6) are accumulated
-    greedily; a too-small caller-supplied set yields ``spans=False``, which
-    is informative output rather than an error.
+    ``weyl_set`` (default: all of S_n) are accumulated greedily; a
+    too-small caller-supplied set yields ``spans=False``, which is
+    informative output rather than an error.  The greedy route is guarded
+    at n <= 6 whatever the set, before borel(g)'s algebra is built.
     """
     target = borel_from_g(g)
     if restricted:
@@ -479,31 +478,10 @@ def envelope_certificate(
             raise ResourceGuard(f"restricted certificates guarded at n <= {RESTRICTED_LIMIT}")
         entries, translate = _coset_certificate(target)
         return EnvelopeCertificate(target, entries, True, translate)
-    if weyl_set is None:
-        if target.n > FULL_GROUP_LIMIT:
-            raise ResourceGuard(f"full-group certificates guarded at n <= {FULL_GROUP_LIMIT}")
-        ws = list(enumerate_group(target.n))
-    else:
-        ws = list(dict.fromkeys(weyl_set))  # first of each repeat, in order
-    return _certificate_greedy(target, ws)
-
-
-@lru_cache(maxsize=None)
-def _rotations(n: int) -> dict:
-    return {tuple((k + j) % n + 1 for j in range(n)): k for k in range(n)}
-
-
-def _rotations_first(ws: Sequence[Permutation], n: int) -> list[Permutation]:
-    """ws (no repeats) in one pass: the k-th powers of the n-cycle, images
-    (k+1, ..., n, 1, ..., k), by k, then the rest in the caller's order."""
-    rots, first, rest = _rotations(n), {}, []
-    for w in ws:
-        k = rots.get(w.images)
-        if k is None:
-            rest.append(w)
-        else:
-            first[k] = w
-    return [first[k] for k in sorted(first)] + rest
+    n = target.n
+    if n > FULL_GROUP_LIMIT:
+        raise ResourceGuard(f"greedy certificates guarded at n <= {FULL_GROUP_LIMIT}")
+    return _certificate_greedy(target, _weyl_set(enumerate_group(n) if weyl_set is None else weyl_set, n))
 
 
 @lru_cache(maxsize=8)
@@ -520,15 +498,18 @@ def _intersection_sum(algebra: Subspace, ws: tuple[Permutation, ...]) -> Subspac
     and λ ↦ λ·B is injective, so the sum is full once the λ rows reach
     rank dim; only a sum that is not is mapped back through B.
 
-    ws is visited rotations first: the powers of the n-cycle, then the rest
-    in the caller's order.  Rotated coordinate Borels overlap little, so
-    for a generic Borel algebra the sum is full after n terms (lexicographic
-    order needed 34 of the 120 elements of S_5).  The order depends on n
-    alone, and the result does not depend on it: a sum is order-free.
+    ws is visited rotations first, by one stable sort: the k-th power of
+    the n-cycle, images (k+1, ..., n, 1, ..., k), has key k and every other
+    element key n, so the rest keep the caller's order.  Rotated coordinate
+    Borels overlap little, so for a generic Borel algebra the sum is full
+    after n terms (lexicographic order needed 34 of the 120 elements of
+    S_5).  The result does not depend on the order: a sum is order-free.
     """
     f, width = algebra.field, algebra.ambient_dim
+    n = isqrt(width)
+    rotations = {tuple((k + j) % n + 1 for j in range(n)): k for k in range(n)}
     acc = SpanAccumulator(algebra.dim, f)
-    for w in _rotations_first(ws, isqrt(width)):
+    for w in sorted(ws, key=lambda w: rotations.get(w.images, n)):
         acc.add_rows(_coordinate_kernel(algebra, _translate_coords(w.images)))
         if acc.dim == algebra.dim:
             return algebra
@@ -549,7 +530,4 @@ def envelope_bruteforce(g: Matrix, weyl_set: Sequence[Permutation]) -> Subspace:
     n = target.n
     if n > FULL_GROUP_LIMIT:
         raise ResourceGuard(f"envelope_bruteforce guarded at n <= {FULL_GROUP_LIMIT}")
-    ws = tuple(dict.fromkeys(weyl_set))
-    if any(w.n != n for w in ws):
-        raise InvalidInput("weyl_set size does not match the matrix")
-    return _intersection_sum(target.algebra, ws)
+    return _intersection_sum(target.algebra, _weyl_set(weyl_set, n))

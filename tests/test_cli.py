@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from borelenv import cli, jsonio, verify
+from borelenv import cli, envelope, jsonio, verify
 from borelenv.cli import main
 from borelenv.decomp import bruhat_decompose, ulp_decompose
 from borelenv.envelope import envelope_certificate
@@ -187,6 +187,17 @@ class TestCliEnvelope:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: certificate failed self-verification\n"
+
+    def test_callers_weyl_set_past_greedy_guard_exits_two(self, tmp_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(envelope, "_row_flag_algebra", lambda target: built.append(target))
+        path = write_matrix(tmp_path, "g7.json", random_invertible(SplitMix64(7), Q, 7))
+        ws = tmp_path / "ws.json"
+        ws.write_text(json.dumps([list(range(1, 8))]))
+        assert main(["envelope", "--matrix", path, "--weyl-set", str(ws)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: greedy certificates guarded at n <= 6\n")
+        assert built == []
 
     def test_singular_exits_two(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "z.json", Matrix.zeros(Q, 2, 2))

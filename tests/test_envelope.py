@@ -15,7 +15,6 @@ from borelenv.envelope import (
     borel_from_g,
     borel_intersection_dim,
     borel_translate,
-    devissage_witness,
     envelope_bruteforce,
     envelope_certificate,
     verify_certificate,
@@ -558,16 +557,21 @@ class TestIntersectionDim:
                     assert borel_intersection_dim(w1, w2) == want
 
 
+def witness(u, i, j):
+    """The (i, j) witness for u, 1-based, i >= j: its entry of witness_basis."""
+    return witness_basis(u)[i * (i - 1) // 2 + j - 1]
+
+
 class TestDevissage:
     def test_diagonal_case(self):
         u = Matrix.from_rows(Q, [[2, 7], [0, 5]])
-        wit = devissage_witness(u, 2, 2)
+        wit = witness(u, 2, 2)
         assert wit.x == ()
         assert wit.a == Matrix.from_rows(Q, [[0, 0], [0, 1]])
         assert wit.s == Permutation.identity(2)
 
     def test_identity_input(self):
-        wit = devissage_witness(Matrix.identity(Q, 3), 3, 1)
+        wit = witness(Matrix.identity(Q, 3), 3, 1)
         assert wit.x == (0, 0)
         e31 = Matrix.zeros(Q, 3, 3).rows_list()
         e31[2][0] = 1
@@ -575,7 +579,7 @@ class TestDevissage:
 
     def test_worked_2x2(self):
         u = Matrix.from_rows(Q, [[1, 1], [0, 1]])
-        wit = devissage_witness(u, 2, 1)
+        wit = witness(u, 2, 1)
         assert wit.x == (-1,)
         assert wit.a == Matrix.from_rows(Q, [[0, 0], [1, -1]])
         assert wit.s == Permutation((2, 1))
@@ -594,7 +598,7 @@ class TestDevissage:
                 u_inv = inverse(u)
                 for i in range(1, n + 1):
                     for j in range(1, i + 1):
-                        wit = devissage_witness(u, i, j)
+                        wit = witness(u, i, j)
                         assert wit.a.is_lower_triangular()
                         ps = perm_matrix(wit.s, field)
                         conj = ps @ u_inv @ wit.a @ u @ inverse(ps)
@@ -618,7 +622,7 @@ class TestDevissage:
             u = random_upper_invertible(rng, field, 3)
             for i, j in ((2, 1), (3, 1), (3, 2)):
                 with pytest.raises(ContractViolation, match="escaped"):
-                    devissage_witness(u, i, j)
+                    witness(u, i, j)
             g = random_invertible(rng, field, 3)
             with pytest.raises(ContractViolation, match="escaped"):
                 envelope_certificate(g, restricted=True)
@@ -641,17 +645,14 @@ class TestDevissage:
                     us.append(Matrix(Q, n, n, tuple(ents)))
                 for u in us:
                     for i, j in envelope.lower_pairs(n):
-                        got = devissage_witness(u, i, j).x
+                        got = witness(u, i, j).x
                         assert repr(got) == repr(naive_witness_coefficients(u, i, j))
 
     def test_bad_inputs(self):
-        u = Matrix.from_rows(Q, [[1, 1], [0, 1]])
-        with pytest.raises(InvalidInput):
-            devissage_witness(u, 1, 2)  # i < j
-        with pytest.raises(InvalidInput):
-            devissage_witness(Matrix.from_rows(Q, [[0, 1], [0, 1]]), 2, 1)
-        with pytest.raises(InvalidInput):
-            devissage_witness(Matrix.from_rows(Q, [[1, 0], [1, 1]]), 2, 1)
+        with pytest.raises(InvalidInput, match="nonzero diagonal"):
+            witness_basis(Matrix.from_rows(Q, [[0, 1], [0, 1]]))
+        with pytest.raises(InvalidInput, match="upper triangular"):
+            witness_basis(Matrix.from_rows(Q, [[1, 0], [1, 1]]))
 
 
 class TestWitnessBasis:
@@ -713,8 +714,9 @@ def _pinned_witness_inputs():
 
 class TestPinnedWitnesses:
     """The witnesses' bytes, repr((i, j, x, a, s)), pinned by sha256 over
-    :func:`_pinned_witness_inputs`: the whole basis, and each (i, j) alone,
-    which must give the same bytes in the same order."""
+    :func:`_pinned_witness_inputs`: the whole basis, and each (i, j) read
+    at index i(i-1)/2 + j - 1, which must give the same bytes in the same
+    order."""
 
     PIN = "676d4164445ee948fe36b15749a0814f834ee81dddfda79f917a991de9bedd21"
 
@@ -729,11 +731,11 @@ class TestPinnedWitnesses:
                 self._update(digest, w)
         assert digest.hexdigest() == self.PIN
 
-    def test_devissage_witness_bytes(self):
+    def test_witness_by_index_bytes(self):
         digest = hashlib.sha256()
         for u in _pinned_witness_inputs():
             for i, j in envelope.lower_pairs(u.nrows):
-                self._update(digest, devissage_witness(u, i, j))
+                self._update(digest, witness(u, i, j))
         assert digest.hexdigest() == self.PIN
 
 
@@ -878,6 +880,17 @@ class TestCertificates:
         with pytest.raises(ResourceGuard):
             envelope_certificate(Matrix.identity(Q, 7))
 
+    def test_greedy_guard_with_a_callers_set(self, monkeypatch):
+        # a caller's set is guarded like the default one, before borel(g)'s
+        # algebra is built
+        built = []
+        real = envelope._row_flag_algebra
+        monkeypatch.setattr(envelope, "_row_flag_algebra", lambda target: built.append(target) or real(target))
+        g = random_invertible(SplitMix64(287), Q, 7)
+        with pytest.raises(ResourceGuard, match="^greedy certificates guarded at n <= 6$"):
+            envelope_certificate(g, [Permutation.identity(7)])
+        assert built == []
+
 
 def _rotations(n):
     return [Permutation(tuple((k + j) % n + 1 for j in range(n))) for k in range(n)]
@@ -891,14 +904,22 @@ def _loop_rotation_key(w):
     return k if all(img[j] == (k + j) % n + 1 for j in range(n)) else n
 
 
-def test_rotations_first_matches_its_definition():
-    # the one-pass order is the stable sort by the rotation key: the n
-    # rotations by power, then the caller's order, for any caller's order
+def test_intersection_sum_visits_the_stable_sort(monkeypatch):
+    # the order _intersection_sum visits is the stable sort by the rotation
+    # key: the n rotations by power, then the caller's order, for any
+    # caller's order.  The kernel returns no rows, so the sum never stops
+    # early and every element is visited
+    visited = []
+    monkeypatch.setattr(envelope, "_coordinate_kernel", lambda s, coords: visited.append(coords) or [])
     for n in range(1, 7):
+        algebra = borel_from_g(Matrix.identity(Q, n)).algebra
         group = list(enumerate_group(n))
-        for ws in (group, group[::-1], group[n:] + group[:n]):
-            order = envelope._rotations_first(ws, n)
-            assert order == sorted(ws, key=_loop_rotation_key)
+        for ws in (group, group[::-1], group[n:] + group[:n]):  # equal orders at n <= 2
+            visited.clear()
+            envelope._intersection_sum.cache_clear()
+            assert envelope._intersection_sum(algebra, tuple(ws)).dim == 0
+            order = sorted(ws, key=_loop_rotation_key)
+            assert visited == [envelope._translate_coords(w.images) for w in order]
             assert order[:n] == _rotations(n)
 
 
@@ -998,6 +1019,35 @@ class TestBruteforce:
             envelope_bruteforce(Matrix.identity(Q, 3), ws)
 
 
+class TestWeylSet:
+    """A caller's Weyl set is deduplicated and size-checked in one place,
+    for the brute-force oracle and the greedy certificate alike."""
+
+    A, B, C = (Permutation(images) for images in ((2, 1, 3), (1, 3, 2), (3, 2, 1)))
+
+    def test_repeats_keep_their_first_position(self, monkeypatch):
+        a, b, c = self.A, self.B, self.C
+        assert envelope._weyl_set([b, a, b, c, a], 3) == (b, a, c)
+        g = random_invertible(SplitMix64(281), Q, 3)
+        assert envelope_certificate(g, [b, a, b, c, a]).witness_set == (b, a, c)
+        seen = []
+        monkeypatch.setattr(envelope, "_intersection_sum", lambda algebra, ws: seen.append(ws))
+        envelope_bruteforce(g, [b, a, b, c, a])
+        assert seen == [(b, a, c)]
+
+    @pytest.mark.parametrize("route", [envelope_bruteforce, envelope_certificate])
+    def test_wrong_size_raises_through_both_routes(self, route):
+        ws = [self.A, Permutation.identity(2)]
+        with pytest.raises(InvalidInput, match="^weyl_set size does not match the matrix$"):
+            route(Matrix.identity(Q, 3), ws)
+
+    def test_empty_set_spans_nothing(self):
+        g = random_invertible(SplitMix64(283), F5, 3)
+        cert = envelope_certificate(g, [])
+        assert (cert.spans, cert.entries, cert.witness_set) == (False, (), ())
+        assert envelope_bruteforce(g, []).dim == 0
+
+
 class TestIntersectionSum:
     # over F_2 the four rotations do not fill this borel(g): the sum needs 6 terms
     TAIL_F2 = Matrix.from_rows(F2, [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0]])
@@ -1033,7 +1083,7 @@ class TestIntersectionSum:
         # after the full group has filled it: a memo keyed by the algebra
         # alone would hand one sum to both
         algebra = borel_from_g(self.TAIL_F2).algebra
-        rotations = tuple(w for w in enumerate_group(4) if w.images in envelope._rotations(4))
+        rotations = tuple(w for w in enumerate_group(4) if w in _rotations(4))
         short = envelope._intersection_sum(algebra, rotations)
         assert len(rotations) == 4 and short != algebra
         assert envelope._intersection_sum(algebra, enumerate_group(4)) == algebra

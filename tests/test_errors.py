@@ -8,8 +8,8 @@ from borelenv.decomp import ulp_decompose
 from borelenv.envelope import (
     borel_from_g,
     borel_intersection_dim,
-    devissage_witness,
     envelope_certificate,
+    witness_basis,
 )
 from borelenv.errors import InvalidInput, ResourceGuard
 from borelenv.flags import flag_from_matrix, tangent_fiber, tangent_sum_check
@@ -58,7 +58,7 @@ CASES = [
     ("transposition_set at 0", InvalidInput, ">= 1", lambda: transposition_set(0)),
     ("enumerate_group at 0", InvalidInput, ">= 1", lambda: enumerate_group(0)),
     ("borel_from_g non-square", InvalidInput, "square", lambda: borel_from_g(WIDE)),
-    ("devissage_witness non-square", InvalidInput, "square", lambda: devissage_witness(WIDE, 2, 1)),
+    ("witness_basis non-square", InvalidInput, "square", lambda: witness_basis(WIDE)),
     ("flag_from_matrix non-square", InvalidInput, "square", lambda: flag_from_matrix(WIDE)),
     ("tangent_sum_check non-square", InvalidInput, "square", lambda: tangent_sum_check(WIDE)),
     (

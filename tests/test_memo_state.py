@@ -12,7 +12,6 @@ over every field) and the same integer rows over F_p and over Q.
 import contextlib
 import io
 import json
-import sys
 
 from borelenv import cli, jsonio
 from borelenv.envelope import borel_from_g, envelope_bruteforce, envelope_certificate, verify_certificate
@@ -22,25 +21,17 @@ from borelenv.linalg import FieldSpec, Matrix, inverse
 from borelenv.rng import SplitMix64, random_invertible, random_upper_invertible
 from borelenv.weyl import enumerate_group, longest_element, perm_matrix
 
+from conftest import library_caches
+
 Q = FieldSpec.rational()
 FIELDS = (FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.prime(101), Q)
 
 # every library lru_cache, by name; a new one must be added here
 CACHES = {
     "_row_flag_algebra", "borel_from_g", "_translate_coords", "borel_translate", "_coset_certificate",
-    "_rotations", "_intersection_sum", "stabilizer_algebra", "gl2_elements", "transposition_set",
+    "_intersection_sum", "stabilizer_algebra", "gl2_elements", "transposition_set",
     "enumerate_group",
 }
-
-
-def library_caches() -> list:
-    found = {}
-    for name, mod in list(sys.modules.items()):
-        if name == "borelenv" or name.startswith("borelenv."):
-            for value in vars(mod).values():
-                if callable(getattr(value, "cache_clear", None)) and value.__module__.startswith("borelenv"):
-                    found[value.__name__] = value
-    return list(found.values())
 
 
 def subspace(s) -> str:

@@ -4,13 +4,14 @@ import hashlib
 import json
 import sys
 import threading
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from borelenv import envelope, flags, jsonio, linalg, verify
 from borelenv.cli import main
-from borelenv.envelope import devissage_witness, witness_basis
+from borelenv.envelope import witness_basis
 from borelenv.errors import InvalidInput, UlpInfeasible
 from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows
 from borelenv.rng import (
@@ -34,7 +35,7 @@ from borelenv.verify import (
     ulp_roundtrip,
     witness_construction,
 )
-from borelenv.weyl import enumerate_group
+from borelenv.weyl import Permutation, enumerate_group
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -130,8 +131,6 @@ class TestInverseCalls:
             for n in range(1, 6):
                 u = random_upper_invertible(rng, field, n)
                 witness_basis(u)
-                for i, j in envelope.lower_pairs(n):
-                    devissage_witness(u, i, j)
         assert calls == []
 
     def test_relative_position_makes_no_inverse(self, monkeypatch):
@@ -565,3 +564,78 @@ class TestFailurePath:
         result = envelope_identity((F2, F5, Q), [2, 3], 3, seed=1)
         assert result.counts["checked"] == 65
         assert len(calls) == 65  # no trial after the failing one ran
+
+
+E12 = Matrix.from_rows(F5, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # not lower triangular
+
+
+def _retag(cert):
+    # the first entry's tag swapped, in the translate, for a permutation of
+    # another size: the translate keeps its size but no longer holds the tag
+    tag = cert.entries[0][1]
+    forged = Permutation.identity(cert.target.n + 1)
+    return replace(cert, witness_set=tuple(forged if w == tag else w for w in cert.witness_set))
+
+
+class TestEnvelopeChecksFire:
+    """Each failure branch of the envelope suite's own checks, c2 (the
+    witness basis) and c3 (the restricted certificate), fires on a
+    corrupted witness basis or certificate and names its detail."""
+
+    @staticmethod
+    def _corrupt(monkeypatch, name, corrupt):
+        real, seen = getattr(verify, name), []
+
+        def corrupted(m, **kwargs):
+            seen.append(m)
+            return corrupt(real(m, **kwargs))
+
+        monkeypatch.setattr(verify, name, corrupted)
+        return seen
+
+    @staticmethod
+    def _failed(result, seen):
+        assert not result.passed and result.counts == {"checked": 1}
+        [dump] = result.failures
+        assert jsonio.matrix_from_json(dump["input"]) == seen[-1]
+        return dump
+
+    @pytest.mark.parametrize("corrupt, detail", [
+        pytest.param(lambda wits: wits[:-1], "wrong witness count", id="count"),
+        pytest.param(lambda wits: (wits[0], replace(wits[1], a=E12), *wits[2:]),
+                     "witness 2,1 not lower", id="not-lower"),
+        pytest.param(lambda wits: (wits[0], replace(wits[1], s=Permutation.identity(3)), *wits[2:]),
+                     "witness 2,1 escaped", id="escaped"),
+        pytest.param(lambda wits: (*wits[:-1], replace(wits[-1], a=Matrix.zeros(F5, 3, 3))),
+                     "witnesses do not span", id="no-span"),
+        pytest.param(lambda wits: (replace(wits[0], x=(1,)), *wits[1:]),
+                     "change of basis not unitriangular", id="not-unitriangular"),
+    ])
+    def test_witness_construction(self, corrupt, detail, monkeypatch):
+        seen = self._corrupt(monkeypatch, "witness_basis", corrupt)
+        dump = self._failed(witness_construction((F5,), [3], 1, seed=1), seen)
+        assert (dump["command"], dump["detail"]) == ("", detail)
+
+    @pytest.mark.parametrize("corrupt, command, detail", [
+        pytest.param(lambda cert: replace(cert, spans=False), "borelenv envelope --restricted --matrix INPUT",
+                     "restricted certificate does not span", id="no-span"),
+        pytest.param(lambda cert: replace(cert, witness_set=cert.witness_set[:-1]), "",
+                     "translate has the wrong size", id="wrong-size"),
+        pytest.param(_retag, "", "tag outside the computed translate", id="tag-outside"),
+    ])
+    def test_restricted_envelope(self, corrupt, command, detail, monkeypatch):
+        seen = self._corrupt(monkeypatch, "envelope_certificate", corrupt)
+        dump = self._failed(restricted_envelope((F5,), [3], 1, seed=1), seen)
+        assert (dump["command"], dump["detail"]) == (command, detail)
+
+    def test_restricted_envelope_through_the_cli(self, monkeypatch, capsys):
+        seen = self._corrupt(monkeypatch, "envelope_certificate", lambda cert: replace(cert, spans=False))
+        code = main(["verify", "--suite", "envelope", "--mode", "restricted", "--fields", "fp:5",
+                     "--n", "2..3", "--trials", "1", "--seed", "1"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1 and report["pass"] is False
+        [result] = [c for s in report["suites"] for c in s["criteria"] if c["criterion"] == "restricted-envelope"]
+        [dump] = result["failures"]
+        assert jsonio.matrix_from_json(dump["input"]) == seen[0]
+        assert (dump["command"], dump["detail"]) == (
+            "borelenv envelope --restricted --matrix INPUT", "restricted certificate does not span")
