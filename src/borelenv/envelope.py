@@ -18,10 +18,10 @@ and a certificate for that span can be produced constructively by peeling
 witness matrices out of triangular data (:func:`witness_basis`).  The
 witness route needs only a small translate of the identity-plus-
 transpositions subset of S_n and reads its certificate off the ULP sweep
-of g; the brute-force route (:func:`envelope_bruteforce`) sums the
-intersections directly, each as a small kernel in the algebra's own
-coordinates, and serves as the oracle.  Inside the module a coordinate
-Borel is its field-free index set (:func:`_translate_coords`), and
+of g; the brute-force oracle (:func:`envelope_bruteforce`) sums the
+intersections, each a small kernel in the algebra's own coordinates, the
+bipartite Coxeter element's dihedral group first.  Inside the module a
+coordinate Borel is its field-free index set (:func:`_translate_coords`);
 :func:`borel_translate` builds the subspace for public callers.  borel(g)
 is built from g's row flag alone, with no inverse: the column flag of
 g^-1 is read off that flag's echelon form (:class:`BorelConjugate`).
@@ -485,6 +485,22 @@ def envelope_certificate(
 
 
 @lru_cache(maxsize=8)
+def _visit_ranks(n: int) -> dict:
+    """Dense ranks by images, a repeat keeping its first: e, w0, t, w0∘t,
+    ..., t^(n-1), w0∘t^(n-1), t = a∘b the bipartite Coxeter element (a swaps
+    1↔2, 3↔4, ..., b 2↔3, 4↔5, ...), then the powers of the n-cycle."""
+    img = list(range(1, n + 1))
+    for i in [*range(0, n - 1, 2), *range(1, n - 1, 2)]:  # a's swaps of positions, then b's: a∘b
+        img[i : i + 2] = img[i + 1], img[i]
+    t, power, seq = Permutation(tuple(img)), Permutation.identity(n), []
+    for _ in range(n):
+        seq += [power.images, tuple(n + 1 - x for x in power.images)]  # t^k and w0∘t^k
+        power = compose(t, power)
+    seq += [tuple((k + j) % n + 1 for j in range(n)) for k in range(n)]
+    return {w: r for r, w in enumerate(dict.fromkeys(seq))}
+
+
+@lru_cache(maxsize=8)
 def _intersection_sum(algebra: Subspace, ws: tuple[Permutation, ...]) -> Subspace:
     """Sum of algebra ∩ borel(P_w) over ws, stopping once it is all of
     ``algebra``: every later term lies in it and cannot grow the sum.
@@ -498,18 +514,17 @@ def _intersection_sum(algebra: Subspace, ws: tuple[Permutation, ...]) -> Subspac
     and λ ↦ λ·B is injective, so the sum is full once the λ rows reach
     rank dim; only a sum that is not is mapped back through B.
 
-    ws is visited rotations first, by one stable sort: the k-th power of
-    the n-cycle, images (k+1, ..., n, 1, ..., k), has key k and every other
-    element key n, so the rest keep the caller's order.  Rotated coordinate
-    Borels overlap little, so for a generic Borel algebra the sum is full
-    after n terms (lexicographic order needed 34 of the 120 elements of
-    S_5).  The result does not depend on the order: a sum is order-free.
+    ws is visited by one stable sort on :func:`_visit_ranks`, the caller's
+    order last.  A term of a Borel in general position is a Cartan
+    subalgebra (dimension n, the scalars in it), so k terms span at most
+    n + (k-1)(n-1) dimensions: ⌈n/2⌉+1 terms at least, which the dihedral
+    group of t and w0 reaches on generic inputs over Q and large F_p, where
+    the rotations alone need n.  A sum is order-free: so is the result.
     """
     f, width = algebra.field, algebra.ambient_dim
-    n = isqrt(width)
-    rotations = {tuple((k + j) % n + 1 for j in range(n)): k for k in range(n)}
+    ranks = _visit_ranks(isqrt(width))
     acc = SpanAccumulator(algebra.dim, f)
-    for w in sorted(ws, key=lambda w: rotations.get(w.images, n)):
+    for w in sorted(ws, key=lambda w: ranks.get(w.images, len(ranks))):
         acc.add_rows(_coordinate_kernel(algebra, _translate_coords(w.images)))
         if acc.dim == algebra.dim:
             return algebra
@@ -523,8 +538,8 @@ def envelope_bruteforce(g: Matrix, weyl_set: Sequence[Permutation]) -> Subspace:
 
     The independent oracle: no witness machinery, just the intersections,
     each the λ-kernel of one small system in borel(g)'s own coordinates,
-    summed by the memoized :func:`_intersection_sum`: one sum per algebra
-    for every caller, the tangent cover of :mod:`borelenv.flags` too.
+    summed by the memoized :func:`_intersection_sum` (⌈n/2⌉+1 terms for a
+    generic g), one per algebra for every caller, flags' tangent cover too.
     """
     target = borel_from_g(g)
     n = target.n

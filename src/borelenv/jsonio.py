@@ -84,6 +84,8 @@ def matrix_from_json(obj: Any, field: FieldSpec | None = None) -> Matrix:
     rows = obj["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvalidInput("matrix rows must be a list of lists")
+    if not rows:
+        raise InvalidInput("matrix JSON has no rows")
     return Matrix.from_rows(field, rows)  # coerces each entry once
 
 

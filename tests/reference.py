@@ -652,6 +652,40 @@ def naive_translate_index_set(w):
     return frozenset(r * n + c for r in range(n) for c in range(n) if w(r + 1) <= w(c + 1))
 
 
+def naive_first_visits(n):
+    """The Weyl elements the envelope oracle visits first, each once, in
+    order: e, w0, t, w0∘t, ..., t^(n-1), w0∘t^(n-1), then c^0, ..., c^(n-1).
+    Each is a product of transpositions (i, i+1) and (i, n+1-i): t = a∘b is
+    the bipartite Coxeter element, a = (1 2)(3 4)... and b = (2 3)(4 5)...,
+    w0 = (1 n)(2 n-1)... reverses 1..n and c = (1 2)(2 3)...(n-1 n) sends
+    j to j + 1 mod n, so c^k has images (k+1, ..., n, 1, ..., k)."""
+    from borelenv.weyl import Permutation, compose
+
+    def product(pairs):
+        out = Permutation.identity(n)
+        for i, j in pairs:
+            out = compose(out, Permutation.transposition(n, i, j))
+        return out
+
+    a = product((i, i + 1) for i in range(1, n, 2))
+    b = product((i, i + 1) for i in range(2, n, 2))
+    w0 = product((i, n + 1 - i) for i in range(1, n // 2 + 1))
+    c = product((i, i + 1) for i in range(1, n))
+    t, power, seq = compose(a, b), Permutation.identity(n), []
+    for _ in range(n):
+        seq += [power, compose(w0, power)]
+        power = compose(t, power)
+    power = Permutation.identity(n)
+    for _ in range(n):
+        seq.append(power)
+        power = compose(c, power)
+    out = []
+    for w in seq:
+        if w not in out:
+            out.append(w)
+    return out
+
+
 def _naive_checked_span(target, entries):
     """The span of the entries' vectors, or None when some vector or tag has
     the wrong size or a vector lies outside the algebra or its translate.

@@ -311,6 +311,36 @@ class TestCliOther:
         assert "takes" in captured.err
 
 
+class TestCliEmptyMatrix:
+    """A matrix file with no rows is refused as input, naming the matrix,
+    before any command reads its size: exit 2, nothing on stdout and one
+    error line."""
+
+    @staticmethod
+    def _refused(tmp_path, capsys, *argv):
+        path = tmp_path / "empty.json"
+        path.write_text('{"rows": []}')
+        argv = [str(path) if a == "EMPTY" else a for a in argv]
+        assert main([*argv, "--field", "q"]) == 2
+        assert capsys.readouterr() == ("", "error: matrix JSON has no rows\n")
+
+    def test_envelope(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, "envelope", "--matrix", "EMPTY")
+
+    def test_envelope_restricted(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, "envelope", "--restricted", "--matrix", "EMPTY")
+
+    def test_tangent_sum(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, "tangent-sum", "--matrix", "EMPTY")
+
+    @pytest.mark.parametrize("kind", ["bruhat", "ulp"])
+    def test_decomp(self, kind, tmp_path, capsys):
+        self._refused(tmp_path, capsys, "decomp", "--kind", kind, "--matrix", "EMPTY")
+
+    def test_relpos(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, "relpos", "--flag1", "EMPTY", "--flag2", "EMPTY")
+
+
 class TestCliWeylGuard:
     """``weyl leq`` and ``weyl length`` stop past cli.WEYL_LIMIT entries
     (exit 2, one error line) before the order or length is computed."""

@@ -39,6 +39,7 @@ from borelenv.weyl import (
 from reference import (
     naive_borel_algebra,
     naive_certificate_devissage,
+    naive_first_visits,
     naive_inverse,
     naive_subspace_intersect,
     naive_subspace_sum,
@@ -896,31 +897,28 @@ def _rotations(n):
     return [Permutation(tuple((k + j) % n + 1 for j in range(n))) for k in range(n)]
 
 
-def _loop_rotation_key(w):
-    """The rotation key by its definition: k when w is the k-th power of the
-    n-cycle, images (k+1, ..., n, 1, ..., k); else n."""
-    img, n = w.images, w.n
-    k = img[0] - 1
-    return k if all(img[j] == (k + j) % n + 1 for j in range(n)) else n
-
-
 def test_intersection_sum_visits_the_stable_sort(monkeypatch):
-    # the order _intersection_sum visits is the stable sort by the rotation
-    # key: the n rotations by power, then the caller's order, for any
-    # caller's order.  The kernel returns no rows, so the sum never stops
-    # early and every element is visited
+    # the order _intersection_sum visits is a stable sort: the first visits
+    # (the dihedral group of the bipartite Coxeter element t and w0, then
+    # the rotations, built independently by naive_first_visits), then the
+    # rest in the caller's order, for any caller's order.  The kernel
+    # returns no rows, so the sum never stops early and every element is
+    # visited
+    assert [w.images for w in naive_first_visits(4)[:4]] == [(1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3), (3, 1, 4, 2)]
+    assert naive_first_visits(5)[2].images == (2, 4, 1, 5, 3)
     visited = []
     monkeypatch.setattr(envelope, "_coordinate_kernel", lambda s, coords: visited.append(coords) or [])
     for n in range(1, 7):
         algebra = borel_from_g(Matrix.identity(Q, n)).algebra
         group = list(enumerate_group(n))
+        first = naive_first_visits(n)
+        assert all(w in first for w in _rotations(n))
         for ws in (group, group[::-1], group[n:] + group[:n]):  # equal orders at n <= 2
             visited.clear()
             envelope._intersection_sum.cache_clear()
             assert envelope._intersection_sum(algebra, tuple(ws)).dim == 0
-            order = sorted(ws, key=_loop_rotation_key)
+            order = [w for w in first if w in ws] + [w for w in ws if w not in first]
             assert visited == [envelope._translate_coords(w.images) for w in order]
-            assert order[:n] == _rotations(n)
 
 
 class TestBruteforce:
@@ -986,20 +984,51 @@ class TestBruteforce:
                     assert envelope_bruteforce(g, ws) == expected
                     assert envelope_bruteforce(g, ws[::-1]) == expected
 
-    def test_generic_q_n5_stops_after_the_rotations(self, monkeypatch):
-        import borelenv.envelope as env
-
+    def test_generic_q_n5_stops_at_the_cartan_bound(self, monkeypatch):
+        # each term is a Cartan subalgebra, so ⌈5/2⌉ + 1 = 4 terms are the
+        # fewest that can span the 15 dimensions, and the first visits reach it
         calls = []
-        real = env._coordinate_kernel
-
-        def counting(s, coords):
-            calls.append(1)
-            return real(s, coords)
-
-        monkeypatch.setattr(env, "_coordinate_kernel", counting)
+        real = envelope._coordinate_kernel
+        monkeypatch.setattr(envelope, "_coordinate_kernel", lambda s, c: calls.append(1) or real(s, c))
         g = random_invertible(SplitMix64(227), Q, 5)
         assert envelope_bruteforce(g, enumerate_group(5)) == borel_from_g(g).algebra
-        assert 0 < len(calls) <= 5
+        assert len(calls) == 4
+
+    def test_generic_sums_stop_at_the_cartan_bound(self, monkeypatch):
+        # a term of a Borel in general position is a Cartan subalgebra: n
+        # dimensions, the scalars among them, so k terms span at most
+        # n + (k-1)(n-1) of the n(n+1)/2 and a sum whose terms all have
+        # dimension n needs ⌈n/2⌉+1 kernels.  The first visits stop there
+        # on every such input below; the counts of all eight are pinned
+        dims = []
+        real = envelope._coordinate_kernel
+
+        def spied(s, coords):
+            rows = real(s, coords)
+            dims.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(envelope, "_coordinate_kernel", spied)
+        pinned = {
+            Q: {2: [1, 2, 1, 2, 2, 2, 2, 2], 3: [3, 3, 3, 3, 2, 3, 3, 3], 4: [3, 3, 3, 4, 4, 4, 3, 3],
+                5: [4] * 8, 6: [4] * 8},
+            F101: {2: [2] * 8, 3: [3] * 8, 4: [3] * 8, 5: [4] * 8, 6: [4] * 8},
+        }
+        generic = set()
+        for field, by_n in pinned.items():
+            for n, want in by_n.items():
+                got = []
+                for k in range(8):
+                    algebra = borel_from_g(random_invertible(derive_stream(239, k), field, n)).algebra
+                    dims.clear()
+                    envelope._intersection_sum.cache_clear()
+                    assert envelope._intersection_sum(algebra, enumerate_group(n)) == algebra
+                    got.append(len(dims))
+                    if all(d == n for d in dims):
+                        assert len(dims) == (n + 1) // 2 + 1
+                        generic.add((field, n))
+                assert got == want
+        assert generic == {(field, n) for field in (Q, F101) for n in range(2, 7)}
 
     def test_envelope_identity_random(self):
         rng = SplitMix64(89)
@@ -1049,8 +1078,12 @@ class TestWeylSet:
 
 
 class TestIntersectionSum:
-    # over F_2 the four rotations do not fill this borel(g): the sum needs 6 terms
-    TAIL_F2 = Matrix.from_rows(F2, [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0]])
+    # the 14 first visits at n = 5 do not fill these borel(g): the sum
+    # needs 21 terms over F_3 and 61 over F_2.  Of 400 draws per field,
+    # derive_stream(2033, k) for k < 400, only these and F_3's k = 181
+    # (80 terms) run past the first visits
+    TAILS = ((random_invertible(derive_stream(2033, 17), F3, 5), 21),
+             (random_invertible(derive_stream(2033, 329), F2, 5), 61))
 
     @staticmethod
     def _algebras(g):
@@ -1062,32 +1095,65 @@ class TestIntersectionSum:
         for field in (F2, F3, F5, F101, Q):
             for n in range(1, 5):
                 gs = [random_invertible(rng, field, n) for _ in range(3)]
-                if (field, n) == (F2, 4):
-                    gs += [self.TAIL_F2, inverse(self.TAIL_F2)]
                 for algebra in (a for g in gs for a in self._algebras(g)):
                     group = enumerate_group(n)
                     terms = [subspace_intersect(algebra, borel_translate(w, field)) for w in group]
                     assert envelope._intersection_sum(algebra, group) == naive_subspace_sum(terms)
+        for tail, _ in self.TAILS:
+            for algebra in (a for g in (tail, inverse(tail)) for a in self._algebras(g)):
+                group = enumerate_group(5)
+                terms = [subspace_intersect(algebra, borel_translate(w, algebra.field)) for w in group]
+                assert envelope._intersection_sum(algebra, group) == naive_subspace_sum(terms)
 
     def test_tail_after_the_rotations(self, monkeypatch):
         calls = []
         real = envelope._coordinate_kernel
         monkeypatch.setattr(envelope, "_coordinate_kernel", lambda s, c: calls.append(1) or real(s, c))
-        # the tangent cover of h = TAIL_F2^-1 sums this same algebra, stab(flag(h))
-        algebra = borel_from_g(self.TAIL_F2).algebra
-        assert envelope._intersection_sum(algebra, enumerate_group(4)) == algebra
-        assert len(calls) > 4  # the four rotations, then the caller's order
+        for tail, terms in self.TAILS:
+            # the tangent cover of h = tail^-1 sums this same algebra, stab(flag(h))
+            algebra = borel_from_g(tail).algebra
+            calls.clear()
+            assert envelope._intersection_sum(algebra, enumerate_group(5)) == algebra
+            # the 14 first visits, the rotations among them, then the caller's order
+            assert len(naive_first_visits(5)) == 14 < len(calls) == terms
 
     def test_memo_keys_the_weyl_set(self):
-        # the four rotations alone fall short of this algebra, before and
+        # the first visits alone fall short of this algebra, before and
         # after the full group has filled it: a memo keyed by the algebra
         # alone would hand one sum to both
-        algebra = borel_from_g(self.TAIL_F2).algebra
-        rotations = tuple(w for w in enumerate_group(4) if w in _rotations(4))
-        short = envelope._intersection_sum(algebra, rotations)
-        assert len(rotations) == 4 and short != algebra
-        assert envelope._intersection_sum(algebra, enumerate_group(4)) == algebra
-        assert envelope._intersection_sum(algebra, rotations) == short
+        algebra = borel_from_g(self.TAILS[0][0]).algebra
+        first = tuple(naive_first_visits(5))
+        short = envelope._intersection_sum(algebra, first)
+        assert short != algebra
+        assert envelope._intersection_sum(algebra, enumerate_group(5)) == algebra
+        assert envelope._intersection_sum(algebra, first) == short
+
+    def test_every_f2_n4_borel_spans_within_the_first_visits(self, monkeypatch):
+        # all of GL_4(F_2), 20,160 matrices, holds 315 Borels, and each sum
+        # is full within the 7 first visits at n = 4, so none needs a tail.
+        # Rows are bitmasks, each outside the span of the rows before it
+        bases = [[]]
+        for _ in range(4):
+            grown = []
+            for rows in bases:
+                span = {0}
+                for r in rows:
+                    span |= {x ^ r for x in span}
+                grown += [rows + [v] for v in range(16) if v not in span]
+            bases = grown
+        assert len(bases) == 20160
+        borels = {envelope.BorelConjugate(Matrix.from_rows(F2, [[v >> c & 1 for c in range(4)] for v in rows]))
+                  for rows in bases}
+        assert len(borels) == 315
+        calls = []
+        real = envelope._coordinate_kernel
+        monkeypatch.setattr(envelope, "_coordinate_kernel", lambda s, c: calls.append(1) or real(s, c))
+        most = 0
+        for target in borels:
+            calls.clear()
+            assert envelope._intersection_sum(target.algebra, enumerate_group(4)) == target.algebra
+            most = max(most, len(calls))
+        assert most == len(naive_first_visits(4)) == 7
 
     def test_tangent_sum_reuses_the_oracle_sum(self, monkeypatch):
         # stab(flag(h)) = borel(h^-1): the tangent cover of h reads the sum
@@ -1096,17 +1162,14 @@ class TestIntersectionSum:
         real = envelope._coordinate_kernel
         monkeypatch.setattr(envelope, "_coordinate_kernel", lambda s, c: calls.append(1) or real(s, c))
         rng = SplitMix64(233)
-        for field in (F2, F3, F101, Q):
-            for n in (2, 3, 4):
-                hs = [random_invertible(rng, field, n) for _ in range(2)]
-                if (field, n) == (F2, 4):
-                    hs.append(inverse(self.TAIL_F2))  # a sum that is not full after n terms
-                for h in hs:
-                    oracle = envelope_bruteforce(inverse(h), enumerate_group(n))
-                    calls.clear()
-                    holds, stab, gl = flags._tangent_sum(h)
-                    assert not calls
-                    assert holds and gl == oracle == stab
+        hs = [random_invertible(rng, field, n) for field in (F2, F3, F101, Q) for n in (2, 3, 4) for _ in range(2)]
+        hs += [inverse(tail) for tail, _ in self.TAILS]  # sums that are not full after the first visits
+        for h in hs:
+            oracle = envelope_bruteforce(inverse(h), enumerate_group(h.nrows))
+            calls.clear()
+            holds, stab, gl = flags._tangent_sum(h)
+            assert not calls
+            assert holds and gl == oracle == stab
 
 
 class TestCoordinateKernelOracle:
@@ -1139,8 +1202,6 @@ class TestCoordinateKernelOracle:
                 strict = [i * n + j for i in range(n) for j in range(i)]
                 algebras.append(subspace_from_rows(
                     n * n, [[int(c == u) for c in range(n * n)] for u in strict], field=field))
-                if (field, n) == (F2, 4):
-                    algebras.append(borel_from_g(TestIntersectionSum.TAIL_F2).algebra)
                 for algebra in algebras:
                     pivots = set(algebra._pivots)
                     for w in group:
@@ -1153,6 +1214,13 @@ class TestCoordinateKernelOracle:
                         want = tuple(naive_subspace_intersect(algebra.rows(), target.rows(), field.p))
                         assert self._mapped(algebra, coords) == want
         assert reached == {"no row kept", "no equation"}
+        # the algebras whose sums run past the first visits, at every w of S_5
+        for tail, _ in TestIntersectionSum.TAILS:
+            algebra = borel_from_g(tail).algebra
+            for w in enumerate_group(5):
+                target = borel_translate(w, algebra.field)
+                want = tuple(naive_subspace_intersect(algebra.rows(), target.rows(), algebra.field.p))
+                assert self._mapped(algebra, frozenset(target._pivots)) == want
 
 
 class TestGl2SpecValues:

@@ -51,6 +51,7 @@ CASES = [
     ("matrix JSON without rows", InvalidInput, "'rows'", from_json({"field": "Q"})),
     ("matrix JSON without field", InvalidInput, "lacks a field", from_json({"rows": [[1]]})),
     ("matrix JSON rows not lists", InvalidInput, "list of lists", from_json({"rows": [1]}, Q)),
+    ("matrix JSON with no rows", InvalidInput, "no rows", from_json({"rows": []}, Q)),
     ("matrix JSON float rational", InvalidInput, "rational entry", from_json({"rows": [[1.5]]}, Q)),
     ("Permutation call out of range", InvalidInput, "outside", lambda: Permutation((2, 1))(3)),
     ("transposition out of range", InvalidInput, "outside", lambda: Permutation.transposition(3, 1, 4)),

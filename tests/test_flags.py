@@ -472,9 +472,9 @@ class TestTangentSum:
         assert calls == {"flag_from_matrix": 1, "tangent_fiber": 0, "dpi2": 0}
 
     def test_cover_check_intersects_at_most_n_times(self, monkeypatch):
-        # c7's check of one n = 4 input over Q: the sum is full after the
-        # four rotations' kernels, and c7 builds neither the n! = 24 ledger
-        # intersections nor a second envelope sum
+        # c7's check of one n = 4 input over Q: the sum is full after three
+        # kernels, the Cartan bound ⌈4/2⌉ + 1, and c7 builds neither the
+        # n! = 24 ledger intersections nor a second envelope sum
         terms, intersections = [], []
         real = envelope._coordinate_kernel
         monkeypatch.setattr(envelope, "_coordinate_kernel",
@@ -490,7 +490,7 @@ class TestTangentSum:
             monkeypatch.setattr(module, name, spied)
         result = tangent_cover((Q,), (4,), 1, 157)
         assert result.passed and result.counts == {"checked": 54 + 1}
-        assert 0 < terms.count(16) <= 4  # the 54 GL_2 prelude inputs have ambient 4
+        assert 0 < terms.count(16) <= 3  # the 54 GL_2 prelude inputs have ambient 4
         assert intersections.count(16) == 0
 
     def test_guard_and_errors(self):

@@ -29,7 +29,7 @@ FIELDS = (FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.
 # every library lru_cache, by name; a new one must be added here
 CACHES = {
     "_row_flag_algebra", "borel_from_g", "_translate_coords", "borel_translate", "_coset_certificate",
-    "_intersection_sum", "stabilizer_algebra", "gl2_elements", "transposition_set",
+    "_intersection_sum", "_visit_ranks", "stabilizer_algebra", "gl2_elements", "transposition_set",
     "enumerate_group",
 }
 

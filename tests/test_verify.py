@@ -11,6 +11,7 @@ import pytest
 
 from borelenv import envelope, flags, jsonio, linalg, verify
 from borelenv.cli import main
+from borelenv.decomp import bruhat_decompose
 from borelenv.envelope import witness_basis
 from borelenv.errors import InvalidInput, UlpInfeasible
 from borelenv.linalg import FieldSpec, Matrix, inverse, rref, subspace_from_rows
@@ -639,3 +640,130 @@ class TestEnvelopeChecksFire:
         assert jsonio.matrix_from_json(dump["input"]) == seen[0]
         assert (dump["command"], dump["detail"]) == (
             "borelenv envelope --restricted --matrix INPUT", "restricted certificate does not span")
+
+
+G3 = random_invertible(derive_stream(1, 0), F5, 3)  # trial 0 at seed 1: c4's and c5's input at n = 3
+E21 = Matrix.from_rows(F5, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # not upper triangular
+ULP_CMD, BRUHAT_CMD = "borelenv decomp --kind ulp --matrix INPUT", "borelenv decomp --kind bruhat --matrix INPUT"
+
+
+def _ulp_infeasible(normalization):
+    # ulp_decompose reports the given normalization infeasible on every input
+    def patch(monkeypatch):
+        real = verify.ulp_decompose
+
+        def decompose(m, norm):
+            if norm == normalization:
+                raise UlpInfeasible("forced")
+            return real(m, norm)
+
+        monkeypatch.setattr(verify, "ulp_decompose", decompose)
+
+    return patch
+
+
+def _bruhat_corrupted(corrupt):
+    # bruhat_decompose's factors passed through corrupt(factors, first call)
+    def patch(monkeypatch):
+        real, calls = verify.bruhat_decompose, []
+
+        def decompose(m):
+            calls.append(m)
+            return corrupt(real(m), len(calls) == 1)
+
+        monkeypatch.setattr(verify, "bruhat_decompose", decompose)
+
+    return patch
+
+
+def _relabelled(f, first):
+    # the true factors under another cell label; (3,1,2) is G3's
+    return SimpleNamespace(u1=f.u1, s=Permutation.identity(3), u2=f.u2, recompose=f.recompose)
+
+
+def _dim_off_at_21(monkeypatch):
+    real = verify.borel_intersection_dim
+    monkeypatch.setattr(verify, "borel_intersection_dim", lambda e, w: real(e, w) + (w.images == (2, 1)))
+
+
+def _transpositions_short_at_3(monkeypatch):
+    real = verify.transposition_set
+    monkeypatch.setattr(verify, "transposition_set", lambda n: real(n)[:-1] if n == 3 else real(n))
+
+
+class TestDecompAndWeylChecksFire:
+    """Each failure branch of c4 (ULP), c5 (Bruhat), c8 (the intersection
+    dimension law) and the transposition-set size check fires when what it
+    reads is corrupted, and names its detail; one case per criterion goes
+    through the CLI, for exit 1 and the dump."""
+
+    @staticmethod
+    def _failed(result, counts):
+        assert not result.passed and result.counts == counts
+        [dump] = result.failures
+        return dump
+
+    @staticmethod
+    def _sampled(dump, command, detail):
+        assert (dump["offset"], dump["n"], dump["command"], dump["detail"]) == (0, 3, command, detail)
+        assert jsonio.matrix_from_json(dump["input"]) == G3
+
+    @pytest.mark.parametrize("normalization, command, detail", [
+        ("lower", ULP_CMD, "unipotent-lower reported infeasible"),
+        ("upper", "", "infeasible on an invertible input"),
+    ])
+    def test_ulp_roundtrip(self, normalization, command, detail, monkeypatch):
+        _ulp_infeasible(normalization)(monkeypatch)
+        result = ulp_roundtrip((F5,), [3], 1, seed=1)
+        dump = self._failed(result, {"checked": 1, "upper_checked": 0, "upper_infeasible": 0})
+        self._sampled(dump, command, detail)
+
+    @pytest.mark.parametrize("corrupt, detail", [
+        pytest.param(lambda f, first: replace(f, u1=Matrix.zeros(F5, 3, 3)), "recomposition mismatch",
+                     id="recomposition"),
+        pytest.param(lambda f, first: SimpleNamespace(u1=E21, s=f.s, u2=f.u2, recompose=f.recompose),
+                     "factor not upper triangular", id="not-upper"),
+        pytest.param(_relabelled, "cell label disagrees with corner ranks", id="corner-ranks"),
+        pytest.param(lambda f, first: f if first else _relabelled(f, first),
+                     "cell label not a two-sided invariant", id="two-sided"),
+    ])
+    def test_bruhat_roundtrip(self, corrupt, detail, monkeypatch):
+        assert bruhat_decompose(G3).s == Permutation((3, 1, 2))
+        _bruhat_corrupted(corrupt)(monkeypatch)
+        self._sampled(self._failed(bruhat_roundtrip((F5,), [3], 1, seed=1), {"checked": 1}), BRUHAT_CMD, detail)
+
+    def test_intersection_dimension(self, monkeypatch):
+        _dim_off_at_21(monkeypatch)
+        dump = self._failed(intersection_dimension(max_n=4), {"checked": 1 + 2})
+        assert dump == {"criterion": "intersection-dimension", "n": 2, "detail": "dim at (2,1): got 3, expected 2"}
+
+    def test_transposition_set_size(self, monkeypatch):
+        _transpositions_short_at_3(monkeypatch)
+        [_, sizes] = verify._suite_weyl(RunConfig(1, 1, (F5,), (2, 4), "full"), range(2, 5))
+        dump = self._failed(sizes, {"checked": 2})
+        assert dump == {"criterion": "transposition-set-size", "n": 3, "detail": "wrong size"}
+
+    SAMPLED = ["--fields", "fp:5", "--n", "3..3", "--trials", "1", "--seed", "1"]
+
+    @pytest.mark.parametrize("patch, argv, criterion, want", [
+        pytest.param(_ulp_infeasible("lower"), ["--suite", "decomp", *SAMPLED], "ulp-roundtrip",
+                     (ULP_CMD, "unipotent-lower reported infeasible"), id="c4"),
+        pytest.param(_bruhat_corrupted(_relabelled), ["--suite", "decomp", *SAMPLED], "bruhat-roundtrip",
+                     (BRUHAT_CMD, "cell label disagrees with corner ranks"), id="c5"),
+        pytest.param(_dim_off_at_21, ["--suite", "envelope", "--fields", "fp:2", "--n", "2..2", "--trials", "1"],
+                     "intersection-dimension", {"n": 2, "detail": "dim at (2,1): got 3, expected 2"}, id="c8"),
+        pytest.param(_transpositions_short_at_3, ["--suite", "weyl", "--trials", "1"], "transposition-set-size",
+                     {"n": 3, "detail": "wrong size"}, id="transposition-set"),
+    ])
+    def test_through_the_cli(self, patch, argv, criterion, want, monkeypatch, capsys):
+        patch(monkeypatch)
+        code = main(["verify", *argv])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1 and report["pass"] is False
+        failed = [c for s in report["suites"] for c in s["criteria"] if not c["pass"]]
+        assert [c["criterion"] for c in failed] == [criterion]
+        [dump] = failed[0]["failures"]
+        if isinstance(want, dict):
+            assert dump == {"criterion": criterion, **want}
+        else:
+            self._sampled(dump, *want)
