@@ -200,6 +200,25 @@ def ratio(num: int, den: int, p: int | None):
     return Fraction(num, den) if p is None else num % p
 
 
+def _lead(v) -> int:
+    return v.index(next(filter(None, v)))  # the first nonzero value first occurs at the lead
+
+
+def _flag_echelon(p: int | None, vecs: list) -> list:
+    """The canonical echelon basis of the flag span(vecs[:1]) ⊂ span(vecs[:2])
+    ⊂ ...: each integer-shape vec reduced at the leads of the earlier ones,
+    in order, then its lead made 1 over F_p, primitive with a positive lead
+    over Q.  Step k has one line vanishing at the earlier leads, so the
+    output depends on the flag alone.  A dependent vec reduces to zero and
+    raises StopIteration, having no lead."""
+    out, leads = [], []
+    for v in vecs:
+        v = reduce_row(v, out, leads, p)
+        leads.append(lead := _lead(v))
+        out.append(_primitive(v, lead) if p is None else tuple(unit_row(v, 1, lead, p)[0]))
+    return out
+
+
 def fracs_from_primitive(prim_rows, pivots) -> list[tuple[Fraction, ...]]:
     """Materialize the RREF proper from the primitive integer shape."""
     out = []

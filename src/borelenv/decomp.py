@@ -4,8 +4,8 @@ Two factorizations:
 
 * Bruhat: every invertible g splits as u1 @ P_s @ u2 with u1, u2 upper
   triangular invertible, read off one row sweep; the cell label s is
-  unique, and :func:`bruhat_cell` reads it independently off the pivot
-  column that each row adds to the RREF of the rows from it down.
+  unique, and :func:`bruhat_cell` reads it independently off the lead
+  that each row adds to the echelon of the rows below it.
 
 * ULP: every square m, singular or not, splits as u @ l @ P_p with u upper
   triangular and l lower triangular.  The factor named by ``normalization``
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Literal
 
-from ._kernel import int_rows, peel, ratio, unit_row
+from ._kernel import _lead, int_rows, peel, ratio, unit_row
 from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard, UlpInfeasible
-from .linalg import Matrix, _int_shape, _rref_prim
+from .linalg import Matrix, _int_shape, _matrix_flag, _rref_prim
 from .weyl import Permutation
 
 __all__ = [
@@ -131,29 +131,23 @@ def bruhat_decompose(g: Matrix) -> BruhatFactors:
 
 
 def bruhat_cell(g: Matrix) -> Permutation:
-    """The Bruhat cell label of invertible g, from the pivots of row blocks.
-
-    With P_i the pivot columns of RREF(rows i..n), w(j) is the i with column
-    j in P_i but not in P_{i+1}: there the corner rank r(i, j) = |P_i ∩
-    columns 1..j| (RREF pivots are leftmost) has second difference 1.  The
-    corner ranks are two-sided invariants under upper triangular
-    multiplication, so the label does not depend on any elimination.
-    """
+    """The Bruhat cell label of invertible g, read off the flag echelon of
+    its rows bottom-up (:func:`_echelon_cell`)."""
     g = _require_square(g)
-    n = g.nrows
-    rows = _int_shape(g.field, g.rows_list())
-    images = [0] * n
-    below: set[int] = set()
-    for i in range(n, 0, -1):
-        pivots = set(_rref_prim(g.field, rows[i - 1 :], n)[2])
-        if not below <= pivots:
-            raise ContractViolation("pivot sets of the row blocks do not nest")
-        if pivots == below:
-            raise NotInvertible(f"row {i} adds no pivot column: matrix is singular")
-        (c,) = pivots - below
-        images[c] = i
-        below = pivots
-    return Permutation(tuple(images))
+    return _echelon_cell(_matrix_flag(g, g.rows_list()[::-1]))
+
+
+def _echelon_cell(echelon: list) -> Permutation:
+    """The cell label w of the square matrix whose rows, bottom-up, have
+    this flag echelon (``_kernel._flag_echelon``).  The leads of rows i..n's
+    vectors are the pivot columns P_i of RREF(rows i..n), so w(j) = i for
+    the lead j of row i's vector, in P_i but not in P_{i+1}: there the
+    corner rank r(i, j) = |P_i ∩ columns 1..j| (RREF pivots are leftmost)
+    has second difference 1.  The corner ranks are two-sided invariants
+    under upper triangular multiplication, so the label does not depend on
+    any elimination."""
+    row_at = {_lead(v): len(echelon) - k for k, v in enumerate(echelon)}  # vector k is row n - k's
+    return Permutation(tuple(row_at[j] for j in sorted(row_at)))
 
 
 # ---------------------------------------------------------------------------

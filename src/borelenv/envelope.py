@@ -35,11 +35,11 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from ._kernel import _primitive, int_rows, peel, ratio, reduce_row, unit_row
+from ._kernel import _flag_echelon, _lead, _primitive, int_rows, peel, ratio, unit_row
 from .decomp import _ulp_sweep
-from .errors import ContractViolation, InvalidInput, NotInvertible, ResourceGuard
+from .errors import ContractViolation, InvalidInput, ResourceGuard
 from .linalg import FieldSpec, Matrix, SpanAccumulator, Subspace
-from .linalg import _coordinate_kernel, _coordinate_subspace, _int_shape, _intersect_with_coordinates, _rank, _rref_prim, _span_int
+from .linalg import _coordinate_kernel, _coordinate_subspace, _int_shape, _intersect_with_coordinates, _matrix_flag, _rref_prim, _span_int
 from .weyl import Permutation, compose, enumerate_group, transposition_set
 
 __all__ = [
@@ -59,37 +59,15 @@ FULL_GROUP_LIMIT = 6
 RESTRICTED_LIMIT = 12
 
 
+def _size_guard(n: int, restricted: bool = False) -> None:
+    what, limit = ("restricted certificates", RESTRICTED_LIMIT) if restricted else ("envelope_bruteforce", FULL_GROUP_LIMIT)
+    if n > limit:
+        raise ResourceGuard(f"{what} guarded at n <= {limit}")
+
+
 def lower_pairs(n: int) -> list[tuple[int, int]]:
     """1-based (row, col) pairs with row >= col, in lexicographic order."""
     return [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
-
-
-def _lead(v) -> int:
-    return v.index(next(filter(None, v)))  # the first nonzero value first occurs at the lead
-
-
-def _flag_echelon(p: int | None, vecs: list) -> list:
-    """The canonical echelon basis of the flag span(vecs[:1]) ⊂ span(vecs[:2])
-    ⊂ ...: each integer-shape vec reduced at the leads of the earlier ones,
-    in order, then its lead made 1 over F_p, primitive with a positive lead
-    over Q.  Step k has one line vanishing at the earlier leads, so the
-    output depends on the flag alone.  A dependent vec reduces to zero and
-    raises StopIteration, having no lead."""
-    out, leads = [], []
-    for v in vecs:
-        v = reduce_row(v, out, leads, p)
-        leads.append(lead := _lead(v))
-        out.append(_primitive(v, lead) if p is None else tuple(unit_row(v, 1, lead, p)[0]))
-    return out
-
-
-def _matrix_flag(m: Matrix, vecs: list) -> list:
-    """``_flag_echelon`` of vecs, the rows or columns of square m as field
-    elements; NotInvertible with m's rank if a vec reduces to zero."""
-    try:  # a vec reduced to zero has no lead
-        return _flag_echelon(m.field.p, _int_shape(m.field, vecs))
-    except StopIteration:
-        raise NotInvertible(f"matrix of rank {_rank(m)} < {m.nrows}") from None
 
 
 def _dual_flag(p: int | None, rows: list) -> list:
@@ -474,8 +452,7 @@ def envelope_certificate(
     if restricted:
         if weyl_set is not None:
             raise InvalidInput("restricted mode computes its own translate")
-        if target.n > RESTRICTED_LIMIT:
-            raise ResourceGuard(f"restricted certificates guarded at n <= {RESTRICTED_LIMIT}")
+        _size_guard(target.n, restricted=True)
         entries, translate = _coset_certificate(target)
         return EnvelopeCertificate(target, entries, True, translate)
     n = target.n
@@ -542,7 +519,5 @@ def envelope_bruteforce(g: Matrix, weyl_set: Sequence[Permutation]) -> Subspace:
     generic g), one per algebra for every caller, flags' tangent cover too.
     """
     target = borel_from_g(g)
-    n = target.n
-    if n > FULL_GROUP_LIMIT:
-        raise ResourceGuard(f"envelope_bruteforce guarded at n <= {FULL_GROUP_LIMIT}")
-    return _intersection_sum(target.algebra, _weyl_set(weyl_set, n))
+    _size_guard(target.n)
+    return _intersection_sum(target.algebra, _weyl_set(weyl_set, target.n))

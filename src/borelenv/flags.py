@@ -32,9 +32,11 @@ chart at (F1, F2); on the diagonal its projection ``dpi2`` is the tangent
 space of the incidence variety at (0, F), stab(F) ⊕ chart.  The coordinate
 flag of w has stabilizer borel(P_w^-1), so the tangent sum is the envelope
 sum of stab(F_h) over S_n, the memoized loop of :mod:`borelenv.envelope`
-(one small kernel per w), shared with borel(h^-1)'s oracle.  The n! fiber
-tangents through ``tangent_fiber`` and ``dpi2`` are its test oracle; the
-builder's is the stability conditions, solved as one kernel in the tests.
+(one small kernel per w), shared with borel(h^-1)'s oracle.  The CLI's
+ledger of the n! terms' dimensions forms no intersection: each is the law
+n(n+1)/2 - ℓ(relative position).  The n! fiber tangents through
+``tangent_fiber`` and ``dpi2`` are the test oracle of both; the builder's
+is the stability conditions, solved as one kernel in the tests.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .decomp import bruhat_cell
-from .envelope import _borel_span, _dual_flag, _intersection_sum, _matrix_flag, _translate_coords
+from ._kernel import _flag_echelon
+from .decomp import _echelon_cell
+from .envelope import _borel_span, _dual_flag, _intersection_sum
 from .errors import InvalidInput, ResourceGuard
-from .linalg import Matrix, Subspace, _intersect_with_coordinates, _span_int, subspace_from_rows, subspace_intersect
-from .weyl import Permutation, enumerate_group
+from .linalg import Matrix, Subspace, _matrix_flag, _span_int, subspace_from_rows, subspace_intersect
+from .weyl import Permutation, enumerate_group, length
 
 __all__ = [
     "Flag",
@@ -68,7 +71,7 @@ def chart_dim(n: int) -> int:
 
 class Flag:
     """A complete flag: an adapted basis, the key it compares and hashes by,
-    the canonical echelon of its columns (:func:`envelope._flag_echelon`),
+    the canonical echelon of its columns (:func:`_kernel._flag_echelon`),
     and the dual read off that key when first asked.  Key and dual depend
     on the flag alone; building the key is the rank check."""
 
@@ -128,7 +131,7 @@ def relative_position(f1: Flag, f2: Flag) -> Permutation:
     columns of h1^-1 @ h2, so dim(F1_i ∩ F2_j) = j - r(i+1, j), r(i, j) the
     number of pivots of RREF(rows i..n) in columns 1..j, whose second
     difference is 1 exactly where row i adds column j to those pivots: the
-    reading of :func:`bruhat_cell`, n RREFs instead of n^2 joint ranks.
+    reading of :func:`bruhat_cell`, one echelon instead of n^2 joint ranks.
     The cell is read from D1 @ K2 instead, D1 with f1's dual as rows and K2
     with f2's key as columns.  D1's row suffixes span those of h1^-1, so
     D1 = T @ h1^-1 with T upper triangular; K2's column prefixes span those
@@ -137,8 +140,10 @@ def relative_position(f1: Flag, f2: Flag) -> Permutation:
     """
     if f1.n != f2.n or f1.field != f2.field:
         raise InvalidInput("flags live in different spaces")
+    p = f1.field.p
     d1k2 = [[sum(x * y for x, y in zip(d, k)) for k in f2._key] for d in f1._dual]
-    return bruhat_cell(Matrix.from_rows(f1.field, d1k2))
+    rows = d1k2 if p is None else [[x % p for x in row] for row in d1k2]  # unreduced, a lead could vanish
+    return _echelon_cell(_flag_echelon(p, rows[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +209,14 @@ def tangent_sum_check(h: Matrix):
 
     Returns ``(holds, ledger)`` where the ledger lists, for each w in S_n in
     enumeration order, the dimension of stab(coordinate flag of w) ∩
-    stab(flag(h)); it is built only here, for the CLI's output.  ``holds``
-    is True for every invertible h; False would indicate an implementation
+    stab(flag(h)); it is built only here, for the CLI's output, by the law
+    n(n+1)/2 - ℓ(relative position): flag(P_w)'s dual is P_w^-1, so
+    :func:`relative_position` reads the cell of P_w^-1 @ K, K with
+    flag(h)'s key as columns, off K's rows in the order w.  ``holds`` is
+    True for every invertible h; False would indicate an implementation
     bug, and callers treat it as such.
     """
-    holds, stab, _ = _tangent_sum(h)
-    ledger = tuple(
-        (w, _intersect_with_coordinates(stab, _translate_coords(w.inverse().images)).dim)
-        for w in enumerate_group(h.nrows)
-    )
-    return holds, ledger
+    holds, _, _ = _tangent_sum(h)
+    n, rows, ws = h.nrows, list(zip(*flag_from_matrix(h)._key)), enumerate_group(h.nrows)  # K's rows
+    cells = [_echelon_cell(_flag_echelon(h.field.p, [rows[t - 1] for t in w.images[::-1]])) for w in ws]
+    return holds, tuple((w, n * (n + 1) // 2 - length(cell)) for w, cell in zip(ws, cells))

@@ -50,7 +50,7 @@ def field_to_json(field: FieldSpec) -> Any:
 def field_from_json(obj: Any) -> FieldSpec:
     if obj == "Q":
         return FieldSpec.rational()
-    if isinstance(obj, dict) and set(obj) == {"Fp"} and isinstance(obj["Fp"], int):
+    if isinstance(obj, dict) and set(obj) == {"Fp"} and type(obj["Fp"]) is int:  # a bool is no modulus
         return FieldSpec.prime(obj["Fp"])
     raise InvalidInput(f"bad field descriptor {obj!r}")
 

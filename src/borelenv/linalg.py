@@ -26,7 +26,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from ._kernel import clear_denominators, fracs_from_primitive, reduce_row, rref_fp, rref_q_int
+from ._kernel import _flag_echelon, clear_denominators, fracs_from_primitive, reduce_row, rref_fp, rref_q_int
 from .errors import InvalidInput, NotInvertible, ResourceGuard
 
 __all__ = [
@@ -411,6 +411,15 @@ def _int_shape(field: FieldSpec, rows) -> list:
     if field.p is None:
         return [clear_denominators(r)[0] for r in rows]
     return list(rows)
+
+
+def _matrix_flag(m: Matrix, vecs: list) -> list:
+    """``_kernel._flag_echelon`` of vecs, the rows or columns of square m as
+    field elements; NotInvertible with m's rank if a vec reduces to zero."""
+    try:  # a vec reduced to zero has no lead
+        return _flag_echelon(m.field.p, _int_shape(m.field, vecs))
+    except StopIteration:
+        raise NotInvertible(f"matrix of rank {_rank(m)} < {m.nrows}") from None
 
 
 def subspace_from_rows(ambient_dim: int, vectors: Iterable, field: FieldSpec) -> Subspace:

@@ -25,8 +25,7 @@ from functools import lru_cache
 from . import jsonio
 from .decomp import _search_guard, bruhat_cell, bruhat_decompose, ulp_decompose
 from .envelope import (
-    FULL_GROUP_LIMIT,
-    RESTRICTED_LIMIT,
+    _size_guard,
     borel_from_g,
     borel_intersection_dim,
     borel_translate,
@@ -35,7 +34,7 @@ from .envelope import (
     verify_certificate,
     witness_basis,
 )
-from .errors import InvalidInput, ResourceGuard, UlpInfeasible
+from .errors import InvalidInput, UlpInfeasible
 from .flags import _tangent_sum
 from .linalg import FieldSpec, Matrix, _rank, inverse, subspace_from_rows
 from .rng import derive_stream, random_invertible, random_singular, random_upper_invertible
@@ -510,10 +509,7 @@ def _sizes(config: RunConfig, name: str) -> range:
     if name == "envelope":
         # its first criterion runs every size, so a size past its guard
         # would stop the run only after the earlier suites
-        what, limit = (("restricted certificates", RESTRICTED_LIMIT) if config.mode == "restricted"
-                       else ("envelope_bruteforce", FULL_GROUP_LIMIT))
-        if hi > limit:
-            raise ResourceGuard(f"{what} guarded at n <= {limit}")
+        _size_guard(hi, config.mode == "restricted")
     return ns
 
 

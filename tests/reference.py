@@ -414,6 +414,21 @@ def fiber_tangent_sum(h):
     return total == dpi2(tangent_fiber(fh, fh)), tuple(ledger), gl
 
 
+def naive_tangent_ledger(h):
+    """For each w in S_n in enumeration order, dim(stab(flag(h)) ∩
+    borel(P_w^-1)), the stabilizer of w's coordinate flag: one Zassenhaus
+    intersection per w, public API only."""
+    from borelenv.envelope import borel_translate
+    from borelenv.flags import flag_from_matrix, stabilizer_algebra
+    from borelenv.linalg import subspace_intersect
+    from borelenv.weyl import enumerate_group
+
+    stab = stabilizer_algebra(flag_from_matrix(h))
+    return tuple(
+        (w, subspace_intersect(stab, borel_translate(w.inverse(), h.field)).dim) for w in enumerate_group(h.nrows)
+    )
+
+
 class SingularSystem(Exception):
     """A triangular system has a zero diagonal entry and cannot be solved."""
 

@@ -211,6 +211,15 @@ class TestCliEnvelope:
         assert main(["envelope", "--matrix", path, "--weyl-set", str(ws)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_boolean_modulus_exits_two(self, tmp_path, capsys):
+        # true is an int in Python; as a modulus it must read as a bad field
+        path = tmp_path / "bool.json"
+        path.write_text('{"field": {"Fp": true}, "rows": [[1]]}')
+        assert main(["envelope", "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad field descriptor {'Fp': True}\n"
+
 
 class TestCliDecomp:
     def test_bruhat_permutation_input(self, tmp_path, capsys):

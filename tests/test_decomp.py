@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import borelenv.decomp as decomp
-from borelenv import jsonio
+from borelenv import jsonio, linalg
 from borelenv.decomp import bruhat_cell, bruhat_decompose, ulp_decompose
 from borelenv.envelope import envelope_certificate, verify_certificate
 from borelenv.errors import ContractViolation, InvalidInput, NotInvertible, UlpInfeasible
@@ -149,6 +149,21 @@ class TestBruhatCellOracle:
                 b2 = random_upper_invertible(rng, field, n)
                 g = b1 @ pw @ b2
                 assert bruhat_cell(g) == naive_bruhat_cell(g) == w
+
+    def test_invertible_runs_no_rref(self, monkeypatch):
+        # one echelon pass over the rows bottom-up; only a singular input
+        # eliminates, for the rank in its message
+        rng = SplitMix64(525)
+        gs = [random_invertible(rng, field, n) for field in self.FIELDS for n in range(1, 7)]
+        cells = [bruhat_decompose(g).s for g in gs]
+        calls = []
+        for module in (linalg, decomp):
+            monkeypatch.setattr(module, "_rref_prim", lambda *args, _real=module._rref_prim: calls.append(args) or _real(*args))
+        assert [bruhat_cell(g) for g in gs] == cells
+        assert calls == []
+        with pytest.raises(NotInvertible, match=r"^matrix of rank 1 < 2$"):
+            bruhat_cell(Matrix.from_rows(Q, [[1, 2], [2, 4]]))
+        assert calls
 
     def test_singular_rejected_by_both(self):
         rng = SplitMix64(523)

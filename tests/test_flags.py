@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from borelenv import envelope, flags, linalg
+from borelenv import decomp, envelope, flags, linalg
 from borelenv.envelope import borel_from_g, envelope_bruteforce
 from borelenv.errors import InvalidInput, NotInvertible, ResourceGuard
 from borelenv.flags import (
@@ -25,7 +25,13 @@ from borelenv.linalg import FieldSpec, Matrix, inverse, subspace_from_rows, subs
 from borelenv.rng import SplitMix64, random_invertible, random_upper_invertible
 from borelenv.verify import gl2_elements, tangent_cover
 from borelenv.weyl import Permutation, enumerate_group, longest_element, perm_matrix
-from reference import fiber_tangent_sum, flag_steps, naive_relative_position, naive_stabilizer_algebra
+from reference import (
+    fiber_tangent_sum,
+    flag_steps,
+    naive_relative_position,
+    naive_stabilizer_algebra,
+    naive_tangent_ledger,
+)
 
 Q = FieldSpec.rational()
 F2 = FieldSpec.prime(2)
@@ -329,6 +335,18 @@ class TestRelativePosition:
                     f3 = flag_from_matrix(random_invertible(rng, field, n))
                     assert relative_position(f1, f3) == naive_relative_position(f1, f3)
 
+    def test_runs_no_rref(self, monkeypatch):
+        # D1 @ K2 goes to the flag echelon as integer rows: no Matrix, no RREF
+        rng = SplitMix64(137)
+        pairs = [[flag_from_matrix(random_invertible(rng, field, n)) for _ in range(2)]
+                 for field in (F2, F5, F101, Q) for n in range(1, 6)]
+        calls = []
+        for module in (linalg, decomp):
+            monkeypatch.setattr(module, "_rref_prim", lambda *args, _real=module._rref_prim: calls.append(args) or _real(*args))
+        for f1, f2 in pairs:
+            assert relative_position(f1, f2) == relative_position(f2, f1).inverse()
+        assert calls == []
+
     def test_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             relative_position(standard_flag(Q, 2), standard_flag(Q, 3))
@@ -459,6 +477,33 @@ class TestTangentSum:
                     assert tangent_sum_check(h) == (holds, ledger)
                     assert _tangent_sum(h)[2] == gl
 
+    def test_ledger_matches_intersection_oracle_at_n5(self):
+        # the ledger is read off the dimension law; the oracle intersects
+        rng = SplitMix64(163)
+        for field in (F2, F3, F101, Q):
+            for _ in range(2):
+                h = random_invertible(rng, field, 5)
+                assert tangent_sum_check(h)[1] == naive_tangent_ledger(h)
+
+    def test_ledger_forms_no_intersection(self, monkeypatch):
+        calls = []
+        bound = [(linalg, "_intersect_with_coordinates"), (envelope, "_intersect_with_coordinates"),
+                 (flags, "_intersect_with_coordinates"), (linalg, "subspace_intersect"),
+                 (flags, "subspace_intersect")]
+        for module, name in bound:
+            if hasattr(module, name):
+                def spied(a, b, _real=getattr(module, name), _name=name):
+                    calls.append(_name)
+                    return _real(a, b)
+
+                monkeypatch.setattr(module, name, spied)
+        rng = SplitMix64(167)
+        for field in (F2, F101, Q):
+            for n in (1, 3, 4):
+                holds, ledger = tangent_sum_check(random_invertible(rng, field, n))
+                assert holds and [w for w, _ in ledger] == list(enumerate_group(n))
+        assert calls == []
+
     def test_one_flag_and_no_fibers_per_call(self, monkeypatch):
         calls = dict.fromkeys(("flag_from_matrix", "tangent_fiber", "dpi2"), 0)
         for name in calls:
@@ -480,8 +525,7 @@ class TestTangentSum:
         monkeypatch.setattr(envelope, "_coordinate_kernel",
                             lambda s, coords: terms.append(s.ambient_dim) or real(s, coords))
         # every module binding of an intersection route that c7 could reach
-        bound = [(envelope, "_intersect_with_coordinates"), (flags, "subspace_intersect"),
-                 (flags, "_intersect_with_coordinates")]
+        bound = [(envelope, "_intersect_with_coordinates"), (flags, "subspace_intersect")]
         for module, name in bound:
             def spied(a, b, _real=getattr(module, name)):
                 intersections.append(a.ambient_dim)
