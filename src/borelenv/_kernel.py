@@ -204,18 +204,25 @@ def _lead(v) -> int:
     return v.index(next(filter(None, v)))  # the first nonzero value first occurs at the lead
 
 
+def _echelon_push(p: int | None, out: list, leads: list, v) -> bool:
+    """Whether the integer-shape row v grows span(out), a flag echelon whose
+    rows lead at ``leads``; if so, v reduced at those leads in order, its
+    lead made 1 over F_p, primitive and positive over Q, is appended."""
+    v = reduce_row(v, out, leads, p)
+    if not any(v):
+        return False
+    leads.append(lead := _lead(v))
+    out.append(_primitive(v, lead) if p is None else tuple(unit_row(v, 1, lead, p)[0]))
+    return True
+
+
 def _flag_echelon(p: int | None, vecs: list) -> list:
     """The canonical echelon basis of the flag span(vecs[:1]) ⊂ span(vecs[:2])
-    ⊂ ...: each integer-shape vec reduced at the leads of the earlier ones,
-    in order, then its lead made 1 over F_p, primitive with a positive lead
-    over Q.  Step k has one line vanishing at the earlier leads, so the
-    output depends on the flag alone.  A dependent vec reduces to zero and
-    raises StopIteration, having no lead."""
+    ⊂ ..., vecs pushed in order: step k has one line vanishing at the earlier
+    leads, so the output depends on the flag alone; a dependent vec drops."""
     out, leads = [], []
     for v in vecs:
-        v = reduce_row(v, out, leads, p)
-        leads.append(lead := _lead(v))
-        out.append(_primitive(v, lead) if p is None else tuple(unit_row(v, 1, lead, p)[0]))
+        _echelon_push(p, out, leads, v)
     return out
 
 

@@ -324,10 +324,10 @@ def _weyl_set(weyl_set: Sequence[Permutation], n: int) -> tuple[Permutation, ...
 
 
 def _certificate_greedy(target: BorelConjugate, ws: tuple[Permutation, ...]) -> EnvelopeCertificate:
-    n, f = target.n, target.g.field
-    algebra = target.algebra
-    acc = SpanAccumulator(n * n, f)
-    entries = []
+    """Each canonical row of algebra ∩ borel(P_w), w in ws order, that grows
+    the entries' span is one more entry: a flag echelon tracks its rank."""
+    n, f, algebra = target.n, target.g.field, target.algebra
+    acc, entries = SpanAccumulator(n * n, f), []
     for w in ws:
         # the rows lie in the algebra, so once it is spanned none is accepted
         if acc.dim == algebra.dim:
@@ -336,8 +336,7 @@ def _certificate_greedy(target: BorelConjugate, ws: tuple[Permutation, ...]) -> 
         for prim, row in zip(inter.prim_rows(), inter.rows()):
             if acc.add_rows([prim]):
                 entries.append((tuple(row), w))
-    spans = acc.equals(algebra)
-    return EnvelopeCertificate(target, tuple(entries), spans, ws)
+    return EnvelopeCertificate(target, tuple(entries), acc.equals(algebra), ws)
 
 
 def _unipotent_inverse(rows: list, p: int | None) -> list:
@@ -489,7 +488,8 @@ def _intersection_sum(algebra: Subspace, ws: tuple[Permutation, ...]) -> Subspac
     It is taken in the algebra's coordinates: B its canonical rows, each
     term is λ·B for the λ rows of one small kernel (``_coordinate_kernel``)
     and λ ↦ λ·B is injective, so the sum is full once the λ rows reach
-    rank dim; only a sum that is not is mapped back through B.
+    rank dim, read off their flag echelon (:class:`SpanAccumulator`); only
+    a sum that is not full maps those echelon rows back through B.
 
     ws is visited by one stable sort on :func:`_visit_ranks`, the caller's
     order last.  A term of a Borel in general position is a Cartan
@@ -505,8 +505,7 @@ def _intersection_sum(algebra: Subspace, ws: tuple[Permutation, ...]) -> Subspac
         acc.add_rows(_coordinate_kernel(algebra, _translate_coords(w.images)))
         if acc.dim == algebra.dim:
             return algebra
-    prim, lams = algebra.prim_rows(), acc.to_subspace().prim_rows()
-    rows = [[sum(x * b[c] for x, b in zip(lam, prim)) for c in range(width)] for lam in lams]
+    rows = [[sum(x * b[c] for x, b in zip(lam, algebra.prim_rows())) for c in range(width)] for lam in acc._rows]
     return _span_int(f, rows, width)
 
 

@@ -26,7 +26,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from ._kernel import _flag_echelon, clear_denominators, fracs_from_primitive, reduce_row, rref_fp, rref_q_int
+from ._kernel import _echelon_push, _flag_echelon, clear_denominators, fracs_from_primitive, reduce_row, rref_fp, rref_q_int
 from .errors import InvalidInput, NotInvertible, ResourceGuard
 
 __all__ = [
@@ -416,10 +416,10 @@ def _int_shape(field: FieldSpec, rows) -> list:
 def _matrix_flag(m: Matrix, vecs: list) -> list:
     """``_kernel._flag_echelon`` of vecs, the rows or columns of square m as
     field elements; NotInvertible with m's rank if a vec reduces to zero."""
-    try:  # a vec reduced to zero has no lead
-        return _flag_echelon(m.field.p, _int_shape(m.field, vecs))
-    except StopIteration:
-        raise NotInvertible(f"matrix of rank {_rank(m)} < {m.nrows}") from None
+    out = _flag_echelon(m.field.p, _int_shape(m.field, vecs))
+    if len(out) < len(vecs):
+        raise NotInvertible(f"matrix of rank {len(out)} < {m.nrows}")
+    return out
 
 
 def subspace_from_rows(ambient_dim: int, vectors: Iterable, field: FieldSpec) -> Subspace:
@@ -505,39 +505,30 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 class SpanAccumulator:
-    """Incrementally growing span with canonical state; internal helper.
+    """Incrementally growing span of integer-shape rows; internal helper.
+    It keeps a flag echelon (``_kernel._echelon_push``), whose length is the
+    rank, and builds the canonical form on demand, in ``to_subspace``."""
 
-    Rows are fed in the integer shape (``Subspace.prim_rows``), and the
-    accumulator keeps the canonical integer shape throughout.
-    """
-
-    __slots__ = ("ambient_dim", "field", "_prim", "_pivots")
+    __slots__ = ("ambient_dim", "field", "_rows", "_leads")
 
     def __init__(self, ambient_dim: int, field: FieldSpec):
         self.ambient_dim = ambient_dim
         self.field = field
-        self._prim: list = []
-        self._pivots: list = []
+        self._rows: list = []
+        self._leads: list = []
 
     @property
     def dim(self) -> int:
-        return len(self._prim)
+        return len(self._rows)
 
     def add_rows(self, rows: Iterable) -> bool:
-        # cheap reject: reduce the incoming rows against the current basis
-        # and keep only genuine enlargers before re-canonicalizing
-        reduced = (reduce_row(r, self._prim, self._pivots, self.field.p) for r in rows)
-        survivors = [v for v in reduced if any(v)]
-        if not survivors:
-            return False
-        stacked = [list(r) for r in self._prim] + survivors
-        prim, rank, pivots = _rref_prim(self.field, stacked, self.ambient_dim)
-        self._prim = [tuple(r) for r in prim]
-        self._pivots = list(pivots)
-        return True
+        grew, p = False, self.field.p
+        for r in rows:
+            grew |= _echelon_push(p, self._rows, self._leads, r)
+        return grew
 
     def to_subspace(self) -> Subspace:
-        return Subspace._from_prim(self.ambient_dim, self.field, self._prim, self._pivots)
+        return _span_int(self.field, self._rows, self.ambient_dim)
 
     def equals(self, s: Subspace) -> bool:
-        return len(self._prim) == s.dim and tuple(self._prim) == s.prim_rows()
+        return self.dim == s.dim and self.to_subspace() == s

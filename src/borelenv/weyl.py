@@ -49,6 +49,9 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise InvalidInput(f"{self.images} is not a permutation of 1..{n}")
 
+    def __hash__(self) -> int:
+        return hash(self.images)
+
     @property
     def n(self) -> int:
         return len(self.images)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from borelenv import envelope, flags, jsonio
+from borelenv import envelope, flags, jsonio, linalg
 from borelenv._kernel import int_rows, ratio
 from borelenv.envelope import (
     RESTRICTED_LIMIT,
@@ -853,6 +853,20 @@ class TestCertificates:
         assert len(calls) < 24
         assert len(cert.witness_set) == 24
 
+    def test_greedy_accumulator_eliminates_once(self, monkeypatch):
+        # the accumulator tracks its rank with a flag echelon: beside one
+        # elimination per intersection, it makes one, its final comparison
+        real_rref, real_inter = linalg._rref_prim, envelope._intersect_with_coordinates
+        for g in (random_invertible(SplitMix64(227), Q, 5), random_invertible(derive_stream(239, 0), F101, 5)):
+            borel_from_g(g).algebra
+            rrefs, inters = [], []
+            monkeypatch.setattr(linalg, "_rref_prim", lambda *args: rrefs.append(1) or real_rref(*args))
+            monkeypatch.setattr(envelope, "_intersect_with_coordinates", lambda s, c: inters.append(1) or real_inter(s, c))
+            cert = envelope_certificate(g)
+            monkeypatch.undo()
+            assert cert.spans and len(cert.entries) == 15
+            assert len(rrefs) == len(inters) + 1
+
     def test_greedy_size_mismatch_rejected_wherever_it_sits(self):
         # checked before any intersection, so the early stop cannot hide it
         ws = list(enumerate_group(3)) + [Permutation.identity(2)]
@@ -1116,6 +1130,19 @@ class TestIntersectionSum:
             assert envelope._intersection_sum(algebra, enumerate_group(5)) == algebra
             # the 14 first visits, the rotations among them, then the caller's order
             assert len(naive_first_visits(5)) == 14 < len(calls) == terms
+
+    def test_generic_n5_sums_eliminate_once_per_kernel(self, monkeypatch):
+        # the sum tracks its rank with a flag echelon, so a generic sum's
+        # only eliminations are its 4 kernels' (8 when each growing term
+        # re-ran an elimination of the whole stack)
+        real = linalg._rref_prim
+        for g in (random_invertible(SplitMix64(227), Q, 5), random_invertible(derive_stream(239, 0), F101, 5)):
+            algebra = borel_from_g(g).algebra
+            calls = []
+            monkeypatch.setattr(linalg, "_rref_prim", lambda *args: calls.append(1) or real(*args))
+            assert envelope._intersection_sum(algebra, enumerate_group(5)) == algebra
+            monkeypatch.undo()
+            assert len(calls) == 4
 
     def test_memo_keys_the_weyl_set(self):
         # the first visits alone fall short of this algebra, before and

@@ -878,3 +878,59 @@ class TestSpanAccumulator:
                 for s in parts:
                     acc.add_rows(s.prim_rows())
                 assert acc.to_subspace() == naive_subspace_sum(parts)
+
+    @staticmethod
+    def _batch(rng, field, width, fed):
+        # integer-shape rows: zero rows, repeats and combinations of rows fed
+        # earlier, and sparse random rows
+        out = []
+        for _ in range(rng.below(4)):
+            kind = rng.below(4) if fed else 3
+            if kind == 0:
+                row = [0] * width
+            elif kind == 1:
+                row = list(fed[rng.below(len(fed))])
+            elif kind == 2:
+                a, b = fed[rng.below(len(fed))], fed[rng.below(len(fed))]
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                row = [s * x + t * y for x, y in zip(a, b)]
+            else:
+                row = [rng.randint(-9, 9) if rng.below(3) else 0 for _ in range(width)]
+            out.append(row if field.p is None else [x % field.p for x in row])
+            fed.append(out[-1])
+        return out
+
+    def test_every_step_matches_the_naive_sum(self):
+        # after each add_rows: its boolean is "the naive sum grew", dim is the
+        # naive rank and to_subspace the naive sum
+        rng = SplitMix64(41)
+        for field in (F2, FieldSpec.prime(3), FieldSpec.prime(101), Q):
+            for width in range(1, 10):
+                for _ in range(4):
+                    acc, fed, parts, before = SpanAccumulator(width, field), [], [], 0
+                    for _ in range(6):
+                        batch = self._batch(rng, field, width, fed)
+                        grew = acc.add_rows(batch)
+                        parts.append(subspace_from_rows(width, batch, field))
+                        want = naive_subspace_sum(parts)
+                        assert grew == (want.dim > before)
+                        assert acc.dim == want.dim
+                        assert acc.to_subspace() == want
+                        before = want.dim
+                    self._assert_equals(acc, want)
+
+    @staticmethod
+    def _assert_equals(acc, total):
+        # True on the sum; False on a proper subspace of it and on another
+        # subspace of the same dimension
+        assert acc.equals(total)
+        width, field, rows = total.ambient_dim, total.field, list(total.prim_rows())
+        if not rows:
+            return
+        assert not acc.equals(subspace_from_rows(width, rows[1:], field))
+        units = ([int(c == t) for c in range(width)] for t in range(width))
+        outside = next((u for u in units if not total.contains(u)), None)
+        if outside is not None:
+            other = subspace_from_rows(width, rows[1:] + [outside], field)
+            assert other.dim == total.dim and other != total
+            assert not acc.equals(other)
