@@ -392,12 +392,6 @@ def _rref_prim(field: FieldSpec, rows: list, width: int):
     return reduced[:rank], rank, pivots
 
 
-def _rank(m: Matrix) -> int:
-    """rank(m), read off the integer-shape elimination without building
-    the Fraction RREF that :func:`rref` returns."""
-    return _rref_prim(m.field, _int_shape(m.field, m.rows_list()), m.ncols)[1]
-
-
 def _span_int(field: FieldSpec, rows: list, width: int) -> Subspace:
     """The canonical span of rows already in integer shape."""
     prim, _, pivots = _rref_prim(field, rows, width)

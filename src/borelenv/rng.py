@@ -7,7 +7,11 @@ the same stream on any platform or language.
 
 Bounded draws use plain ``next() % m``; the slight modulo bias is
 irrelevant here (draws are test inputs, not statistics) and keeping the
-rule trivial keeps it reproducible.
+rule trivial keeps it reproducible.  A matrix is drawn once, as ints in
+[-QBOUND, QBOUND] over Q or residues over F_p; its rank is tested on them by
+``_kernel._echelon_push``, up to the first dependent row, and one ``Matrix``
+is built by the trusted constructor.  ``tests/test_rng.py`` pins each
+constructor's ``next_u64`` calls and output against the naive path.
 
 Trial streams are derived, not split: trial k of a criterion uses
 ``SplitMix64(seed ^ (GAMMA * (k + 1) mod 2^64))`` so a counterexample can
@@ -16,17 +20,15 @@ be replayed from its (seed, offset) pair alone.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from ._kernel import _echelon_push
 from .errors import InvalidInput
-from .linalg import FieldSpec, Matrix, _rank
+from .linalg import FieldSpec, Matrix
 
 __all__ = [
-    "SplitMix64",
-    "derive_stream",
-    "random_matrix",
-    "random_invertible",
-    "random_upper_invertible",
-    "random_singular",
-    "QBOUND",
+    "SplitMix64", "derive_stream", "random_matrix", "random_invertible",
+    "random_upper_invertible", "random_singular", "QBOUND",
 ]
 
 _MASK = (1 << 64) - 1
@@ -64,53 +66,56 @@ def derive_stream(seed: int, offset: int) -> SplitMix64:
     return SplitMix64(seed ^ ((_GAMMA * (offset + 1)) & _MASK))
 
 
-def _scalar(rng: SplitMix64, field: FieldSpec):
-    if field.p is None:
-        return rng.randint(-QBOUND, QBOUND)
-    return rng.below(field.p)
+def _draws(rng: SplitMix64, p: int | None, count: int) -> list[int]:
+    """``count`` draws, one ``next_u64`` each: ints in [-QBOUND, QBOUND]
+    over Q (p None), residues in [0, p) over F_p."""
+    if p is None:
+        return [rng.randint(-QBOUND, QBOUND) for _ in range(count)]
+    return [rng.below(p) for _ in range(count)]
 
 
-def _nonzero_scalar(rng: SplitMix64, field: FieldSpec):
-    if field.p is None:
+def _nonzero(rng: SplitMix64, p: int | None) -> int:
+    if p is None:
         v = rng.randint(-QBOUND, QBOUND - 1)
         return v if v < 0 else v + 1  # skip zero, keep the range symmetric
-    return 1 + rng.below(field.p - 1)
+    return 1 + rng.below(p - 1)
+
+
+_FRACTION = {v: Fraction(v) for v in range(-QBOUND, QBOUND + 1)}
+
+
+def _entries(p: int | None, ints: list[int]) -> list:
+    """Drawn ints as field elements: Fractions over Q, the residues over F_p."""
+    return list(map(_FRACTION.__getitem__, ints)) if p is None else ints
 
 
 def random_matrix(rng: SplitMix64, field: FieldSpec, n: int) -> Matrix:
-    return Matrix.from_rows(field, [[_scalar(rng, field) for _ in range(n)] for _ in range(n)])
+    return Matrix(field, n, n, tuple(_entries(field.p, _draws(rng, field.p, n * n))))
 
 
 def random_invertible(rng: SplitMix64, field: FieldSpec, n: int) -> Matrix:
     """Rejection sampling: draw dense matrices until one has full rank."""
     while True:
-        m = random_matrix(rng, field, n)
-        if _rank(m) == n:
-            return m
+        ints, out, leads = _draws(rng, field.p, n * n), [], []
+        if all(_echelon_push(field.p, out, leads, ints[i : i + n]) for i in range(0, n * n, n)):
+            return Matrix(field, n, n, tuple(_entries(field.p, ints)))
 
 
 def random_upper_invertible(rng: SplitMix64, field: FieldSpec, n: int) -> Matrix:
-    rows = []
+    ints = []
     for i in range(n):
-        row = [field.zero()] * i
-        row.append(field.coerce(_nonzero_scalar(rng, field)))
-        row.extend(_scalar(rng, field) for _ in range(n - i - 1))
-        rows.append(row)
-    return Matrix.from_rows(field, rows)
+        ints += [0] * i + [_nonzero(rng, field.p)] + _draws(rng, field.p, n - i - 1)
+    return Matrix(field, n, n, tuple(_entries(field.p, ints)))
 
 
 def random_singular(rng: SplitMix64, field: FieldSpec, n: int) -> Matrix:
     """A matrix forced to be singular: one row is a combination of others."""
-    m = random_matrix(rng, field, n)
+    p, ints = field.p, _draws(rng, field.p, n * n)
     if n == 1:
         return Matrix.zeros(field, 1, 1)
-    rows = m.rows_list()
-    target = rng.below(n)
-    combo = [0] * n
-    for k in range(n):
-        if k == target:
-            continue
-        c = _scalar(rng, field)
-        combo = [x + c * y for x, y in zip(combo, rows[k])]
-    rows[target] = combo  # from_rows coerces it into the field
-    return Matrix.from_rows(field, rows)
+    t = rng.below(n) * n
+    coefs = [(k, _draws(rng, p, 1)[0]) for k in range(0, n * n, n) if k != t]
+    combo = [sum(c * ints[k + j] for k, c in coefs) for j in range(n)]
+    ents = _entries(p, ints)  # the combination row can leave the table's range
+    ents[t : t + n] = map(Fraction, combo) if p is None else (x % p for x in combo)
+    return Matrix(field, n, n, tuple(ents))

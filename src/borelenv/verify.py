@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from . import jsonio
+from ._kernel import _flag_echelon
 from .decomp import _search_guard, bruhat_cell, bruhat_decompose, ulp_decompose
 from .envelope import (
     _size_guard,
@@ -36,7 +37,7 @@ from .envelope import (
 )
 from .errors import InvalidInput, UlpInfeasible
 from .flags import _tangent_sum
-from .linalg import FieldSpec, Matrix, _rank, inverse, subspace_from_rows
+from .linalg import FieldSpec, Matrix, _int_shape, inverse, subspace_from_rows
 from .rng import derive_stream, random_invertible, random_singular, random_upper_invertible
 from .weyl import (
     Permutation,
@@ -299,7 +300,7 @@ def ulp_roundtrip(fields, ns, samples: int, seed: int) -> CriterionResult:
                 if normalization == "lower":
                     return (m, "borelenv decomp --kind ulp --matrix INPUT",
                             "unipotent-lower reported infeasible"), outcomes
-                if _rank(m) == m.nrows:
+                if len(_flag_echelon(m.field.p, _int_shape(m.field, m.rows_list()))) == m.nrows:
                     return (m, "", "infeasible on an invertible input"), outcomes
                 outcomes["upper_infeasible"] += 1
                 continue

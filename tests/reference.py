@@ -764,3 +764,61 @@ def naive_certificate_devissage(g):
         raise ContractViolation("devissage certificate failed self-verification")
     translate = tuple(compose(t, q) for t in transposition_set(n))
     return EnvelopeCertificate(target, tuple(entries), span == target.algebra, translate)
+
+
+# The naive draw path that tests/test_rng.py holds rng's constructors to,
+# draw for draw: each entry coerced by ``Matrix.from_rows``, one Matrix per
+# rejection-sampling attempt, rank by naive RREF.  Entry rules: ints in
+# [-9, 9] over Q, residues over F_p; a nonzero entry over Q skips 0 and
+# keeps the range symmetric.
+def _naive_scalar(rng, field):
+    return rng.randint(-9, 9) if field.p is None else rng.below(field.p)
+
+
+def _naive_nonzero_scalar(rng, field):
+    if field.p is None:
+        v = rng.randint(-9, 8)
+        return v if v < 0 else v + 1
+    return 1 + rng.below(field.p - 1)
+
+
+def naive_random_matrix(rng, field, n):
+    from borelenv.linalg import Matrix
+
+    return Matrix.from_rows(field, [[_naive_scalar(rng, field) for _ in range(n)] for _ in range(n)])
+
+
+def naive_random_invertible(rng, field, n):
+    while True:
+        m = naive_random_matrix(rng, field, n)
+        rows = m.rows_list()
+        if (naive_rref_q(rows) if field.p is None else naive_rref_fp(rows, field.p))[1] == n:
+            return m
+
+
+def naive_random_upper_invertible(rng, field, n):
+    from borelenv.linalg import Matrix
+
+    rows = []
+    for i in range(n):
+        row = [0] * i + [_naive_nonzero_scalar(rng, field)]
+        rows.append(row + [_naive_scalar(rng, field) for _ in range(n - i - 1)])
+    return Matrix.from_rows(field, rows)
+
+
+def naive_random_singular(rng, field, n):
+    """Row ``target`` replaced by a combination of the others, one drawn
+    coefficient per other row in row order; n = 1 gives the zero matrix."""
+    from borelenv.linalg import Matrix
+
+    rows = naive_random_matrix(rng, field, n).rows_list()
+    if n == 1:
+        return Matrix.zeros(field, 1, 1)
+    target = rng.below(n)
+    combo = [0] * n
+    for k in range(n):
+        if k != target:
+            c = _naive_scalar(rng, field)
+            combo = [x + c * y for x, y in zip(combo, rows[k])]
+    rows[target] = combo
+    return Matrix.from_rows(field, rows)

@@ -141,6 +141,13 @@ class TestCliEnvelope:
         assert captured.out == ""
         assert captured.err.startswith("error: malformed JSON") and captured.err.count("\n") == 1
 
+    def test_unreadable_matrix_path_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["envelope", "--matrix", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {missing}: ") and captured.err.count("\n") == 1
+
     def test_non_utf8_input_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'{"field": "Q", "rows": [["\xe9"]]}')

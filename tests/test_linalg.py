@@ -658,6 +658,16 @@ class TestSubspace:
         s = subspace_from_rows(3, [[1, 2, 0], [0, 0, 1]], field=Q)
         assert subspace_intersect(s, s) == s
 
+    def test_vector_of_wrong_length_rejected(self):
+        with pytest.raises(InvalidInput, match="vector length does not match ambient dimension"):
+            subspace_from_rows(3, [[1, 0, 0], [0, 1]], field=Q)
+
+    def test_intersect_over_different_fields_rejected(self):
+        a = subspace_from_rows(2, [[1, 0]], field=Q)
+        b = subspace_from_rows(2, [[1, 0]], field=F5)
+        with pytest.raises(InvalidInput, match="field mismatch"):
+            subspace_intersect(a, b)
+
     def test_axes(self):
         e1 = subspace_from_rows(2, [[1, 0]], field=Q)
         e2 = subspace_from_rows(2, [[0, 1]], field=Q)
