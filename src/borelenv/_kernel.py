@@ -187,10 +187,10 @@ def peel(v: list[int], d: int, x, e: int, a: int, p: int | None) -> tuple[list[i
 
 def unit_row(v: list[int], d: int, c: int, p: int | None):
     """(x, r, e) with x/e = v / v[c] and r/e = d / v[c], for v[c] != 0: over
-    F_p x is v times one inverse and e = 1, over Q x = v and e = v[c]."""
+    F_p x is a tuple, v times one inverse, and e = 1; over Q x = v and e = v[c]."""
     if p is not None:
         inv = pow(v[c], p - 2, p)
-        return [y * inv % p for y in v], inv, 1
+        return tuple([y * inv % p for y in v]), inv, 1
     return v, d, v[c]
 
 
@@ -212,7 +212,7 @@ def _echelon_push(p: int | None, out: list, leads: list, v) -> bool:
     if not any(v):
         return False
     leads.append(lead := _lead(v))
-    out.append(_primitive(v, lead) if p is None else tuple(unit_row(v, 1, lead, p)[0]))
+    out.append(_primitive(v, lead) if p is None else unit_row(v, 1, lead, p)[0])
     return True
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Literal
 
@@ -154,13 +155,16 @@ def _echelon_cell(echelon: list) -> Permutation:
 # ULP
 
 
+@lru_cache(maxsize=8)
 def _ulp_sweep(m: Matrix):
     """_ulp_lower's sweep in integer shape: (perm, claimed, res, units, coefs).
 
     Row i claims column claimed[i] (perm sends it to i + 1), with residue
     res[i] = (v, d) and peel row units[i] (unit_row there, or the unit
     vector if the residue vanishes); coefs[i][k], k >= i, is u[i][k] as
-    (num, den)."""
+    (num, den).  Memoized per matrix (8 kept), so both normalizations and
+    the restricted certificate read one sweep: every container returned is
+    a tuple, and each reader validates what it builds from it."""
     n, p = m.nrows, m.field.p
     res = int_rows(_rows(m), p)
     claimed, units = [0] * n, [None] * n
@@ -174,16 +178,17 @@ def _ulp_sweep(m: Matrix):
                 coefs[i][k] = (a, d)
                 x, _, e = units[k]
                 v, d = peel(v, d, x, e, a, p)
-        j = next((c for c in range(n - 1, -1, -1) if v[c]), None)
+        j, v = next((c for c in range(n - 1, -1, -1) if v[c]), None), tuple(v)
         if j is None:
             j = max(free)
-            units[i] = ([1 if c == j else 0 for c in range(n)], 0, 1)
+            units[i] = (tuple(int(c == j) for c in range(n)), 0, 1)
         else:
             coefs[i][i] = (v[j], d)
             units[i] = unit_row(v, d, j, p)
         res[i], claimed[i] = (v, d), j
         free.discard(j)
-    return Permutation(tuple(c + 1 for c in claimed)).inverse(), claimed, res, units, coefs
+    perm = Permutation(tuple(c + 1 for c in claimed)).inverse()
+    return perm, tuple(claimed), tuple(res), tuple(units), tuple(map(tuple, coefs))
 
 
 def _ulp_lower(m: Matrix) -> UlpFactors:
@@ -304,7 +309,9 @@ def ulp_decompose(m: Matrix, normalization: Normalization = "lower") -> UlpFacto
     """Factor any square m as u @ l @ P_p, u upper and l lower triangular.
 
     ``normalization`` names the factor forced to have an all-ones diagonal.
-    The result is deterministic for a given input and normalization.
+    The result is deterministic for a given input and normalization.  Both
+    normalizations, and the restricted certificate, read one memoized sweep
+    of m (:func:`_ulp_sweep`); each factorization is still validated here.
     Raises UlpInfeasible for the (singular-input, "upper") corner where the
     factorization provably does not exist.
     """

@@ -175,6 +175,14 @@ def _translate_coords(images: tuple) -> frozenset[int]:
     return frozenset(r * n + c for r, a in enumerate(images) for c, b in enumerate(images) if a <= b)
 
 
+@lru_cache(maxsize=1024)
+def _outside_coords(images: tuple) -> tuple[int, ...]:
+    """The complement of :func:`_translate_coords`, in order: the entries
+    (r, c) with w(r) > w(c).  1,024 are kept."""
+    inside = _translate_coords(images)
+    return tuple(c for c in range(len(images) ** 2) if c not in inside)
+
+
 @lru_cache(maxsize=4096)
 def borel_translate(w: Permutation, field: FieldSpec) -> Subspace:
     """borel(P_w): the coordinate subspace on the entries (r, c) with w(r) <= w(c)."""
@@ -289,23 +297,24 @@ def verify_certificate(cert: EnvelopeCertificate) -> bool:
     """Recheck every claim in the certificate from scratch.
 
     Each vector is coerced once (a non-scalar entry raises InvalidInput).
-    Translate membership is a zero pattern on borel(P_w)'s index set;
-    algebra membership follows when the span is the algebra, and only
-    otherwise is each vector reduced against it.  ``spans`` must agree with
-    that comparison.  Failures return False, so forged certificates are
-    rejected, not crashed on.  The CLI and the restricted suite run this
-    recheck; it shares only ``_span_int`` and ``_translate_coords`` with
-    the certificate routes.
+    Translate membership is a zero test on the entries off borel(P_w)'s
+    index set (:func:`_outside_coords`); algebra membership follows when
+    the span is the algebra, and only otherwise is each vector reduced
+    against it.  ``spans`` must agree with that comparison.  Failures
+    return False, so forged certificates are rejected, not crashed on.  The
+    CLI and the restricted suite run this recheck; it shares only
+    ``_span_int`` and ``_translate_coords`` with the certificate routes.
     """
     target = cert.target
-    n, f = target.n, target.g.field
+    n, f, p = target.n, target.g.field, target.g.field.p
     rows = []
     for vec, w in cert.entries:
         if len(vec) != n * n or w.n != n:
             return False
-        v = [f.coerce(x) for x in vec]
-        coords = _translate_coords(w.images)
-        if any(x and c not in coords for c, x in enumerate(v)):
+        # one pass: an entry not already of the field's type goes through coerce
+        v = ([x % p if type(x) is int else f.coerce(x) for x in vec] if p
+             else [x if type(x) is Fraction else f.coerce(x) for x in vec])
+        if any(v[c] for c in _outside_coords(w.images)):
             return False
         rows.append(v)
     span, algebra = _span_int(f, _int_shape(f, rows), n * n), target.algebra

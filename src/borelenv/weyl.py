@@ -16,8 +16,10 @@ and w -> P_w is a group homomorphism.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 
 from .errors import InvalidInput, ResourceGuard
 from .linalg import FieldSpec, Matrix
@@ -117,8 +119,13 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     Groups*, Thm 2.6.3.
     """
     _check_same_n(u, w)
-    a, b = u.images, w.images
-    return all(x <= y for j in range(1, u.n) for x, y in zip(sorted(a[:j]), sorted(b[:j])))
+    a, b = [], []  # the sorted prefixes, each grown by one insort
+    for x, y in zip(u.images[:-1], w.images[:-1]):
+        insort(a, x)
+        insort(b, y)
+        if not all(map(le, a, b)):
+            return False
+    return True
 
 
 def perm_matrix(w: Permutation, field: FieldSpec) -> Matrix:

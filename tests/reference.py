@@ -314,6 +314,13 @@ def naive_bruhat_leq(u, w):
     return all(tu[i][j] <= tw[i][j] for i in range(1, n + 1) for j in range(1, n + 1))
 
 
+def sorted_prefix_bruhat_leq(u, w):
+    """Bruhat order via the tableau criterion, every prefix sorted afresh:
+    u <= w iff sorted(u(1..j)) <= sorted(w(1..j)) entrywise for every j."""
+    a, b = u.images, w.images
+    return all(x <= y for j in range(1, u.n) for x, y in zip(sorted(a[:j]), sorted(b[:j])))
+
+
 def naive_witness_coefficients(u, i, j):
     """The (i, j) witness coefficients x of upper triangular u, 1-based.
 

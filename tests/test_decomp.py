@@ -614,6 +614,81 @@ class TestSelfChecksLive:
             bruhat_decompose(g)
 
 
+class TestUpperSearchGuards:
+    """The two guards of the unipotent-upper search fire on a forged
+    intermediate result.  The input is singular and feasible, and its first
+    split fails, so the search reaches _ul_split and the rank walk."""
+
+    ROWS = [[1, 1, 1], [1, 1, 2], [1, 1, 2]]
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=str)
+    def test_residual_escapes_lower_support(self, monkeypatch, field):
+        real = decomp._rref_prim
+
+        def no_solution(f, rows, width):  # the pivots stand; every solution coefficient reads 0
+            prim, rank, pivots = real(f, rows, width)
+            return [(*row[:-1], 0) for row in prim], rank, pivots
+
+        monkeypatch.setattr(decomp, "_rref_prim", no_solution)
+        with pytest.raises(ContractViolation, match="residual row escaped its lower support"):
+            ulp_decompose(Matrix.from_rows(field, self.ROWS), "upper")
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=str)
+    def test_split_fails_after_rank_test(self, monkeypatch, field):
+        m = Matrix.from_rows(field, self.ROWS)
+        assert ulp_decompose(m, "upper").p != ulp_decompose(m, "lower").p  # found by the rank walk
+        monkeypatch.setattr(decomp, "_ul_split", lambda b: None)
+        with pytest.raises(ContractViolation, match="rank test passed but the U @ L split failed"):
+            ulp_decompose(m, "upper")
+
+
+class TestUlpSweepMemo:
+    """Both normalizations and the restricted certificate read one sweep per
+    matrix; the memo key is the matrix value, field included."""
+
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        # unit_row runs once per row whose residue is nonzero: n times in a
+        # sweep of an invertible n x n matrix, and nowhere else on these paths
+        calls = []
+        real = decomp.unit_row
+        monkeypatch.setattr(decomp, "unit_row", lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("field", [F2, F5, Q], ids=str)
+    def test_lower_upper_restricted_make_one_sweep(self, monkeypatch, field):
+        calls = self._count_sweeps(monkeypatch)
+        g = random_invertible(SplitMix64(83), field, 4)
+        lower, upper = ulp_decompose(g, "lower"), ulp_decompose(g, "upper")
+        cert = envelope_certificate(g, restricted=True)
+        assert len(calls) == 4
+        assert decomp._ulp_sweep.cache_info()[:2] == (2, 1)  # (hits, misses)
+        assert lower.recompose() == upper.recompose() == g
+        assert cert.spans and verify_certificate(cert)
+
+    def test_equal_matrix_hits_other_field_or_matrix_misses(self, monkeypatch):
+        calls = self._count_sweeps(monkeypatch)
+        rows = [[1, 2], [3, 4]]
+        ulp_decompose(Matrix.from_rows(Q, rows), "lower")
+        ulp_decompose(Matrix.from_rows(Q, [["1", 2], [3, "4/1"]]), "upper")
+        assert len(calls) == 2
+        ulp_decompose(Matrix.from_rows(F5, rows), "lower")
+        assert len(calls) == 4
+        ulp_decompose(Matrix.from_rows(Q, [[1, 2], [3, 5]]), "lower")
+        assert len(calls) == 6
+        assert decomp._ulp_sweep.cache_info()[:2] == (1, 3)
+
+    def test_sweep_is_immutable(self):
+        g = random_invertible(SplitMix64(89), Q, 3)
+        swept = decomp._ulp_sweep(g)
+        stack = list(swept[1:])
+        while stack:
+            x = stack.pop()
+            assert not isinstance(x, (list, dict, set))
+            if isinstance(x, tuple):
+                stack.extend(x)
+
+
 class TestUnreducedFpEntries:
     """Entries outside [0, p) stand for their residues at every entry point."""
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -339,9 +340,10 @@ class TestUnipotentInverse:
 
         def doubled_diagonal(m):
             perm, claimed, res, units, coefs = real(m)
-            x, r, e = units[1]
-            units[1] = (x, r, 2 * e)  # l[2, 2] = 1/2: still lower triangular, no longer unipotent
-            return perm, claimed, res, units, coefs
+            (x, r, e), rest = units[1], units[2:]
+            # l[2, 2] = 1/2: still lower triangular, no longer unipotent; a new
+            # tuple, so the memoized sweep is left as it was
+            return perm, claimed, res, (units[0], (x, r, 2 * e), *rest), coefs
 
         monkeypatch.setattr(envelope, "_ulp_sweep", doubled_diagonal)
         g = random_invertible(SplitMix64(331), Q, 3)
@@ -495,6 +497,13 @@ class TestTranslateIndexSets:
                 for field in (F2, F3, F5, F101, Q):
                     units = [[int(c == u) for c in range(n * n)] for u in want]
                     assert borel_translate(w, field) == subspace_from_rows(n * n, units, field)
+
+    def test_outside_set_is_the_complement(self):
+        for n in range(1, 6):
+            for w in enumerate_group(n):
+                outside = envelope._outside_coords(w.images)
+                assert sorted(outside) == list(outside)
+                assert set(outside) == set(range(n * n)) - naive_translate_index_set(w)
 
     def test_escape_test_matches_the_support_test(self):
         # col ⊗ row escapes borel(P_w) iff some nonzero product sits off its index set
@@ -837,6 +846,20 @@ class TestCertificates:
             with pytest.raises(InvalidInput):
                 forged = (((True,) + vec[1:], w),) + rest
                 verify_certificate(EnvelopeCertificate(cert.target, forged, True))
+
+    def test_entries_coerced_as_coerce_does(self):
+        # strings over Q and residues off [0, p) (zeros become -10) stand for
+        # the values they coerce to; a bad entry raises coerce's own message
+        rng = SplitMix64(271)
+        for field, other, bad in ((Q, str, 0.5), (F5, lambda x: x - 10, Fraction(1, 2))):
+            cert = envelope_certificate(random_invertible(rng, field, 3), restricted=True)
+            recast = tuple((tuple(map(other, vec)), w) for vec, w in cert.entries)
+            assert verify_certificate(EnvelopeCertificate(cert.target, recast, True))
+            (vec, w), rest = cert.entries[0], cert.entries[1:]
+            with pytest.raises(InvalidInput) as raised:
+                field.coerce(bad)
+            with pytest.raises(InvalidInput, match=re.escape(str(raised.value))):
+                verify_certificate(EnvelopeCertificate(cert.target, ((vec[:-1] + (bad,), w),) + rest, True))
 
     def test_greedy_stops_once_spanned(self, monkeypatch):
         calls = []

@@ -6,7 +6,8 @@ The pool mixes inputs that the memo keys must tell apart or may merge:
 coset mates b·g (one Borel), flag mates g·b (one flag), g next to g^-1
 and to (I + E_n1)·g (the same first row, another Borel), triangular
 matrices (whose row and column flags are the coordinate ones
-over every field) and the same integer rows over F_p and over Q.
+over every field), singular matrices and the same integer rows over F_p
+and over Q.  Every matrix is also factored by ULP in both normalizations.
 """
 
 import contextlib
@@ -14,11 +15,12 @@ import io
 import json
 
 from borelenv import cli, jsonio
+from borelenv.decomp import ulp_decompose
 from borelenv.envelope import borel_from_g, envelope_bruteforce, envelope_certificate, verify_certificate
 from borelenv.errors import BorelenvError
 from borelenv.flags import flag_from_matrix, relative_position, stabilizer_algebra, tangent_sum_check
 from borelenv.linalg import FieldSpec, Matrix, inverse
-from borelenv.rng import SplitMix64, random_invertible, random_upper_invertible
+from borelenv.rng import SplitMix64, random_invertible, random_singular, random_upper_invertible
 from borelenv.weyl import enumerate_group, longest_element, perm_matrix
 
 from conftest import library_caches
@@ -30,7 +32,7 @@ FIELDS = (FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), FieldSpec.
 CACHES = {
     "_row_flag_algebra", "borel_from_g", "_translate_coords", "borel_translate", "_coset_certificate",
     "_intersection_sum", "_visit_ranks", "stabilizer_algebra", "gl2_elements", "transposition_set",
-    "enumerate_group",
+    "enumerate_group", "_ulp_sweep", "_outside_coords",
 }
 
 
@@ -60,6 +62,7 @@ def matrices():
                         inverse(g), Matrix.from_rows(field, lower) @ g, Matrix.from_rows(field, ints))
             yield from (Matrix.identity(field, n), perm_matrix(longest_element(n), field))
             yield random_upper_invertible(rng, field, n)
+            yield random_singular(rng, field, n)
 
 
 def pool(tmp_path) -> list:
@@ -75,6 +78,8 @@ def pool(tmp_path) -> list:
             (f"{t} borel", lambda m=m: subspace(borel_from_g(m).algebra)),
             (f"{t} stab", lambda m=m: subspace(stabilizer_algebra(flag_from_matrix(m)))),
             (f"{t} tangent", lambda m=m: repr(tangent_sum_check(m))),
+            # upper then lower in one op, so the cold run reads a warm sweep too
+            (f"{t} ulp", lambda m=m: repr([answer(lambda k=k: repr(ulp_decompose(m, k))) for k in ("upper", "lower")])),
         ]
         if key in last:
             ops.append((f"{t} relpos", lambda a=last[key], b=m: repr(relative_position(flag_from_matrix(a),

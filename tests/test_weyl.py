@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from borelenv import weyl
 from borelenv.errors import InvalidInput, ResourceGuard
 from borelenv.linalg import FieldSpec, Matrix, inverse
+from borelenv.rng import SplitMix64
 from borelenv.verify import _subword_set
 from borelenv.weyl import (
     Permutation,
@@ -21,7 +22,7 @@ from borelenv.weyl import (
     perm_matrix,
     transposition_set,
 )
-from reference import naive_bruhat_leq
+from reference import naive_bruhat_leq, sorted_prefix_bruhat_leq
 
 Q = FieldSpec.rational()
 
@@ -105,6 +106,15 @@ class TestLongestElement:
             assert length(w0) == n * (n - 1) // 2
 
 
+def _shuffled(rng, n) -> Permutation:
+    """A seeded permutation of 1..n, by Fisher-Yates."""
+    images = list(range(1, n + 1))
+    for k in range(n - 1, 0, -1):
+        j = rng.below(k + 1)
+        images[k], images[j] = images[j], images[k]
+    return Permutation(tuple(images))
+
+
 class TestBruhatOrder:
     def test_identity_is_minimum(self):
         for w in enumerate_group(3):
@@ -131,6 +141,28 @@ class TestBruhatOrder:
             for u in group:
                 for w in group:
                     assert bruhat_leq(u, w) == naive_bruhat_leq(u, w), (u, w)
+
+    def test_matches_sorted_prefix_oracle(self):
+        # every ordered pair of S_1..S_5, then seeded pairs at n = 50 and 500:
+        # a random pair, and chains u < w that remove inversions one at a time
+        for n in range(1, 6):
+            group = enumerate_group(n)
+            for u in group:
+                for w in group:
+                    assert bruhat_leq(u, w) == sorted_prefix_bruhat_leq(u, w), (u, w)
+        rng = SplitMix64(97)
+        for n, pairs in ((50, 40), (500, 4)):
+            for _ in range(pairs):
+                w, u = _shuffled(rng, n), _shuffled(rng, n)
+                below = list(w.images)
+                for _ in range(1 + rng.below(n)):
+                    i, j = sorted((rng.below(n), rng.below(n)))
+                    if below[i] > below[j]:
+                        below[i], below[j] = below[j], below[i]
+                below = Permutation(tuple(below))
+                for x, y in ((u, w), (w, u), (below, w), (w, below), (w, w)):
+                    assert bruhat_leq(x, y) == sorted_prefix_bruhat_leq(x, y)
+                assert bruhat_leq(below, w)
 
     def test_agrees_with_subword_oracle_exhaustively(self):
         # all pairs for n <= 3 plus all 576 ordered pairs of S_4
